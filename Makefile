@@ -88,22 +88,20 @@ differential:
 
 # check is the CI gate: compile, vet, race-test everything, repeat the
 # concurrency stress suite, re-run the chaos (fault-injection) suite and
-# the delta-vs-rebuild differential suite, then enforce the lint
-# invariants (domdlint must exit 0 on the tree) and the docs
-# cross-checks.
+# the delta-vs-rebuild differential suite, enforce the lint invariants
+# (domdlint must exit 0 on the tree) and the docs cross-checks, then vet
+# and test domdbench, the nested benchmark module (its tests hold
+# BENCHMARK.json to the report tables).
 check:
-	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) lint && $(MAKE) docs
+	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) lint && $(MAKE) docs && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
 
 # bench runs the Go micro-benchmarks (including the statusq
-# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3), then the loadgen
-# harness, which rewrites BENCH_6.json from a live served workload, the
-# shard-scaling scenario, which rewrites BENCH_7.json from a
-# fsync-per-ack sweep of 1..8 shards (powers of two), and the
-# prediction-serving scenario, which rewrites BENCH_10.json from a
-# /predict-heavy workload under rolling model hot-swaps.
+# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3), then domdbench, the
+# serving benchmark declared in BENCHMARK.json, on both of its workloads:
+# each run builds cmd/domd, serves it, and drives it over HTTP (see
+# domdbench/README.md). The last line of each run is its JSON result.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 	$(GO) test -run '^$$' -bench 'ApplyRCC|RebuildAfterIngest' -benchmem ./internal/statusq/
-	$(GO) run ./cmd/domd loadgen -duration 5s -serve-rccs 1500 -micro-iters 300 -out BENCH_6.json
-	$(GO) run ./cmd/domd loadgen -scenario shards -shards 8 -duration 3s -out BENCH_7.json
-	$(GO) run ./cmd/domd loadgen -scenario predict -duration 5s -serve-rccs 1500 -out BENCH_10.json
+	bash domdbench/run.sh --workload fleet-scan --seed 1 --seconds 21 --trace 0
+	bash domdbench/run.sh --workload ingest-mix --seed 1 --seconds 21 --trace 0

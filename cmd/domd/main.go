@@ -60,7 +60,6 @@ var subcommands = []struct {
 	{"backtest", "walk-forward (rolling-origin) evaluation across history", runBacktest},
 	{"importances", "train (or -load) a pipeline and print the global delay drivers", runImportances},
 	{"drift", "compare live feature distributions against a reference fleet", runDrift},
-	{"loadgen", "drive a mixed query/ingest workload and write latency+ingest-cost benchmarks", runLoadgen},
 }
 
 func main() {

@@ -93,7 +93,42 @@ func (s *QueryService) QueryEngine(eng *statusq.Engine, at domain.Day) (*Result,
 	if ts < 0 {
 		return nil, fmt.Errorf("core: avail %d has not started at %v (t* = %.1f%%)", a.ID, at, ts)
 	}
-	grid := s.pipeline.Timestamps()
+	tr, err := s.pipeline.TrajectoryAt(s.ext, eng, ts)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{AvailID: a.ID, At: at, LogicalTime: ts}
+	for k := 0; k <= tr.Upto; k++ {
+		res.Estimates = append(res.Estimates, Estimate{Timestamp: tr.Grid[k], Raw: tr.Raw[k], Fused: tr.Fused[k]})
+	}
+	res.TopDrivers, err = s.pipeline.TopFeatures(tr.Upto, tr.Fulls[tr.Upto], 5)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// Trajectory is one avail's DoMD trajectory under a pipeline: the full
+// feature vectors and the estimates at grid points 0..Upto.
+type Trajectory struct {
+	// Upto indexes the last grid point at or before t*.
+	Upto int
+	// Grid is the pipeline's t* grid; the trajectory covers Grid[:Upto+1].
+	Grid []float64
+	// Fulls holds the full feature vector at each covered grid point.
+	Fulls [][]float64
+	// Raw holds the per-timestamp estimates and Fused the progressively
+	// fused ones, both indexed like Fulls.
+	Raw, Fused []float64
+}
+
+// TrajectoryAt is the serving trajectory loop shared by
+// QueryService.QueryEngine and the model registry's Predict: it walks the
+// grid up to logical time ts (>= 0), extracts the full feature vector
+// from eng at each grid point, and runs the per-timestamp models over them.
+// The engine is only read.
+func (p *Pipeline) TrajectoryAt(ext *features.Extractor, eng *statusq.Engine, ts float64) (*Trajectory, error) {
+	grid := p.Timestamps()
 	upto := 0
 	for k, g := range grid {
 		if g <= ts {
@@ -101,23 +136,15 @@ func (s *QueryService) QueryEngine(eng *statusq.Engine, at domain.Day) (*Result,
 		}
 	}
 	fulls := make([][]float64, upto+1)
-	for k := 0; k <= upto; k++ {
-		fulls[k], err = s.ext.Vector(eng, grid[k])
-		if err != nil {
+	for k := range fulls {
+		var err error
+		if fulls[k], err = ext.Vector(eng, grid[k]); err != nil {
 			return nil, err
 		}
 	}
-	raw, fused, err := s.pipeline.Trajectory(fulls, upto)
+	raw, fused, err := p.Trajectory(fulls, upto)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{AvailID: a.ID, At: at, LogicalTime: ts}
-	for k := 0; k <= upto; k++ {
-		res.Estimates = append(res.Estimates, Estimate{Timestamp: grid[k], Raw: raw[k], Fused: fused[k]})
-	}
-	res.TopDrivers, err = s.pipeline.TopFeatures(upto, fulls[upto], 5)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return &Trajectory{Upto: upto, Grid: grid, Fulls: fulls, Raw: raw, Fused: fused}, nil
 }

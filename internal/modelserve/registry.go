@@ -313,25 +313,11 @@ func (r *Registry) Predict(eng *statusq.Engine, at domain.Day, alpha float64) (*
 	if alpha <= 0 {
 		alpha = v.alpha
 	}
-	grid := m.pipe.Timestamps()
-	upto := 0
-	for k, g := range grid {
-		if g <= ts {
-			upto = k
-		}
-	}
-	fulls := make([][]float64, upto+1)
-	for k := 0; k <= upto; k++ {
-		fulls[k], err = r.ext.Vector(eng, grid[k])
-		if err != nil {
-			return nil, err
-		}
-	}
-	raw, _, err := m.pipe.Trajectory(fulls, upto)
+	tr, err := m.pipe.TrajectoryAt(r.ext, eng, ts)
 	if err != nil {
 		return nil, err
 	}
-	lo, mid, hi, err := m.conf.Interval(raw, upto, alpha)
+	lo, mid, hi, err := m.conf.Interval(tr.Raw, tr.Upto, alpha)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -234,11 +235,32 @@ func TestPredictWithoutRegistryNever5xx(t *testing.T) {
 func TestFleetCarriesPredictions(t *testing.T) {
 	srv, ds, _ := newPredictServer(t)
 	var fleet []map[string]any
-	get(t, srv.URL+"/fleet?date="+fleetDate(ds).String(), http.StatusOK, &fleet)
+	date := fleetDate(ds).String()
+	get(t, srv.URL+"/fleet?date="+date, http.StatusOK, &fleet)
 	if len(fleet) == 0 {
 		t.Fatal("empty fleet")
 	}
 	assertFleetPredictions(t, fleet)
+
+	// Each row's prediction is the /predict answer for the same avail and
+	// date, bit for bit: both are rendered by the same code.
+	for _, r := range fleet {
+		if r["error"] != nil {
+			continue
+		}
+		var p map[string]any
+		get(t, fmt.Sprintf("%s/predict?avail=%v&date=%s", srv.URL, r["avail_id"], date), http.StatusOK, &p)
+		for _, k := range []string{"predicted_delay", "band_lo", "band_hi"} {
+			f, _ := r[k].(float64)
+			g, _ := p[k].(float64)
+			if math.Float64bits(f) != math.Float64bits(g) {
+				t.Errorf("avail %v %s: fleet %v, /predict %v", r["avail_id"], k, r[k], p[k])
+			}
+		}
+		if r["model_version"] != p["model_version"] {
+			t.Errorf("avail %v model_version: fleet %v, /predict %v", r["avail_id"], r["model_version"], p["model_version"])
+		}
+	}
 }
 
 // TestShardedFleetCarriesPredictions is the sharded half: the fan-out

@@ -762,16 +762,19 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			eng, asOf, stale, err := s.catalog.EngineAsOf(id)
+			var view *queryView
+			var pred *predictRow
+			if err == nil {
+				view, err = s.renderQuery(eng, asOf, stale, at)
+			}
+			if err == nil {
+				pred, err = s.renderPredict(eng, asOf, stale, at, s.alpha)
+			}
 			if err != nil {
 				rows[i].Error = err.Error()
 			} else {
-				view, err := s.renderQuery(eng, asOf, stale, at)
-				if err != nil {
-					rows[i].Error = err.Error()
-				} else {
-					rows[i].Result = view
-					s.annotatePrediction(&rows[i], eng, at)
-				}
+				rows[i].Result = view
+				rows[i].setPrediction(pred)
 			}
 			if ah != nil && ah.HealthForAvail(id) != statusq.ShardHealthy {
 				rows[i].Degraded = true
@@ -799,28 +802,16 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, rows)
 }
 
-// annotatePrediction folds the model registry's answer into a fleet row:
-// predicted delay, conformal band, and model version — or
+// setPrediction copies the model fields of a /predict row onto a fleet
+// row: predicted delay, conformal band, and model version — or
 // prediction_unavailable when no registry serves, the registry is empty,
-// or the model fails. Never an error: fleet reads stay 200 (the PR-4
+// or the model fails. Fleet reads stay 200 either way (the
 // degraded-answer contract).
-func (s *Server) annotatePrediction(row *fleetRow, eng *statusq.Engine, at domain.Day) {
-	if s.models == nil {
-		row.PredictionUnavailable = true
-		mPredictUnavailable.Inc()
-		return
-	}
-	pred, err := s.models.Predict(eng, at, s.alpha)
-	if err != nil {
-		row.PredictionUnavailable = true
-		mPredictUnavailable.Inc()
-		return
-	}
-	row.PredictedDelay = &pred.Delay
-	row.BandLo = &pred.Lo
-	row.BandHi = &pred.Hi
-	row.ModelVersion = pred.Version
-	row.WindowFallback = pred.WindowFallback
+func (row *fleetRow) setPrediction(p *predictRow) {
+	row.PredictedDelay, row.BandLo, row.BandHi = p.PredictedDelay, p.BandLo, p.BandHi
+	row.ModelVersion = p.ModelVersion
+	row.WindowFallback = p.WindowFallback
+	row.PredictionUnavailable = p.PredictionUnavailable
 }
 
 // MaxBatchQueries caps one POST /query/batch request; beyond it the batch

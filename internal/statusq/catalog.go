@@ -42,8 +42,8 @@ const FailDeltaApply = "statusq.engine.deltaapply"
 // N concurrent first queries build one engine, not N. AddRCC appends to the
 // history and, when the avail has a live built engine, folds the new RCC
 // into it in O(delta) (Engine.ApplyRCC) instead of invalidating it; only
-// when no engine is cached, a build is in flight or failed, or the delta
-// path is disabled/faulted does it fall back to invalidation and a full
+// when no engine is cached, a build is in flight or failed, or the fold
+// is refused or faulted does it fall back to invalidation and a full
 // rebuild on the next query. Queries racing an AddRCC may still be answered
 // from the pre-append snapshot, but any Engine call that starts after
 // AddRCC returns observes the new RCC.
@@ -56,14 +56,10 @@ type Catalog struct {
 	kind   index.Kind
 	avails map[int]*domain.Avail // immutable after NewCatalog
 
-	mu       sync.RWMutex // guards rccs, engines, lastGood, and deltaApply
+	mu       sync.RWMutex // guards rccs, engines, and lastGood
 	rccs     map[int][]domain.RCC
 	engines  map[int]*engineSlot
 	lastGood map[int]*engineSlot
-	// deltaApply gates the O(delta) ingest path; disabled the catalog
-	// behaves as the pre-incremental invalidate-and-rebuild design
-	// (benchmark and A/B baseline).
-	deltaApply bool
 
 	builds         atomic.Int64
 	deltaApplies   atomic.Int64
@@ -117,12 +113,11 @@ func NewCatalog(avails []domain.Avail, rccs []domain.RCC, kind index.Kind) (*Cat
 		return nil, err
 	}
 	c := &Catalog{
-		kind:       kind,
-		avails:     make(map[int]*domain.Avail, len(avails)),
-		rccs:       make(map[int][]domain.RCC),
-		engines:    make(map[int]*engineSlot),
-		lastGood:   make(map[int]*engineSlot),
-		deltaApply: true,
+		kind:     kind,
+		avails:   make(map[int]*domain.Avail, len(avails)),
+		rccs:     make(map[int][]domain.RCC),
+		engines:  make(map[int]*engineSlot),
+		lastGood: make(map[int]*engineSlot),
 	}
 	for i := range avails {
 		a := &avails[i]
@@ -288,16 +283,6 @@ func (c *Catalog) Eval(id int, ts float64, q Query) (float64, error) {
 	return e.Eval(ts, q)
 }
 
-// SetDeltaApply toggles the O(delta) ingest path. Disabled, AddRCC always
-// invalidates the cached engine (the pre-incremental design), which is the
-// baseline the loadgen rebuild-storm scenario and the ingest benchmarks
-// measure against. Enabled is the default.
-func (c *Catalog) SetDeltaApply(enabled bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.deltaApply = enabled
-}
-
 // DeltaApplies reports how many ingested RCCs this catalog folded into a
 // live engine in O(delta); DeltaFallbacks counts the ingests that
 // invalidated instead. The same increments feed the process-wide
@@ -305,8 +290,8 @@ func (c *Catalog) SetDeltaApply(enabled bool) {
 func (c *Catalog) DeltaApplies() int64 { return c.deltaApplies.Load() }
 
 // DeltaFallbacks reports how many AddRCC calls fell back to invalidating
-// the cached engine (no cache, build in flight or failed, delta disabled,
-// or an armed failpoint).
+// the cached engine (no cache, build in flight or failed, engine behind
+// the history, or an armed failpoint).
 func (c *Catalog) DeltaFallbacks() int64 { return c.deltaFallbacks.Load() }
 
 // AddRCC appends a newly created RCC (e.g. an approved contract change) to
@@ -334,8 +319,6 @@ func (c *Catalog) AddRCC(r domain.RCC) error {
 	slot := c.engines[id]
 	reason := ""
 	switch {
-	case !c.deltaApply:
-		reason = "disabled"
 	case slot == nil:
 		reason = "nocache"
 	case !slot.done.Load():

@@ -254,13 +254,14 @@ func TestCatalogAddRCCDeltaApplies(t *testing.T) {
 	}
 }
 
-// TestCatalogAddRCCInvalidatesWithoutDelta pins the fallback: with the
-// delta path disabled (and for any ineligible slot) AddRCC invalidates the
-// cached engine and the next Engine call rebuilds over the extended
-// history — the pre-incremental behaviour.
+// TestCatalogAddRCCInvalidatesWithoutDelta pins the fallback: when the
+// in-place fold is refused (here by the armed FailDeltaApply failpoint;
+// likewise for any ineligible slot) AddRCC invalidates the cached engine
+// and the next Engine call rebuilds over the extended history — the
+// pre-incremental behaviour.
 func TestCatalogAddRCCInvalidatesWithoutDelta(t *testing.T) {
+	defer faultinject.Reset()
 	c, ds := catalogFixture(t)
-	c.SetDeltaApply(false)
 	id := ds.Avails[0].ID
 	e1, err := c.Engine(id)
 	if err != nil {
@@ -271,6 +272,7 @@ func TestCatalogAddRCCInvalidatesWithoutDelta(t *testing.T) {
 		ID: 9_000_000, AvailID: id, Type: domain.Growth, SWLIN: 43411001,
 		Created: a.ActStart + 1, Settled: a.ActStart + 30, Amount: 1,
 	}
+	faultinject.EnableTimes(FailDeltaApply, errors.New("force rebuild path"), 1)
 	if err := c.AddRCC(add); err != nil {
 		t.Fatal(err)
 	}
@@ -286,6 +288,9 @@ func TestCatalogAddRCCInvalidatesWithoutDelta(t *testing.T) {
 	}
 	if got := c.DeltaFallbacks(); got != 1 {
 		t.Errorf("DeltaFallbacks = %d, want 1", got)
+	}
+	if got := c.DeltaApplies(); got != 0 {
+		t.Errorf("DeltaApplies = %d, want 0 (the fold was refused)", got)
 	}
 }
 

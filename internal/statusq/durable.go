@@ -50,7 +50,6 @@ const DefaultDedupCap = 1 << 16
 type durableLog interface {
 	Append(payload []byte) (seq uint64, err error)
 	Snapshot(payload []byte) error
-	Seq() uint64
 	Close() error
 }
 

@@ -270,7 +270,7 @@ func TestDurableUnknownAvailAndValidation(t *testing.T) {
 		t.Fatal("rejected ingest left state behind")
 	}
 	// Neither rejection may have reached the WAL.
-	if got := d.log.Seq(); got != 0 {
+	if got := d.log.(*wal.Log).Seq(); got != 0 {
 		t.Fatalf("rejected ingests appended %d WAL records", got)
 	}
 }

@@ -30,9 +30,6 @@ type GroupStats struct {
 // CreatedCount is the union cardinality (Eq. 5).
 func (g GroupStats) CreatedCount() int { return g.ActiveCount + g.SettledCount }
 
-// CreatedSumAmount is the union dollar volume.
-func (g GroupStats) CreatedSumAmount() float64 { return g.ActiveSumAmount + g.SettledSumAmount }
-
 // StatStructure is the incremental Status Query state of §4.3
 // ("StatStructure(t*_xj)"): a forward sweep over creation and settlement
 // events that maintains per-group aggregates. Advancing from t*_j to

@@ -294,8 +294,8 @@ func pinTopology(root string, shards, walReplicas int) error {
 // ShardCount reports the number of shards.
 func (s *ShardedCatalog) ShardCount() int { return len(s.shards) }
 
-// ShardOf reports which shard owns an avail id. Exported so tests and
-// the loadgen harness can target (or avoid) a specific shard.
+// ShardOf reports which shard owns an avail id. Exported so tests can
+// target (or avoid) a specific shard.
 func (s *ShardedCatalog) ShardOf(id int) int { return s.ring.shardOf(id) }
 
 // ShardDir reports shard i's WAL directory.
@@ -525,17 +525,6 @@ func (s *ShardedCatalog) DeltaFallbacks() int64 {
 	}
 	return n
 }
-
-// SetDeltaApply toggles O(delta) engine maintenance on every shard.
-func (s *ShardedCatalog) SetDeltaApply(enabled bool) {
-	for _, sh := range s.shards {
-		sh.SetDeltaApply(enabled)
-	}
-}
-
-// WALSeq reports shard i's WAL sequence number — a cheap proxy for
-// appended records used by tests asserting per-shard isolation.
-func (s *ShardedCatalog) WALSeq(i int) uint64 { return s.shards[i].log.Seq() }
 
 // HealthOf reports shard i's current health: the failure-streak state
 // machine folded with the shard's live replica status, so a quorum loss

@@ -10,6 +10,7 @@ import (
 	"domd/internal/domain"
 	"domd/internal/index"
 	"domd/internal/navsim"
+	"domd/internal/wal"
 )
 
 // shardedFixture opens a ShardedCatalog over the navsim fleet in root.
@@ -229,6 +230,52 @@ func TestShardedIngestSemantics(t *testing.T) {
 	r2 := deltaRCC(t, sc.shards[sc.ShardOf(other)].Catalog, other, 2)
 	if dup, err := sc.Ingest("same-key", r2); err != nil || dup {
 		t.Fatalf("same key on another shard: dup=%v err=%v, want fresh apply", dup, err)
+	}
+}
+
+// TestShardedSteadyStateIngest pins the steady state of a 1- and a
+// 2-shard tier under fsync-per-ack: once every ongoing engine is warm,
+// each acknowledged ingest is folded in place on its owning shard — one
+// delta apply per ack, no fallback, no rebuild — and the extended
+// history answers queries.
+func TestShardedSteadyStateIngest(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			sc, _, _ := shardedFixture(t, t.TempDir(), n, DurableOptions{WAL: wal.Options{Policy: wal.SyncAlways}})
+			defer sc.Close()
+			ongoing := sc.OngoingIDs()
+			if len(ongoing) == 0 {
+				t.Fatal("fixture fleet has no ongoing avails")
+			}
+			for _, id := range ongoing {
+				if _, err := sc.Engine(id); err != nil {
+					t.Fatalf("warm engine %d: %v", id, err)
+				}
+			}
+			builds := sc.EngineBuilds()
+			q := Query{Status: domain.Active, Agg: SumAmount}
+			for i, id := range ongoing {
+				r := deltaRCC(t, sc.shards[sc.ShardOf(id)].Catalog, id, i)
+				if dup, err := sc.Ingest(fmt.Sprintf("steady-%d", i), r); err != nil || dup {
+					t.Fatalf("ingest on avail %d: dup=%v err=%v", id, dup, err)
+				}
+				if _, err := sc.Eval(id, 60, q); err != nil {
+					t.Fatalf("eval avail %d after ingest: %v", id, err)
+				}
+			}
+			if got, want := sc.DeltaApplies(), int64(len(ongoing)); got != want {
+				t.Errorf("DeltaApplies = %d, want %d (one per ack)", got, want)
+			}
+			if got := sc.DeltaFallbacks(); got != 0 {
+				t.Errorf("DeltaFallbacks = %d, want 0", got)
+			}
+			if got := sc.EngineBuilds(); got != builds {
+				t.Errorf("EngineBuilds = %d, want %d (no rebuild after warm-up)", got, builds)
+			}
+			if got := sc.IngestedCount(); got != len(ongoing) {
+				t.Errorf("IngestedCount = %d, want %d", got, len(ongoing))
+			}
+		})
 	}
 }
 
