@@ -89,11 +89,13 @@ differential:
 # check is the CI gate: compile, vet, race-test everything, repeat the
 # concurrency stress suite, re-run the chaos (fault-injection) suite and
 # the delta-vs-rebuild differential suite, enforce the lint invariants
-# (domdlint must exit 0 on the tree) and the docs cross-checks, then vet
-# and test domdbench, the nested benchmark module (its tests hold
+# (domdlint must exit 0 on the tree) and the docs cross-checks, run the
+# riskbands example end to end (it serves /predict through server.New
+# over a one-shard catalog, the wiring `domd serve` uses), then vet and
+# test domdbench, the nested benchmark module (its tests hold
 # BENCHMARK.json to the report tables).
 check:
-	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) lint && $(MAKE) docs && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
+	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
 
 # bench runs the Go micro-benchmarks (including the statusq
 # ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3), then domdbench, the

@@ -377,12 +377,12 @@ func runServe(args []string) {
 	maxInFlight := fs.Int("max-inflight", server.DefaultMaxInFlight, "max concurrently handled requests before shedding with 503 (-1 disables)")
 	requestTimeout := fs.Duration("request-timeout", server.DefaultRequestTimeout, "per-request handling deadline (-1s disables)")
 	maxBody := fs.Int64("max-body", server.DefaultMaxBodyBytes, "max POST body size in bytes")
-	walDir := fs.String("wal-dir", "", "directory for the RCC ingestion WAL (empty: POST /rccs is in-memory only)")
+	walDir := fs.String("wal-dir", "data/wal", "root directory of the RCC ingestion WAL (topology.json plus one subdirectory per shard)")
 	fsyncPolicy := fs.String("fsync", "always", "WAL fsync policy: always, every, or never")
 	fsyncEvery := fs.Int("fsync-every", 64, "records between fsyncs when -fsync=every")
 	walCompactEvery := fs.Int("wal-compact-every", 1024, "ingests between WAL snapshots (0 disables auto-compaction)")
-	shards := fs.Int("shards", 1, "partition the catalog into N consistent-hash shards, each with its own WAL subdirectory (requires -wal-dir; topology is pinned on first open)")
-	repl := fs.Int("repl", 1, "replicate each shard's WAL across N directories, acknowledging ingests at quorum (requires -wal-dir; pinned on first open)")
+	shards := fs.Int("shards", 1, "partition the catalog into N consistent-hash shards, each with its own WAL subdirectory (topology is pinned on first open)")
+	repl := fs.Int("repl", 1, "replicate each shard's WAL across N directories, acknowledging ingests at quorum (pinned on first open)")
 	replQuorum := fs.Int("repl-quorum", 0, "replicas that must append before an ingest is acknowledged (0: majority of -repl)")
 	replLagMax := fs.Int("repl-lag-max", wal.DefaultReplMaxLag, "records a replica may fall behind before it is failed out of async catch-up (revived by the next snapshot)")
 	dedupCap := fs.Int("dedup-cap", statusq.DefaultDedupCap, "max idempotency keys tracked per catalog shard (negative: unbounded)")
@@ -433,87 +433,53 @@ func runServe(args []string) {
 	if *shards < 1 {
 		log.Fatal("-shards must be at least 1")
 	}
-	if *shards > 1 && *walDir == "" {
-		log.Fatal("-shards requires -wal-dir (each shard owns a WAL subdirectory)")
-	}
 	if *repl < 1 {
 		log.Fatal("-repl must be at least 1")
-	}
-	if *repl > 1 && *walDir == "" {
-		log.Fatal("-repl requires -wal-dir (each replica owns a WAL directory)")
 	}
 	if *replQuorum < 0 || *replQuorum > *repl {
 		log.Fatalf("-repl-quorum %d out of range [0, %d]", *replQuorum, *repl)
 	}
-	var catalog server.Catalog
-	var closeCatalog func() error
-	if *walDir != "" {
-		policy, err := wal.ParseSyncPolicy(*fsyncPolicy)
-		if err != nil {
-			log.Fatal(err)
+	policy, err := wal.ParseSyncPolicy(*fsyncPolicy)
+	if err != nil {
+		log.Fatal(err)
+	}
+	// The catalog is always a sharded tier (one shard, one replica by
+	// default): that is where the per-shard health ladder, circuit
+	// breaker, and /readyz rows live, and server.New wires it as the
+	// Ingester too.
+	catalog, info, err := statusq.OpenSharded(*walDir, *shards, avails, rccs, index.KindAVL, statusq.DurableOptions{
+		WAL:          wal.Options{Policy: policy, Every: *fsyncEvery},
+		CompactEvery: *walCompactEvery,
+		DedupCap:     *dedupCap,
+		Replicas:     *repl,
+		ReplQuorum:   *replQuorum,
+		ReplMaxLag:   *replLagMax,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	tot := info.Totals()
+	log.Printf("WAL restore from %s (%d shards): %d RCCs re-applied (%d duplicates, %d orphaned), %d log records",
+		*walDir, catalog.ShardCount(), tot.Restored, tot.Duplicates, tot.Skipped, tot.Recovery.Records)
+	for _, sh := range info.Shards {
+		log.Printf("  shard %d (%s): %d avails, %d restored, snapshot seq %d, %d log records",
+			sh.Shard, sh.Dir, sh.Avails, sh.Info.Restored, sh.Info.Recovery.SnapshotSeq, sh.Info.Recovery.Records)
+		if sh.Info.Recovery.TornTail {
+			log.Printf("  shard %d: torn tail repaired at offset %d (%d bytes dropped)",
+				sh.Shard, sh.Info.Recovery.TornOffset, sh.Info.Recovery.TornBytes)
 		}
-		dopts := statusq.DurableOptions{
-			WAL:          wal.Options{Policy: policy, Every: *fsyncEvery},
-			CompactEvery: *walCompactEvery,
-			DedupCap:     *dedupCap,
-			Replicas:     *repl,
-			ReplQuorum:   *replQuorum,
-			ReplMaxLag:   *replLagMax,
-		}
-		// Replication always routes through the sharded tier (a 1-shard
-		// tier is fine): that is where the per-shard health ladder,
-		// circuit breaker, and /readyz rows live.
-		if *shards > 1 || *repl > 1 {
-			sc, info, err := statusq.OpenSharded(*walDir, *shards, avails, rccs, index.KindAVL, dopts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			tot := info.Totals()
-			log.Printf("WAL restore from %s (%d shards): %d RCCs re-applied (%d duplicates, %d orphaned), %d log records",
-				*walDir, sc.ShardCount(), tot.Restored, tot.Duplicates, tot.Skipped, tot.Recovery.Records)
-			for _, sh := range info.Shards {
-				log.Printf("  shard %d (%s): %d avails, %d restored, snapshot seq %d, %d log records",
-					sh.Shard, sh.Dir, sh.Avails, sh.Info.Restored, sh.Info.Recovery.SnapshotSeq, sh.Info.Recovery.Records)
-				if sh.Info.Recovery.TornTail {
-					log.Printf("  shard %d: torn tail repaired at offset %d (%d bytes dropped)",
-						sh.Shard, sh.Info.Recovery.TornOffset, sh.Info.Recovery.TornBytes)
-				}
-				if sh.Info.Repl != nil {
-					for _, rp := range sh.Info.Repl.Replicas {
-						switch {
-						case rp.Failed:
-							log.Printf("  shard %d: replica %s failed to open or repair", sh.Shard, rp.Dir)
-						case rp.Rebuilt:
-							log.Printf("  shard %d: replica %s rebuilt from the authoritative replica", sh.Shard, rp.Dir)
-						case rp.CaughtUp > 0:
-							log.Printf("  shard %d: replica %s caught up %d records", sh.Shard, rp.Dir, rp.CaughtUp)
-						}
-					}
+		if sh.Info.Repl != nil {
+			for _, rp := range sh.Info.Repl.Replicas {
+				switch {
+				case rp.Failed:
+					log.Printf("  shard %d: replica %s failed to open or repair", sh.Shard, rp.Dir)
+				case rp.Rebuilt:
+					log.Printf("  shard %d: replica %s rebuilt from the authoritative replica", sh.Shard, rp.Dir)
+				case rp.CaughtUp > 0:
+					log.Printf("  shard %d: replica %s caught up %d records", sh.Shard, rp.Dir, rp.CaughtUp)
 				}
 			}
-			catalog = sc // server.New wires sc as the Ingester too
-			closeCatalog = sc.Close
-		} else {
-			dc, info, err := statusq.OpenDurable(*walDir, avails, rccs, index.KindAVL, dopts)
-			if err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("WAL restore from %s: %d RCCs re-applied (%d duplicates, %d orphaned), snapshot seq %d, %d log records",
-				*walDir, info.Restored, info.Duplicates, info.Skipped, info.Recovery.SnapshotSeq, info.Recovery.Records)
-			if info.Recovery.TornTail {
-				log.Printf("WAL restore: torn tail repaired at offset %d (%d bytes dropped)",
-					info.Recovery.TornOffset, info.Recovery.TornBytes)
-			}
-			catalog = dc.Catalog
-			opts.Ingester = dc
-			closeCatalog = dc.Close
 		}
-	} else {
-		cat, err := statusq.NewCatalog(avails, rccs, index.KindAVL)
-		if err != nil {
-			log.Fatal(err)
-		}
-		catalog = cat
 	}
 	if !*quiet {
 		opts.Logger = log.New(os.Stderr, "domd: ", log.LstdFlags)
@@ -596,10 +562,8 @@ func runServe(args []string) {
 	if err := <-done; err != nil {
 		log.Fatalf("shutdown: %v", err)
 	}
-	if closeCatalog != nil {
-		if err := closeCatalog(); err != nil {
-			log.Fatalf("close WAL: %v", err)
-		}
+	if err := catalog.Close(); err != nil {
+		log.Fatalf("close WAL: %v", err)
 	}
 	log.Print("server stopped cleanly")
 }

@@ -170,16 +170,23 @@ func serveConformalBands(ds *navsim.Dataset, ext *features.Extractor, tensor *fe
 		return err
 	}
 
-	// The full selected pipeline for point estimates, plus the registry —
-	// the same wiring as `domd serve -model-dir`.
+	// The full selected pipeline for point estimates, the registry, and a
+	// one-shard catalog over a throwaway WAL — the same wiring as `domd
+	// serve -model-dir`.
 	pipe, err := core.Train(cfg, tensor, sp.Train, sp.Val)
 	if err != nil {
 		return err
 	}
-	catalog, err := statusq.NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
+	walDir, err := os.MkdirTemp("", "riskbands-wal-")
 	if err != nil {
 		return err
 	}
+	defer os.RemoveAll(walDir)
+	catalog, _, err := statusq.OpenSharded(walDir, 1, ds.Avails, ds.RCCs, index.KindAVL, statusq.DurableOptions{})
+	if err != nil {
+		return err
+	}
+	defer catalog.Close()
 	srv := httptest.NewServer(server.New(pipe, ext, catalog, server.Options{Models: reg}))
 	defer srv.Close()
 

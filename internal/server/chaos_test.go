@@ -241,11 +241,7 @@ func TestChaosLoadShedding(t *testing.T) {
 		t.Fatal(err)
 	}
 	pipe, ext := trainTestPipeline()
-	catalog, err := statusq.NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(New(pipe, ext, catalog, Options{MaxInFlight: 1}))
+	srv := httptest.NewServer(New(pipe, ext, openTier(t, ds.Avails, ds.RCCs), Options{MaxInFlight: 1}))
 	defer srv.Close()
 	a := ongoingAvail(t, ds)
 

@@ -192,11 +192,11 @@ func TestIngestBodyCap(t *testing.T) {
 	}
 }
 
-// TestIngestNonDurableFallback: without a configured Ingester the endpoint
-// still works (straight into the in-memory catalog) with the same
-// idempotency and status semantics.
-func TestIngestNonDurableFallback(t *testing.T) {
-	srv, ds, catalog := newTestServer(t)
+// TestIngestThroughServedCatalog: without Options.Ingester the served
+// catalog (the one-shard tier `domd serve` builds) is its own ingester,
+// with the same idempotency and status semantics.
+func TestIngestThroughServedCatalog(t *testing.T) {
+	srv, ds, _ := newTestServer(t)
 	a := ongoingAvail(t, ds)
 	body := rccBody(910001, a)
 	status, _, _ := postJSON(t, srv.URL+"/rccs", body, nil)
@@ -212,7 +212,6 @@ func TestIngestNonDurableFallback(t *testing.T) {
 	if status != http.StatusNotFound {
 		t.Fatalf("unknown avail = %d, want 404", status)
 	}
-	_ = catalog
 }
 
 func TestReadyz(t *testing.T) {
@@ -235,9 +234,14 @@ func TestReadyz(t *testing.T) {
 	}
 	_ = hdr
 
-	// A server without a WAL is always ready.
+	// The one-shard tier `domd serve` builds reports itself ready with
+	// exactly one healthy shard row.
 	srv2, _, _ := newTestServer(t)
-	get(t, srv2.URL+"/readyz", http.StatusOK, &body)
+	var tier readyView
+	get(t, srv2.URL+"/readyz", http.StatusOK, &tier)
+	if tier.Status != "ready" || len(tier.Shards) != 1 || tier.Shards[0].State != statusq.ShardHealthy.String() {
+		t.Fatalf("one-shard readyz = %+v, want ready with one healthy shard row", tier)
+	}
 }
 
 // TestQueryStaleAsOf pins the degraded-answer markers: a fresh engine

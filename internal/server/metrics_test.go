@@ -137,11 +137,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// MaxInFlight:1 server so the next non-probe request gets 503. The
 	// shed server needs its own catalog — the shared one already has a
 	// cached engine, so its queries would never enter a build to park in.
-	shedCat, err := statusq.NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shedSrv := httptest.NewServer(New(pipe, ext, shedCat, Options{MaxInFlight: 1}))
+	shedSrv := httptest.NewServer(New(pipe, ext, openTier(t, ds.Avails, ds.RCCs), Options{MaxInFlight: 1}))
 	defer shedSrv.Close()
 	entered := make(chan struct{})
 	release := make(chan struct{})

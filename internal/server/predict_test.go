@@ -81,12 +81,8 @@ func newPredictServer(t *testing.T) (*httptest.Server, *navsim.Dataset, *modelse
 		t.Fatal(err)
 	}
 	pipe, ext := trainTestPipeline()
-	catalog, err := statusq.NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := newTestRegistry(t)
-	srv := httptest.NewServer(New(pipe, ext, catalog, Options{Models: reg}))
+	srv := httptest.NewServer(New(pipe, ext, openTier(t, ds.Avails, ds.RCCs), Options{Models: reg}))
 	t.Cleanup(srv.Close)
 	return srv, ds, reg
 }
@@ -172,7 +168,7 @@ func TestPredictEndpoint(t *testing.T) {
 	get(t, srv.URL+"/predict?avail=nope&date="+date, http.StatusBadRequest, nil)
 	get(t, fmt.Sprintf("%s/predict?avail=%d&date=%s&alpha=1.5", srv.URL, a.ID, date), http.StatusBadRequest, nil)
 	get(t, srv.URL+"/predict?avail=999999&date="+date, http.StatusNotFound, nil)
-	get(t, fmt.Sprintf("%s/predict?avail=%d&date=%s", srv.URL, a.ID, (a.ActStart - 30).String()),
+	get(t, fmt.Sprintf("%s/predict?avail=%d&date=%s", srv.URL, a.ID, (a.ActStart-30).String()),
 		http.StatusUnprocessableEntity, nil)
 }
 

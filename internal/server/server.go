@@ -120,9 +120,8 @@ const DefaultRequestTimeout = 30 * time.Second
 const DefaultMaxBodyBytes = 1 << 20
 
 // Ingester is the write path the /rccs endpoint acknowledges through.
-// statusq.DurableCatalog implements it with WAL-before-ack semantics;
-// the in-memory fallback (memIngester) implements it without
-// durability for catalogs served without a WAL.
+// statusq.ShardedCatalog and statusq.DurableCatalog implement it with
+// WAL-before-ack semantics.
 type Ingester interface {
 	// Ingest applies one RCC, deduplicating by key; see
 	// statusq.DurableCatalog.Ingest for the acknowledgment contract.
@@ -147,10 +146,10 @@ type Options struct {
 	// MaxBodyBytes caps request bodies (413 beyond it). 0 selects
 	// DefaultMaxBodyBytes.
 	MaxBodyBytes int64
-	// Ingester handles POST /rccs and gates /readyz. nil serves
-	// ingestion non-durably straight into the catalog (tests,
-	// exploratory runs); wire a statusq.DurableCatalog for WAL-backed
-	// acknowledgments.
+	// Ingester handles POST /rccs and gates /readyz. nil makes the
+	// catalog its own ingester (a statusq.ShardedCatalog is); a catalog
+	// that cannot ingest, such as a statusq.DurableCatalog's embedded
+	// *statusq.Catalog, needs its DurableCatalog wired here.
 	Ingester Ingester
 	// Logger receives one line per request (method, path, status,
 	// duration) plus panic and write-failure reports. nil disables
@@ -166,14 +165,12 @@ type Options struct {
 	PredictAlpha float64
 }
 
-// Catalog is the queryable serving surface the handlers read from. Both
-// *statusq.Catalog (one engine cache, one lock) and *statusq.ShardedCatalog
-// (N shards keyed by avail id, point lookups routed to the owning shard,
-// fleet sweeps merged across shards in ascending id order) satisfy it, so
-// the handler call sites are identical under either topology.
+// Catalog is the queryable serving surface the handlers read from.
+// *statusq.ShardedCatalog (N ≥ 1 shards keyed by avail id, point lookups
+// routed to the owning shard, fleet sweeps merged across shards in
+// ascending id order) is the one `domd serve` builds; *statusq.Catalog
+// satisfies it too.
 type Catalog interface {
-	// Kind reports the TimeIndex design engines are built with.
-	Kind() index.Kind
 	// Avail resolves one avail record by id.
 	Avail(id int) (*domain.Avail, bool)
 	// AvailIDs lists every avail id in ascending order.
@@ -206,15 +203,16 @@ type Server struct {
 }
 
 // New wires a trained pipeline and an avail catalog into an http.Handler.
-// Queries hit the catalog's engine cache; the catalog's index kind decides
-// the Status Query backend.
+// Queries hit the catalog's engine cache, whose engines answer the Status
+// Queries; the query service itself never builds an engine, so its index
+// kind is only a label.
 func New(p *core.Pipeline, ext *features.Extractor, catalog Catalog, opts Options) *Server {
 	par := opts.FleetParallelism
 	if par <= 0 {
 		par = DefaultFleetParallelism
 	}
 	s := &Server{
-		svc:      core.NewQueryService(p, ext, catalog.Kind()),
+		svc:      core.NewQueryService(p, ext, index.KindAVL),
 		catalog:  catalog,
 		ingester: opts.Ingester,
 		mux:      http.NewServeMux(),
@@ -225,17 +223,11 @@ func New(p *core.Pipeline, ext *features.Extractor, catalog Catalog, opts Option
 		alpha:    opts.PredictAlpha,
 	}
 	if s.ingester == nil {
-		// A catalog that can ingest durably (a sharded tier) handles its
-		// own writes; a plain in-memory catalog gets the non-durable
-		// fallback.
-		switch c := catalog.(type) {
-		case Ingester:
-			s.ingester = c
-		case *statusq.Catalog:
-			s.ingester = &memIngester{catalog: c, seen: make(map[string]bool)}
-		default:
+		c, ok := catalog.(Ingester)
+		if !ok {
 			panic("server: catalog cannot ingest and no Options.Ingester was provided")
 		}
+		s.ingester = c
 	}
 	if s.maxBody == 0 {
 		s.maxBody = DefaultMaxBodyBytes
@@ -284,33 +276,6 @@ func New(p *core.Pipeline, ext *features.Extractor, catalog Catalog, opts Option
 	}
 	return s
 }
-
-// memIngester serves POST /rccs for catalogs without a WAL: same
-// idempotency semantics, no durability — every acknowledgment dies with
-// the process. Production deployments wire a statusq.DurableCatalog.
-type memIngester struct {
-	catalog *statusq.Catalog
-
-	mu   sync.Mutex // guards seen, and serializes check-then-apply
-	seen map[string]bool
-}
-
-func (m *memIngester) Ingest(key string, r domain.RCC) (bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if key != "" && m.seen[key] {
-		return true, nil
-	}
-	if err := m.catalog.AddRCC(r); err != nil {
-		return false, err
-	}
-	if key != "" {
-		m.seen[key] = true
-	}
-	return false, nil
-}
-
-func (m *memIngester) Ready() error { return nil }
 
 // statusRecorder captures the response code for the request log and
 // lets the panic handler know whether headers already went out.
@@ -517,9 +482,9 @@ type readyShardView struct {
 	BreakerOpen bool   `json:"breaker_open,omitempty"`
 }
 
-// readyView is the /readyz body. Shards is present only when the
-// ingester reports per-shard health, so unsharded deployments keep the
-// plain {"status":"ready"} contract.
+// readyView is the /readyz body. Shards is present whenever the
+// ingester reports per-shard health — always under `domd serve`, whose
+// catalog is a sharded tier of at least one shard.
 type readyView struct {
 	Status string           `json:"status"`
 	Error  string           `json:"error,omitempty"`

@@ -23,6 +23,7 @@ import (
 	"domd/internal/navsim"
 	"domd/internal/split"
 	"domd/internal/statusq"
+	"domd/internal/wal"
 )
 
 // trainTestPipeline trains one small pipeline per test binary; the trained
@@ -54,21 +55,41 @@ var trainTestPipeline = sync.OnceValues(func() (*core.Pipeline, *features.Extrac
 	return pipe, ext
 })
 
-// newTestServer trains a small pipeline and serves the dataset's fleet.
-func newTestServer(t *testing.T) (*httptest.Server, *navsim.Dataset, *statusq.Catalog) {
+// openTier opens the catalog `domd serve` builds — a one-shard,
+// one-replica sharded tier — over the tables, on a WAL in t.TempDir()
+// that never fsyncs.
+func openTier(t *testing.T, avails []domain.Avail, rccs []domain.RCC) *statusq.ShardedCatalog {
+	t.Helper()
+	sc, _, err := statusq.OpenSharded(t.TempDir(), 1, avails, rccs, index.KindAVL,
+		statusq.DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sc.Close() })
+	return sc
+}
+
+// newTestServer trains a small pipeline and serves the dataset's fleet
+// from a one-shard tier, which is also the server's ingester.
+func newTestServer(t *testing.T) (*httptest.Server, *navsim.Dataset, *statusq.ShardedCatalog) {
 	t.Helper()
 	ds, err := navsim.Generate(navsim.Config{NumClosed: 40, NumOngoing: 3, MeanRCCsPerAvail: 40, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pipe, ext := trainTestPipeline()
-	catalog, err := statusq.NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
-	if err != nil {
-		t.Fatal(err)
-	}
+	catalog := openTier(t, ds.Avails, ds.RCCs)
 	srv := httptest.NewServer(New(pipe, ext, catalog, Options{}))
 	t.Cleanup(srv.Close)
 	return srv, ds, catalog
+}
+
+// engineBuilds reads the process-wide engine-construction counter off
+// the server's /metrics. Tests in this package run one at a time, so
+// the before/after delta is the engines this test's server built.
+func engineBuilds(t *testing.T, baseURL string) float64 {
+	t.Helper()
+	return scrapeMetrics(t, baseURL)["domd_engine_builds_total"]
 }
 
 func get(t *testing.T, url string, wantStatus int, out any) {
@@ -255,11 +276,7 @@ func rawBody(t *testing.T, url string, wantStatus int) string {
 func TestEmptyCollectionsEncodeAsArrays(t *testing.T) {
 	pipe, ext := trainTestPipeline()
 
-	empty, err := statusq.NewCatalog(nil, nil, index.KindAVL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(New(pipe, ext, empty, Options{}))
+	srv := httptest.NewServer(New(pipe, ext, openTier(t, nil, nil), Options{}))
 	defer srv.Close()
 	if body := rawBody(t, srv.URL+"/avails", http.StatusOK); body != "[]" {
 		t.Errorf("/avails on empty catalog = %q, want []", body)
@@ -273,11 +290,7 @@ func TestEmptyCollectionsEncodeAsArrays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	closedOnly, err := statusq.NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := httptest.NewServer(New(pipe, ext, closedOnly, Options{}))
+	srv2 := httptest.NewServer(New(pipe, ext, openTier(t, ds.Avails, ds.RCCs), Options{}))
 	defer srv2.Close()
 	if body := rawBody(t, srv2.URL+"/fleet?date=2023-01-01", http.StatusOK); body != "[]" {
 		t.Errorf("/fleet over closed-only catalog = %q, want []", body)
@@ -409,12 +422,12 @@ func batchBody(a domain.Avail, n int) string {
 // amortized to one build per distinct avail, and a bad row (unknown avail,
 // bad date, pre-start date) fails alone without failing the batch.
 func TestQueryBatch(t *testing.T) {
-	srv, ds, catalog := newTestServer(t)
+	srv, ds, _ := newTestServer(t)
 	a, b := ds.Avails[0], ds.Avails[1]
 
 	var single queryView
 	get(t, fmt.Sprintf("%s/query?avail=%d&date=%s", srv.URL, a.ID, a.PhysicalTime(50)), http.StatusOK, &single)
-	builds := catalog.EngineBuilds()
+	builds := engineBuilds(t, srv.URL)
 
 	body := fmt.Sprintf(`{"queries":[
 		{"avail":%d,"date":%q},
@@ -476,8 +489,8 @@ func TestQueryBatch(t *testing.T) {
 	}
 	// Amortization: three queries against avail a resolved its cached
 	// engine once; only avail b cost a build.
-	if got := catalog.EngineBuilds(); got != builds+1 {
-		t.Errorf("batch performed %d engine builds, want 1 (avail %d only)", got-builds, b.ID)
+	if got := engineBuilds(t, srv.URL); got != builds+1 {
+		t.Errorf("batch performed %v engine builds, want 1 (avail %d only)", got-builds, b.ID)
 	}
 }
 
@@ -487,12 +500,8 @@ func TestQueryBatch(t *testing.T) {
 // diagnosis), with the raw URI attached when it differs from the route.
 func TestRequestLogging(t *testing.T) {
 	pipe, ext := trainTestPipeline()
-	catalog, err := statusq.NewCatalog(nil, nil, index.KindAVL)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf strings.Builder
-	srv := httptest.NewServer(New(pipe, ext, catalog, Options{Logger: log.New(&buf, "", 0)}))
+	srv := httptest.NewServer(New(pipe, ext, openTier(t, nil, nil), Options{Logger: log.New(&buf, "", 0)}))
 	defer srv.Close()
 	rawBody(t, srv.URL+"/avails", http.StatusOK)
 	rawBody(t, srv.URL+"/query?avail=junk&date=x", http.StatusBadRequest)

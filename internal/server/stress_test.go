@@ -13,9 +13,10 @@ import (
 // TestQueryUsesCachedEngine pins the serving-path fix: repeated /query
 // requests for the same avail must hit the catalog's cached engine instead
 // of re-indexing the RCC history per request (the old QueryService.Query
-// behavior). The catalog's engine-build counter is the observable.
+// behavior). The engine-build counter (domd_engine_builds_total) is the
+// observable.
 func TestQueryUsesCachedEngine(t *testing.T) {
-	srv, ds, catalog := newTestServer(t)
+	srv, ds, _ := newTestServer(t)
 	var target *domain.Avail
 	for i := range ds.Avails {
 		if ds.Avails[i].Status == domain.StatusOngoing {
@@ -24,17 +25,17 @@ func TestQueryUsesCachedEngine(t *testing.T) {
 		}
 	}
 	url := fmt.Sprintf("%s/query?avail=%d&date=%s", srv.URL, target.ID, target.PhysicalTime(50))
-	before := catalog.EngineBuilds()
+	before := engineBuilds(t, srv.URL)
 	for i := 0; i < 12; i++ {
 		get(t, url, http.StatusOK, nil)
 	}
-	if builds := catalog.EngineBuilds() - before; builds != 1 {
-		t.Errorf("12 queries to one avail built %d engines, want 1 (cached)", builds)
+	if builds := engineBuilds(t, srv.URL) - before; builds != 1 {
+		t.Errorf("12 queries to one avail built %v engines, want 1 (cached)", builds)
 	}
 }
 
 // TestConcurrentServingStress is the -race gate for the whole serving path:
-// a mix of /query, /fleet, /avails, and catalog.AddRCC goroutines hammering
+// a mix of /query, /fleet, /avails, and catalog.Ingest goroutines hammering
 // one server. On the pre-fix code this panics (concurrent map writes in
 // Catalog) or trips the race detector (lazy index re-sorts, unguarded
 // engine cache); it must run clean now. It also bounds engine builds:
@@ -64,7 +65,7 @@ func TestConcurrentServingStress(t *testing.T) {
 		failures atomic.Int64
 	)
 	rccID.Store(10_000_000) // above every generated RCC id
-	baseline := catalog.EngineBuilds()
+	baseline := engineBuilds(t, srv.URL)
 
 	fetch := func(url string, want int) {
 		resp, err := client.Get(url)
@@ -127,8 +128,8 @@ func TestConcurrentServingStress(t *testing.T) {
 					Settled: a.ActStart + 25,
 					Amount:  1000,
 				}
-				if err := catalog.AddRCC(r); err != nil {
-					t.Errorf("AddRCC: %v", err)
+				if _, err := catalog.Ingest("", r); err != nil {
+					t.Errorf("Ingest: %v", err)
 					return
 				}
 				adds.Add(1)
@@ -145,10 +146,10 @@ func TestConcurrentServingStress(t *testing.T) {
 	}
 	// Builds are bounded by first-use plus invalidations — if queries built
 	// engines per request this would be on the order of total requests.
-	builds := catalog.EngineBuilds() - baseline
-	limit := int64(len(ongoing)) + adds.Load()
+	builds := engineBuilds(t, srv.URL) - baseline
+	limit := float64(len(ongoing) + int(adds.Load()))
 	if builds > limit {
-		t.Errorf("engine builds = %d, want <= %d (single-flight + invalidation bound)", builds, limit)
+		t.Errorf("engine builds = %v, want <= %v (single-flight + invalidation bound)", builds, limit)
 	}
 	if builds == 0 {
 		t.Error("no engines built; the stress mix did not exercise the cache")

@@ -37,7 +37,7 @@ const FailDeltaApply = "statusq.engine.deltaapply"
 //
 // Concurrency contract: every method is safe for concurrent use. The avail
 // table is immutable after construction, so lookups (Avail, AvailIDs,
-// OngoingIDs, Kind) are lock-free. RCC histories and the engine cache are
+// OngoingIDs) are lock-free. RCC histories and the engine cache are
 // guarded by an RWMutex; engine construction is single-flight per avail, so
 // N concurrent first queries build one engine, not N. AddRCC appends to the
 // history and, when the avail has a live built engine, folds the new RCC
@@ -137,9 +137,6 @@ func NewCatalog(avails []domain.Avail, rccs []domain.RCC, kind index.Kind) (*Cat
 	}
 	return c, nil
 }
-
-// Kind reports the time-index design the catalog builds engines with.
-func (c *Catalog) Kind() index.Kind { return c.kind }
 
 // Avail returns the avail record by id.
 func (c *Catalog) Avail(id int) (*domain.Avail, bool) {

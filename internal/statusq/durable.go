@@ -304,15 +304,19 @@ func closeBestEffort(log durableLog) {
 // the replica count of a populated root is an operator migration, not a
 // flag flip.
 func checkReplLayout(dir string, replicas int) error {
-	singleLog := fileExists(filepath.Join(dir, "wal.log")) || fileExists(filepath.Join(dir, "snapshot.wal"))
 	replicated := fileExists(filepath.Join(dir, "replica-00"))
-	if replicas > 1 && singleLog {
+	if replicas > 1 && hasSingleLog(dir) {
 		return fmt.Errorf("statusq: WAL dir %s holds an unreplicated log; enabling replication on it would orphan its records (migrate to a fresh root)", dir)
 	}
 	if replicas <= 1 && replicated {
 		return fmt.Errorf("statusq: WAL dir %s holds a replicated log; opening it unreplicated would orphan its replicas (pass the original -repl)", dir)
 	}
 	return nil
+}
+
+// hasSingleLog reports whether dir holds an unreplicated WAL of its own.
+func hasSingleLog(dir string) bool {
+	return fileExists(filepath.Join(dir, "wal.log")) || fileExists(filepath.Join(dir, "snapshot.wal"))
 }
 
 // fileExists reports whether path exists (file or directory).

@@ -14,6 +14,7 @@ import (
 	"domd/internal/domain"
 	"domd/internal/index"
 	"domd/internal/obs"
+	"domd/internal/wal"
 )
 
 // ringReplicas is the number of virtual points each shard places on the
@@ -141,11 +142,12 @@ func (s *ShardedRestoreInfo) Totals() RestoreInfo {
 	return t
 }
 
-// ShardedCatalog partitions a DurableCatalog into N shards keyed by
-// avail id via consistent hashing. Each shard owns its own WAL
-// directory, engine cache, idempotency-key index, and compaction cycle,
-// so ingest acknowledgments on different shards never serialize on a
-// shared lock or a shared fsync. The router implements the same query
+// ShardedCatalog partitions a DurableCatalog into N ≥ 1 shards keyed
+// by avail id via consistent hashing; it is the one catalog `domd
+// serve` builds, with one shard by default. Each shard owns its own
+// WAL directory, engine cache, idempotency-key index, and compaction
+// cycle, so ingest acknowledgments on different shards never serialize
+// on a shared lock or a shared fsync. The router implements the same query
 // surface as *Catalog and the server's Ingester contract, so the
 // serving handlers are unchanged: point lookups route to the owning
 // shard and fleet scans merge every shard's ids into one
@@ -156,7 +158,6 @@ func (s *ShardedRestoreInfo) Totals() RestoreInfo {
 // provenance from the shard's own engine cache. Cross-shard, a failing
 // shard degrades only its own avails — the others keep serving fresh.
 type ShardedCatalog struct {
-	kind   index.Kind
 	ring   *shardRing
 	shards []*DurableCatalog
 	dirs   []string
@@ -184,9 +185,11 @@ type ShardedCatalog struct {
 // and restoring each shard from its own snapshot + log. The shard
 // layout is pinned in <root>/topology.json; reopening a root with a
 // different shard count fails rather than silently orphaning records
-// (re-sharding an existing root is not supported). Every shard gets its
-// own copy of opts (WAL fsync policy, compaction cadence, dedup
-// budget).
+// (re-sharding an existing root is not supported), and so does opening
+// a root that holds a single-catalog WAL of its own (see pinTopology).
+// Every shard gets its own copy of opts (WAL fsync policy, compaction
+// cadence, dedup budget). One shard takes the base tables as they are;
+// only N > 1 partitions them into per-shard copies.
 func OpenSharded(root string, shards int, avails []domain.Avail, rccs []domain.RCC, kind index.Kind, opts DurableOptions) (*ShardedCatalog, *ShardedRestoreInfo, error) {
 	if shards < 1 {
 		return nil, nil, fmt.Errorf("statusq: shard count %d < 1", shards)
@@ -199,19 +202,22 @@ func OpenSharded(root string, shards int, avails []domain.Avail, rccs []domain.R
 	}
 	ring := newShardRing(shards, ringReplicas)
 
-	shardAvails := make([][]domain.Avail, shards)
-	for _, a := range avails {
-		s := ring.shardOf(a.ID)
-		shardAvails[s] = append(shardAvails[s], a)
-	}
-	shardRCCs := make([][]domain.RCC, shards)
-	for _, r := range rccs {
-		s := ring.shardOf(r.AvailID)
-		shardRCCs[s] = append(shardRCCs[s], r)
+	shardAvails := [][]domain.Avail{avails}
+	shardRCCs := [][]domain.RCC{rccs}
+	if shards > 1 {
+		shardAvails = make([][]domain.Avail, shards)
+		for _, a := range avails {
+			s := ring.shardOf(a.ID)
+			shardAvails[s] = append(shardAvails[s], a)
+		}
+		shardRCCs = make([][]domain.RCC, shards)
+		for _, r := range rccs {
+			s := ring.shardOf(r.AvailID)
+			shardRCCs[s] = append(shardRCCs[s], r)
+		}
 	}
 
 	sc := &ShardedCatalog{
-		kind:     kind,
 		ring:     ring,
 		shards:   make([]*DurableCatalog, shards),
 		dirs:     make([]string, shards),
@@ -223,7 +229,7 @@ func OpenSharded(root string, shards int, avails []domain.Avail, rccs []domain.R
 	}
 	info := &ShardedRestoreInfo{Shards: make([]ShardRestore, shards)}
 	for i := 0; i < shards; i++ {
-		dir := filepath.Join(root, fmt.Sprintf("shard-%04d", i))
+		dir := shardDir(root, i)
 		d, ri, err := OpenDurable(dir, shardAvails[i], shardRCCs[i], kind, opts)
 		if err != nil {
 			for j := 0; j < i; j++ {
@@ -245,10 +251,19 @@ func OpenSharded(root string, shards int, avails []domain.Avail, rccs []domain.R
 	return sc, info, nil
 }
 
+// shardDir is shard i's WAL directory under root.
+func shardDir(root string, i int) string {
+	return filepath.Join(root, fmt.Sprintf("shard-%04d", i))
+}
+
 // pinTopology creates or verifies the root's topology metadata,
 // including the per-shard WAL replica count: reopening a root with a
 // different replica count would abandon (or invent) replica
-// directories, so it fails like a shard-count change does.
+// directories, so it fails like a shard-count change does. A root with
+// no topology but a single-catalog WAL of its own (what `domd serve
+// -wal-dir` wrote before every server was sharded) is refused and left
+// untouched: a tier opened over it would route every record to
+// shard-0000 and orphan the root's acknowledged records.
 func pinTopology(root string, shards, walReplicas int) error {
 	if walReplicas < 1 {
 		walReplicas = 1
@@ -274,16 +289,18 @@ func pinTopology(root string, shards, walReplicas int) error {
 		}
 		return nil
 	case os.IsNotExist(err):
+		if hasSingleLog(root) {
+			// At one shard the ring sends every avail to shard 0, and
+			// shard-0000 is a complete single-catalog WAL directory.
+			return fmt.Errorf("statusq: WAL root %s holds a single-catalog WAL and no %s; opening it sharded would orphan its records. Migrate it by moving wal.log and snapshot.wal (whichever exist) into %s, then reopen with -shards 1 -repl 1",
+				root, topologyFile, shardDir(root, 0))
+		}
 		raw, merr := json.Marshal(shardTopology{Version: 1, Shards: shards, Replicas: ringReplicas, WALReplicas: walReplicas})
 		if merr != nil {
 			return fmt.Errorf("statusq: encode topology: %w", merr)
 		}
-		tmp := path + ".tmp"
-		if werr := os.WriteFile(tmp, raw, 0o644); werr != nil {
-			return fmt.Errorf("statusq: write topology: %w", werr)
-		}
-		if rerr := os.Rename(tmp, path); rerr != nil {
-			return fmt.Errorf("statusq: pin topology: %w", rerr)
+		if werr := wal.WriteFileAtomic(path, raw); werr != nil {
+			return fmt.Errorf("statusq: pin topology: %w", werr)
 		}
 		return nil
 	default:
@@ -300,9 +317,6 @@ func (s *ShardedCatalog) ShardOf(id int) int { return s.ring.shardOf(id) }
 
 // ShardDir reports shard i's WAL directory.
 func (s *ShardedCatalog) ShardDir(i int) string { return s.dirs[i] }
-
-// Kind reports the TimeIndex implementation every shard was built with.
-func (s *ShardedCatalog) Kind() index.Kind { return s.kind }
 
 // shardFor routes an avail id to its owning shard.
 func (s *ShardedCatalog) shardFor(id int) *DurableCatalog {
@@ -335,11 +349,6 @@ func (s *ShardedCatalog) mergedIDs(get func(*DurableCatalog) []int) []int {
 	}
 	sort.Ints(ids)
 	return ids
-}
-
-// RCCs routes to the owning shard's RCC history.
-func (s *ShardedCatalog) RCCs(id int) []domain.RCC {
-	return s.shardFor(id).RCCs(id)
 }
 
 // Engine routes to the owning shard's engine cache.
@@ -445,18 +454,6 @@ func (s *ShardedCatalog) Ready() error {
 	return nil
 }
 
-// Compact snapshots and truncates every shard's WAL. All shards are
-// attempted; failures are joined.
-func (s *ShardedCatalog) Compact() error {
-	var errs []error
-	for i, sh := range s.shards {
-		if err := sh.Compact(); err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // Close closes every shard's WAL. All shards are attempted; failures
 // are joined.
 func (s *ShardedCatalog) Close() error {
@@ -469,59 +466,11 @@ func (s *ShardedCatalog) Close() error {
 	return errors.Join(errs...)
 }
 
-// LastCompactError surfaces the first shard's pending auto-compaction
-// failure, annotated with its shard id (nil when all shards are clean).
-func (s *ShardedCatalog) LastCompactError() error {
-	for i, sh := range s.shards {
-		if err := sh.LastCompactError(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // IngestedCount sums the applied delta across shards.
 func (s *ShardedCatalog) IngestedCount() int {
 	n := 0
 	for _, sh := range s.shards {
 		n += sh.IngestedCount()
-	}
-	return n
-}
-
-// DedupTracked sums the live idempotency-key index sizes across shards.
-func (s *ShardedCatalog) DedupTracked() int {
-	n := 0
-	for _, sh := range s.shards {
-		n += sh.DedupTracked()
-	}
-	return n
-}
-
-// EngineBuilds sums engine constructions across shards.
-func (s *ShardedCatalog) EngineBuilds() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		n += sh.EngineBuilds()
-	}
-	return n
-}
-
-// DeltaApplies sums O(delta) engine folds across shards.
-func (s *ShardedCatalog) DeltaApplies() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		n += sh.DeltaApplies()
-	}
-	return n
-}
-
-// DeltaFallbacks sums delta-fold fallbacks (engine invalidations)
-// across shards.
-func (s *ShardedCatalog) DeltaFallbacks() int64 {
-	var n int64
-	for _, sh := range s.shards {
-		n += sh.DeltaFallbacks()
 	}
 	return n
 }

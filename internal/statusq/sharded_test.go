@@ -1,8 +1,11 @@
 package statusq
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -25,6 +28,15 @@ func shardedFixture(t *testing.T, root string, shards int, opts DurableOptions) 
 		t.Fatal(err)
 	}
 	return sc, info, ds
+}
+
+// shardSum sums one per-catalog counter over every shard of a tier.
+func shardSum(sc *ShardedCatalog, count func(*Catalog) int64) int64 {
+	var n int64
+	for _, sh := range sc.shards {
+		n += count(sh.Catalog)
+	}
+	return n
 }
 
 // TestShardedRoutingStable pins the consistent-hash contract: the
@@ -185,7 +197,7 @@ func TestDeltaShardedEquivalence(t *testing.T) {
 			t.Fatalf("single AddRCC %d: %v", i, err)
 		}
 	}
-	if sc.DeltaApplies() == 0 {
+	if shardSum(sc, (*Catalog).DeltaApplies) == 0 {
 		t.Fatal("sharded stream never took the delta-apply path")
 	}
 	got, want := evalFingerprint(t, sc), evalFingerprint(t, single)
@@ -252,7 +264,7 @@ func TestShardedSteadyStateIngest(t *testing.T) {
 					t.Fatalf("warm engine %d: %v", id, err)
 				}
 			}
-			builds := sc.EngineBuilds()
+			builds := shardSum(sc, (*Catalog).EngineBuilds)
 			q := Query{Status: domain.Active, Agg: SumAmount}
 			for i, id := range ongoing {
 				r := deltaRCC(t, sc.shards[sc.ShardOf(id)].Catalog, id, i)
@@ -263,13 +275,13 @@ func TestShardedSteadyStateIngest(t *testing.T) {
 					t.Fatalf("eval avail %d after ingest: %v", id, err)
 				}
 			}
-			if got, want := sc.DeltaApplies(), int64(len(ongoing)); got != want {
+			if got, want := shardSum(sc, (*Catalog).DeltaApplies), int64(len(ongoing)); got != want {
 				t.Errorf("DeltaApplies = %d, want %d (one per ack)", got, want)
 			}
-			if got := sc.DeltaFallbacks(); got != 0 {
+			if got := shardSum(sc, (*Catalog).DeltaFallbacks); got != 0 {
 				t.Errorf("DeltaFallbacks = %d, want 0", got)
 			}
-			if got := sc.EngineBuilds(); got != builds {
+			if got := shardSum(sc, (*Catalog).EngineBuilds); got != builds {
 				t.Errorf("EngineBuilds = %d, want %d (no rebuild after warm-up)", got, builds)
 			}
 			if got := sc.IngestedCount(); got != len(ongoing) {
@@ -287,11 +299,13 @@ func TestShardedCloseReady(t *testing.T) {
 	if err := sc.Ready(); err != nil {
 		t.Fatalf("fresh tier not ready: %v", err)
 	}
-	if err := sc.Compact(); err != nil {
-		t.Fatalf("compact fan-out: %v", err)
-	}
-	if err := sc.LastCompactError(); err != nil {
-		t.Fatalf("LastCompactError after clean compact: %v", err)
+	for i, sh := range sc.shards {
+		if err := sh.Compact(); err != nil {
+			t.Fatalf("compact shard %d: %v", i, err)
+		}
+		if err := sh.LastCompactError(); err != nil {
+			t.Fatalf("shard %d LastCompactError after clean compact: %v", i, err)
+		}
 	}
 	if err := sc.Close(); err != nil {
 		t.Fatal(err)
@@ -311,4 +325,130 @@ func TestShardedCloseReady(t *testing.T) {
 	if err := sc.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
+}
+
+// TestShardedRefusesSingleLogRoot is the zero-acked-loss gate for
+// upgraded deployments. A root written by a single-catalog WAL (its own
+// wal.log, or only snapshot.wal once compacted) must be refused with the
+// migration named, and left byte-identical with no topology or shard
+// directory created. After the documented move into shard-0000/, a
+// one-shard tier restores every acknowledged ingest and answers exactly
+// as the catalog that acknowledged them.
+func TestShardedRefusesSingleLogRoot(t *testing.T) {
+	for _, file := range []string{"wal.log", "snapshot.wal"} {
+		t.Run(file, func(t *testing.T) {
+			root := t.TempDir()
+			ds, err := navsim.Generate(navsim.Config{NumClosed: 15, NumOngoing: 5, MeanRCCsPerAvail: 20, Seed: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := DurableOptions{WAL: wal.Options{Policy: wal.SyncAlways}}
+			d, _, err := OpenDurable(root, ds.Avails, ds.RCCs, index.KindAVL, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := d.AvailIDs()
+			const acked = 6
+			for i := 0; i < acked; i++ {
+				if dup, err := d.Ingest(fmt.Sprintf("old-%d", i), deltaRCC(t, d.Catalog, ids[i%len(ids)], i)); err != nil || dup {
+					t.Fatalf("ingest %d: dup=%v err=%v", i, dup, err)
+				}
+			}
+			if file == "snapshot.wal" {
+				// Fold every record into the snapshot and drop the
+				// emptied log, so the snapshot alone marks the root.
+				if err := d.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := evalFingerprint(t, d)
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if file == "snapshot.wal" {
+				if err := os.Remove(filepath.Join(root, "wal.log")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := treeBytes(t, root)
+			if _, ok := before[file]; !ok || len(before) != 1 {
+				t.Fatalf("single-catalog root holds %v, want only %s", sortedKeys(before), file)
+			}
+
+			_, _, err = OpenSharded(root, 1, ds.Avails, ds.RCCs, index.KindAVL, opts)
+			shard0 := filepath.Join(root, "shard-0000")
+			if err == nil || !strings.Contains(err.Error(), "single-catalog WAL") || !strings.Contains(err.Error(), shard0) {
+				t.Fatalf("OpenSharded over a single-catalog root: err = %v, want the migration into %s", err, shard0)
+			}
+			after := treeBytes(t, root)
+			if len(after) != len(before) {
+				t.Fatalf("refused open changed the root: %v, was %v", sortedKeys(after), sortedKeys(before))
+			}
+			for name, b := range before {
+				if !bytes.Equal(after[name], b) {
+					t.Fatalf("refused open modified %s", name)
+				}
+			}
+
+			// The documented migration: move the root's WAL files into
+			// shard-0000/ and reopen with one shard.
+			if err := os.Mkdir(shard0, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(filepath.Join(root, file), filepath.Join(shard0, file)); err != nil {
+				t.Fatal(err)
+			}
+			sc, info, err := OpenSharded(root, 1, ds.Avails, ds.RCCs, index.KindAVL, opts)
+			if err != nil {
+				t.Fatalf("reopen after migration: %v", err)
+			}
+			defer sc.Close()
+			if got := sc.IngestedCount(); got != acked {
+				t.Fatalf("IngestedCount after migration = %d, want %d acknowledged", got, acked)
+			}
+			if got := info.Totals().Restored; got != acked {
+				t.Fatalf("restored %d records after migration, want %d", got, acked)
+			}
+			if !sameFingerprint(evalFingerprint(t, sc), want) {
+				t.Fatal("migrated tier answers differ from the catalog that acknowledged the ingests")
+			}
+		})
+	}
+}
+
+// treeBytes reads every regular file under root, keyed by its path
+// relative to root.
+func treeBytes(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	err := filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
+		if err != nil || path == root {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			out[rel+"/"] = nil
+			return nil
+		}
+		b, err := os.ReadFile(path)
+		out[rel] = b
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// sortedKeys lists a tree's paths in order, for failure messages.
+func sortedKeys(m map[string][]byte) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

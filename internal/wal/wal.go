@@ -65,9 +65,8 @@ const (
 )
 
 const (
-	logName      = "wal.log"
-	snapName     = "snapshot.wal"
-	snapTempName = "snapshot.wal.tmp"
+	logName  = "wal.log"
+	snapName = "snapshot.wal"
 )
 
 // castagnoli is the CRC-32C table; Castagnoli detects short bursts
@@ -434,15 +433,8 @@ func (l *Log) snapshotLocked(payload []byte, seq uint64) (err error) {
 	if err := faultinject.Fire(FailSnapshotWrite); err != nil {
 		return fmt.Errorf("wal: snapshot write: %w", err)
 	}
-	tmp := filepath.Join(l.dir, snapTempName)
-	if err := writeFileSync(tmp, line); err != nil {
-		return fmt.Errorf("wal: snapshot write: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, snapName)); err != nil {
-		return fmt.Errorf("wal: snapshot rename: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		return err
+	if err := WriteFileAtomic(filepath.Join(l.dir, snapName), line); err != nil {
+		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	// Snapshot is durable: drop the folded-in log records. Reopen with
 	// O_TRUNC rather than truncating the shared descriptor so the append
@@ -576,9 +568,14 @@ func (l *Log) Reset() error {
 	return nil
 }
 
-// writeFileSync writes b to path and fsyncs it before closing.
-func writeFileSync(path string, b []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+// WriteFileAtomic durably replaces path with b: it writes path+".tmp",
+// fsyncs it, renames it over path and fsyncs the parent directory, so a
+// crash leaves the old file or the new one, never a torn or empty one.
+// Snapshots are written this way, and so is any metadata a caller pins
+// next to a log.
+func WriteFileAtomic(path string, b []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
@@ -590,7 +587,13 @@ func writeFileSync(path string, b []byte) error {
 		f.Close() //lint:ignore droppederr best-effort close on an already-failing path
 		return err
 	}
-	return f.Close()
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so a rename within it is durable.
