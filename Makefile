@@ -4,8 +4,10 @@ GO ?= go
 # times (raise to shake out rare interleavings) within STRESS_TIMEOUT.
 STRESS_COUNT ?= 3
 STRESS_TIMEOUT ?= 10m
+# fuzz budget per target (the nightly workflow raises it).
+FUZZTIME ?= 10s
 
-.PHONY: build vet test race stress chaos chaos-repl lint docs differential check bench
+.PHONY: build vet test race stress chaos chaos-repl lint docs differential fuzz check bench
 
 build:
 	$(GO) build ./...
@@ -86,16 +88,24 @@ docs:
 differential:
 	$(GO) test -race -count 1 -run 'TestDelta' ./internal/statusq/
 
+# fuzz runs each native fuzz target for FUZZTIME: the WAL record and
+# snapshot decoders must never panic, and whatever they accept must
+# survive a re-encode (seed corpora live in testdata/fuzz). go test
+# fuzzes one target per invocation.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/statusq/
+	$(GO) test -run '^$$' -fuzz '^FuzzWALSnapshot$$' -fuzztime $(FUZZTIME) ./internal/statusq/
+
 # check is the CI gate: compile, vet, race-test everything, repeat the
 # concurrency stress suite, re-run the chaos (fault-injection) suite and
-# the delta-vs-rebuild differential suite, enforce the lint invariants
-# (domdlint must exit 0 on the tree) and the docs cross-checks, run the
-# riskbands example end to end (it serves /predict through server.New
-# over a one-shard catalog, the wiring `domd serve` uses), then vet and
-# test domdbench, the nested benchmark module (its tests hold
-# BENCHMARK.json to the report tables).
+# the delta-vs-rebuild differential suite, fuzz the WAL decoders,
+# enforce the lint invariants (domdlint must exit 0 on the tree) and the
+# docs cross-checks, run the riskbands example end to end (it serves
+# /predict through server.New over a one-shard catalog, the wiring
+# `domd serve` uses), then vet and test domdbench, the nested benchmark
+# module (its tests hold BENCHMARK.json to the report tables).
 check:
-	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
+	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) fuzz && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
 
 # bench runs the Go micro-benchmarks (including the statusq
 # ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3), then domdbench, the

@@ -378,8 +378,7 @@ func runServe(args []string) {
 	requestTimeout := fs.Duration("request-timeout", server.DefaultRequestTimeout, "per-request handling deadline (-1s disables)")
 	maxBody := fs.Int64("max-body", server.DefaultMaxBodyBytes, "max POST body size in bytes")
 	walDir := fs.String("wal-dir", "data/wal", "root directory of the RCC ingestion WAL (topology.json plus one subdirectory per shard)")
-	fsyncPolicy := fs.String("fsync", "always", "WAL fsync policy: always, every, or never")
-	fsyncEvery := fs.Int("fsync-every", 64, "records between fsyncs when -fsync=every")
+	fsyncPolicy := fs.String("fsync", "always", "WAL fsync policy: always (fsync before every acknowledgment) or never")
 	walCompactEvery := fs.Int("wal-compact-every", 1024, "ingests between WAL snapshots (0 disables auto-compaction)")
 	shards := fs.Int("shards", 1, "partition the catalog into N consistent-hash shards, each with its own WAL subdirectory (topology is pinned on first open)")
 	repl := fs.Int("repl", 1, "replicate each shard's WAL across N directories, acknowledging ingests at quorum (pinned on first open)")
@@ -448,7 +447,7 @@ func runServe(args []string) {
 	// breaker, and /readyz rows live, and server.New wires it as the
 	// Ingester too.
 	catalog, info, err := statusq.OpenSharded(*walDir, *shards, avails, rccs, index.KindAVL, statusq.DurableOptions{
-		WAL:          wal.Options{Policy: policy, Every: *fsyncEvery},
+		WAL:          wal.Options{Policy: policy},
 		CompactEvery: *walCompactEvery,
 		DedupCap:     *dedupCap,
 		Replicas:     *repl,
@@ -468,16 +467,14 @@ func runServe(args []string) {
 			log.Printf("  shard %d: torn tail repaired at offset %d (%d bytes dropped)",
 				sh.Shard, sh.Info.Recovery.TornOffset, sh.Info.Recovery.TornBytes)
 		}
-		if sh.Info.Repl != nil {
-			for _, rp := range sh.Info.Repl.Replicas {
-				switch {
-				case rp.Failed:
-					log.Printf("  shard %d: replica %s failed to open or repair", sh.Shard, rp.Dir)
-				case rp.Rebuilt:
-					log.Printf("  shard %d: replica %s rebuilt from the authoritative replica", sh.Shard, rp.Dir)
-				case rp.CaughtUp > 0:
-					log.Printf("  shard %d: replica %s caught up %d records", sh.Shard, rp.Dir, rp.CaughtUp)
-				}
+		for _, rp := range sh.Info.Repl.Replicas {
+			switch {
+			case rp.Failed:
+				log.Printf("  shard %d: replica %s failed to open or repair", sh.Shard, rp.Dir)
+			case rp.Rebuilt:
+				log.Printf("  shard %d: replica %s rebuilt from the authoritative replica", sh.Shard, rp.Dir)
+			case rp.CaughtUp > 0:
+				log.Printf("  shard %d: replica %s caught up %d records", sh.Shard, rp.Dir, rp.CaughtUp)
 			}
 		}
 	}

@@ -25,9 +25,9 @@ import (
 // field is a durable owner, and its other fields are ack state. A WAL
 // handle is a Log or ReplicatedLog declared in a package with a "wal"
 // path segment, or an interface that declares Append and is satisfied
-// by one of those (the shape statusq's durableLog narrows the WAL to).
-// Structs without a WAL handle — like the server's in-memory fallback
-// ingester — acknowledge without durability by design and are exempt.
+// by one of those (a caller narrowing the WAL to its append surface).
+// Structs without a WAL handle acknowledge without durability by design
+// and are exempt.
 // Functions that construct the durable owner (composite literal) are
 // exempt too: restore/replay populates state from the log rather than
 // ahead of it.

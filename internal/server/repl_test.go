@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"testing"
 
+	"domd/internal/domain"
 	"domd/internal/faultinject"
 	"domd/internal/index"
 	"domd/internal/navsim"
@@ -159,4 +160,81 @@ func TestChaosReplBothReplicasDownServesStale(t *testing.T) {
 	if freshAgain.Stale {
 		t.Fatalf("post-recovery query still stale: %+v", freshAgain)
 	}
+}
+
+// TestChaosOneReplicaIngestFaultLadder pins the health ladder of the
+// default tier — one shard, one WAL replica — under a persistent
+// append-write fault: the shard reads healthy after one failed ingest,
+// degraded after two and failed after five, /readyz tracks it (200
+// ready, 200 degraded, 503 unready) with one unpromotable single-replica
+// row, the breaker is open at five, and once the fault clears a probe
+// ingest restores the shard to healthy and /readyz to 200.
+func TestChaosOneReplicaIngestFaultLadder(t *testing.T) {
+	defer faultinject.Reset()
+	srv, ds, sc := newTestServer(t)
+	var victim domain.Avail
+	for i := range ds.Avails {
+		if ds.Avails[i].Status == domain.StatusOngoing {
+			victim = ds.Avails[i]
+			break
+		}
+	}
+
+	readyz := func(wantCode int, wantStatus, wantState string, wantBreaker bool) {
+		t.Helper()
+		var v readyView
+		get(t, srv.URL+"/readyz", wantCode, &v)
+		if v.Status != wantStatus || len(v.Shards) != 1 {
+			t.Fatalf("readyz = %+v, want status %s with one shard row", v, wantStatus)
+		}
+		row := v.Shards[0]
+		if row.State != wantState || row.Replicas != 1 || row.Promotable || row.BreakerOpen != wantBreaker {
+			t.Fatalf("readyz row = %+v, want state %s, replicas 1, promotable false, breaker_open %v",
+				row, wantState, wantBreaker)
+		}
+	}
+	readyz(http.StatusOK, "ready", "healthy", false)
+
+	faultinject.Enable(wal.FailAppendWrite, errors.New("chaos: wal disk full"))
+	steps := []struct {
+		failures int
+		health   statusq.ShardHealth
+		code     int
+		status   string
+		breaker  bool
+	}{
+		{1, statusq.ShardHealthy, http.StatusOK, "ready", false},
+		{2, statusq.ShardDegraded, http.StatusOK, "degraded", false},
+		{5, statusq.ShardFailed, http.StatusServiceUnavailable, "unready", true},
+	}
+	failed := 0
+	for _, st := range steps {
+		for ; failed < st.failures; failed++ {
+			if status, _, _ := postJSON(t, srv.URL+"/rccs", rccBody(980001+failed, victim), nil); status != http.StatusServiceUnavailable {
+				t.Fatalf("faulted ingest %d = %d, want 503", failed+1, status)
+			}
+		}
+		if h := sc.HealthOf(0); h != st.health {
+			t.Fatalf("after %d failed ingests health = %v, want %v", st.failures, h, st.health)
+		}
+		readyz(st.code, st.status, st.health.String(), st.breaker)
+	}
+	if n := sc.IngestedCount(); n != 0 {
+		t.Fatalf("unacknowledged ingests became visible: count = %d", n)
+	}
+
+	faultinject.Reset()
+	recovered := false
+	for i := 0; i < 64 && !recovered; i++ {
+		if status, _, _ := postJSON(t, srv.URL+"/rccs", rccBody(981001+i, victim), nil); status == http.StatusCreated {
+			recovered = true
+		}
+	}
+	if !recovered {
+		t.Fatal("shard never recovered after the fault cleared")
+	}
+	if h := sc.HealthOf(0); h != statusq.ShardHealthy {
+		t.Fatalf("recovered health = %v, want healthy", h)
+	}
+	readyz(http.StatusOK, "ready", "healthy", false)
 }

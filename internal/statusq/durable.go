@@ -1,7 +1,6 @@
 package statusq
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -24,7 +23,9 @@ const FailDurableApply = "statusq.durable.apply"
 
 // walEntry is the WAL record and snapshot element for one ingested RCC.
 // The base tables (avails, historical RCCs) are reloaded from their CSVs
-// at startup; the WAL persists only the delta ingested at runtime.
+// at startup; the WAL persists only the delta ingested at runtime. The
+// JSON tags describe the legacy payloads earlier builds wrote, which
+// replay still reads (see decodeWALPayload).
 type walEntry struct {
 	// Key is the idempotency key the record was ingested under ("" when
 	// the client supplied none, which disables dedup for that record).
@@ -32,35 +33,10 @@ type walEntry struct {
 	RCC domain.RCC `json:"rcc"`
 }
 
-// walState is the snapshot payload: every applied delta entry, in
-// acknowledgment order.
-type walState struct {
-	Entries []walEntry `json:"entries"`
-}
-
 // DefaultDedupCap is the idempotency-key budget applied when
 // DurableOptions.DedupCap is zero: roughly 65k keys, a few MiB of
 // strings at typical key lengths, per catalog (per shard when sharded).
 const DefaultDedupCap = 1 << 16
-
-// durableLog is the durability surface Ingest acknowledges through —
-// either a single write-ahead log (*wal.Log) or a quorum-acked replica
-// set (*wal.ReplicatedLog). Append-before-ack semantics are identical;
-// the replicated form simply requires a quorum of disks instead of one.
-type durableLog interface {
-	Append(payload []byte) (seq uint64, err error)
-	Snapshot(payload []byte) error
-	Close() error
-}
-
-// replProbe is the read-only replication status surface a replicated
-// log exposes (nil on a single-log catalog). Split from durableLog so
-// the health plumbing cannot accidentally become a second append path.
-type replProbe interface {
-	Status() []wal.ReplicaStatus
-	Lag() uint64
-	QuorumLive() bool
-}
 
 // DurableOptions tune a DurableCatalog.
 type DurableOptions struct {
@@ -68,9 +44,10 @@ type DurableOptions struct {
 	// policy (wal.SyncAlways for crash-proof acknowledgments).
 	WAL wal.Options
 	// Replicas is the number of WAL replica directories per catalog
-	// (per shard when sharded); values <= 1 mean a single unreplicated
-	// log. With N > 1, appends fan out to <dir>/replica-00 ..
-	// <dir>/replica-0(N-1) and acknowledge at ReplQuorum.
+	// (per shard when sharded). Values <= 1 mean a one-replica set that
+	// lives in the catalog directory itself; with N > 1, appends fan out
+	// to <dir>/replica-00 .. <dir>/replica-0(N-1) and acknowledge at
+	// ReplQuorum.
 	Replicas int
 	// ReplQuorum is the replica acks required before Ingest
 	// acknowledges; 0 means majority.
@@ -114,8 +91,8 @@ type RestoreInfo struct {
 	// replayed records, torn-tail cut). Under replication it is the
 	// authoritative replica's report.
 	Recovery wal.RecoveryInfo
-	// Repl reports how a replicated WAL reconciled its replica set on
-	// open (nil on a single-log catalog).
+	// Repl reports how the WAL reconciled its replica set on open (a
+	// one-replica catalog has one row and nothing to repair).
 	Repl *wal.ReplRecovery
 	// Restored counts delta RCCs re-applied from snapshot + log.
 	Restored int
@@ -137,23 +114,26 @@ type RestoreInfo struct {
 // Read and query methods are the embedded Catalog's.
 type DurableCatalog struct {
 	*Catalog
-	log  durableLog
-	repl replProbe // non-nil iff the log is replicated
+	log  *wal.ReplicatedLog
 	opts DurableOptions
 
 	// open flips false on Close; Ready gates /readyz on it.
 	open atomic.Bool
 
-	mu   sync.Mutex // guards seen, keyq, snapKeys, applied, sinceSnap, and compactErr
+	mu   sync.Mutex // guards seen, keyq, snapKeys, history, ingested, sinceSnap, and compactErr
 	seen map[string]bool
 	// keyq holds the live idempotency keys in acknowledgment order; its
 	// prefix of snapKeys entries is covered by the last snapshot and
 	// therefore evictable once the index exceeds the DedupCap budget.
 	// Keys after that prefix belong to the un-snapshotted log suffix
 	// and are pinned (see DurableOptions.DedupCap).
-	keyq      []string
-	snapKeys  int
-	applied   []walEntry
+	keyq     []string
+	snapKeys int
+	// history is every applied delta entry in acknowledgment order, held
+	// as the space-separated packed records a snapshot stores; ingested
+	// counts them.
+	history   []byte
+	ingested  int
 	sinceSnap int
 	// compactErr is the most recent auto-compaction failure (nil when
 	// the last one succeeded). Compaction failures do not fail Ingest —
@@ -174,58 +154,43 @@ func OpenDurable(dir string, avails []domain.Avail, rccs []domain.RCC, kind inde
 	if err := checkReplLayout(dir, opts.Replicas); err != nil {
 		return nil, nil, err
 	}
-	var (
-		log  durableLog
-		repl replProbe
-		rec  *wal.Recovered
-		rep  *wal.ReplRecovery
-	)
+	// A one-replica set lives in dir itself (dir/wal.log, dir/snapshot.wal).
+	dirs := []string{dir}
 	if opts.Replicas > 1 {
-		rl, r, rp, rerr := wal.OpenReplicated(wal.ReplicaDirs(dir, opts.Replicas), wal.ReplicatedOptions{
-			Quorum: opts.ReplQuorum,
-			MaxLag: opts.ReplMaxLag,
-			Name:   filepath.Base(dir),
-			Log:    opts.WAL,
-		})
-		if rerr != nil {
-			return nil, nil, rerr
-		}
-		log, repl, rec, rep = rl, rl, r, rp
-	} else {
-		l, r, oerr := wal.Open(dir, opts.WAL)
-		if oerr != nil {
-			return nil, nil, oerr
-		}
-		log, rec = l, r
+		dirs = wal.ReplicaDirs(dir, opts.Replicas)
+	}
+	log, rec, rep, err := wal.OpenReplicated(dirs, wal.ReplicatedOptions{
+		Quorum: opts.ReplQuorum,
+		MaxLag: opts.ReplMaxLag,
+		Name:   filepath.Base(dir),
+		Log:    opts.WAL,
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	d := &DurableCatalog{
 		Catalog: cat,
 		log:     log,
-		repl:    repl,
 		opts:    opts,
 		seen:    make(map[string]bool),
 	}
 	info := &RestoreInfo{Recovery: rec.Info, Repl: rep}
 
-	var entries []walEntry
-	if rec.Snapshot != nil {
-		var st walState
-		if err := json.Unmarshal(rec.Snapshot, &st); err != nil {
-			closeBestEffort(log)
-			return nil, nil, fmt.Errorf("statusq: decode WAL snapshot: %w", err)
-		}
-		entries = st.Entries
+	// The CRC already vouched for every payload, so a decode failure is a
+	// format mismatch (version skew), not disk damage: refuse to guess.
+	entries, err := decodeWALPayload(rec.Snapshot)
+	if err != nil {
+		closeBestEffort(log)
+		return nil, nil, fmt.Errorf("statusq: decode WAL snapshot: %w", err)
 	}
 	snapCount := len(entries)
 	for _, raw := range rec.Entries {
-		e, err := decodeWALEntry(raw)
+		es, err := decodeWALPayload(raw)
 		if err != nil {
-			// The CRC already vouched for the bytes, so this is a format
-			// mismatch (version skew), not disk damage: refuse to guess.
 			closeBestEffort(log)
 			return nil, nil, fmt.Errorf("statusq: decode WAL record: %w", err)
 		}
-		entries = append(entries, e)
+		entries = append(entries, es...)
 	}
 	// Replay dedups through the same bounded index live ingestion uses,
 	// evicting as it goes. That reproduces the live process's decisions
@@ -253,7 +218,8 @@ func OpenDurable(dir string, avails []domain.Avail, rccs []domain.RCC, kind inde
 			}
 			d.evictExcess()
 		}
-		d.applied = append(d.applied, e)
+		d.history = appendWALHistory(d.history, encodeWALEntry(e))
+		d.ingested++
 		info.Restored++
 		mIngestRestored.With("applied").Inc()
 	}
@@ -293,7 +259,7 @@ func (d *DurableCatalog) DedupTracked() int {
 }
 
 // closeBestEffort closes a log whose contents we are abandoning anyway.
-func closeBestEffort(log durableLog) {
+func closeBestEffort(log *wal.ReplicatedLog) {
 	log.Close() //lint:ignore droppederr best-effort close on an already-failing open path
 }
 
@@ -400,26 +366,14 @@ func (d *DurableCatalog) Ingest(key string, r domain.RCC) (dup bool, err error) 
 		d.keyq = append(d.keyq, key)
 		d.evictExcess()
 	}
-	d.applied = append(d.applied, walEntry{Key: key, RCC: r})
+	d.history = appendWALHistory(d.history, payload)
+	d.ingested++
 	d.sinceSnap++
 	mIngestAcks.Inc()
 	if d.opts.CompactEvery > 0 && d.sinceSnap >= d.opts.CompactEvery {
 		// Auto-compaction failure must not fail the already-durable
-		// ingest; record it for LastCompactError instead. The applied
-		// slice corresponds exactly to the log's sequence here because
-		// the ingest lock is held.
-		if payload, merr := json.Marshal(walState{Entries: d.applied}); merr != nil {
-			d.compactErr = fmt.Errorf("statusq: encode WAL snapshot: %w", merr)
-		} else if serr := d.log.Snapshot(payload); serr != nil {
-			d.compactErr = serr
-		} else {
-			d.compactErr = nil
-			d.sinceSnap = 0
-			// Every live key is now snapshot-covered, which unpins the
-			// whole queue for capacity eviction.
-			d.snapKeys = len(d.keyq)
-			d.evictExcess()
-		}
+		// ingest; record it for LastCompactError instead.
+		d.compactErr = d.compactLocked()
 	}
 	return false, nil
 }
@@ -430,14 +384,19 @@ func (d *DurableCatalog) Ingest(key string, r domain.RCC) (dup bool, err error) 
 func (d *DurableCatalog) Compact() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	payload, err := json.Marshal(walState{Entries: d.applied})
-	if err != nil {
-		return fmt.Errorf("statusq: encode WAL snapshot: %w", err)
-	}
-	if err := d.log.Snapshot(payload); err != nil {
+	return d.compactLocked()
+}
+
+// compactLocked writes the packed history as the snapshot, unchanged.
+// It matches the log's sequence exactly because callers hold d.mu, the
+// ingest lock.
+func (d *DurableCatalog) compactLocked() error {
+	if err := d.log.Snapshot(d.history); err != nil {
 		return err
 	}
 	d.sinceSnap = 0
+	// Every live key is now snapshot-covered, which unpins the whole
+	// queue for capacity eviction.
 	d.snapKeys = len(d.keyq)
 	d.evictExcess()
 	return nil
@@ -456,7 +415,7 @@ func (d *DurableCatalog) AddRCC(r domain.RCC) error {
 func (d *DurableCatalog) IngestedCount() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.applied)
+	return d.ingested
 }
 
 // Close flushes and closes the WAL; subsequent Ingests fail and Ready
@@ -483,13 +442,15 @@ type ReplHealth struct {
 	QuorumOK bool
 }
 
-// ReplHealth reports the replica set's state; ok is false on an
-// unreplicated catalog.
+// ReplHealth reports the replica set's state; ok is false on a
+// one-replica catalog, whose health ingest outcomes alone decide. That
+// case returns without touching the log: the router reads health on
+// every query, and the log's lock is held across each append's fsync.
 func (d *DurableCatalog) ReplHealth() (h ReplHealth, ok bool) {
-	if d.repl == nil {
+	if d.opts.Replicas <= 1 {
 		return ReplHealth{}, false
 	}
-	for _, st := range d.repl.Status() {
+	for _, st := range d.log.Status() {
 		h.Replicas++
 		switch st.State {
 		case wal.ReplLive:
@@ -500,7 +461,7 @@ func (d *DurableCatalog) ReplHealth() (h ReplHealth, ok bool) {
 			h.Failed++
 		}
 	}
-	h.Lag = d.repl.Lag()
-	h.QuorumOK = d.repl.QuorumLive()
+	h.Lag = d.log.Lag()
+	h.QuorumOK = d.log.QuorumLive()
 	return h, true
 }

@@ -1,6 +1,7 @@
 package statusq
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -270,7 +271,7 @@ func TestDurableUnknownAvailAndValidation(t *testing.T) {
 		t.Fatal("rejected ingest left state behind")
 	}
 	// Neither rejection may have reached the WAL.
-	if got := d.log.(*wal.Log).Seq(); got != 0 {
+	if got := d.log.Seq(); got != 0 {
 		t.Fatalf("rejected ingests appended %d WAL records", got)
 	}
 }
@@ -424,5 +425,143 @@ func TestDurableConcurrentIngest(t *testing.T) {
 	defer d2.Close()
 	if int64(info.Restored) != acked.Load() || info.Duplicates != 0 {
 		t.Fatalf("restored %d of %d acknowledged (dups %d)", info.Restored, acked.Load(), info.Duplicates)
+	}
+}
+
+// TestDurableSnapshotFaultKeepsIngesting pins that a failed
+// auto-compaction is only reported: the log still holds every record,
+// so the next ingest is acknowledged, the following compaction succeeds,
+// and a reopen restores everything.
+func TestDurableSnapshotFaultKeepsIngesting(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	d, _, ds := durableFixture(t, dir, DurableOptions{CompactEvery: 2})
+	ids := d.AvailIDs()
+	ingest := func(n int) {
+		t.Helper()
+		if _, err := d.Ingest(fmt.Sprintf("k%d", n), deltaRCC(t, d.Catalog, ids[n%len(ids)], n)); err != nil {
+			t.Fatalf("ingest %d: %v", n, err)
+		}
+	}
+	ingest(0)
+	faultinject.EnableTimes(wal.FailSnapshotWrite, errors.New("snapshot disk full"), 1)
+	ingest(1)
+	if d.LastCompactError() == nil {
+		t.Fatal("failed auto-compaction not reported")
+	}
+	ingest(2)
+	if err := d.LastCompactError(); err != nil {
+		t.Fatalf("compaction after the fault cleared: %v", err)
+	}
+	ingest(3)
+	want := evalFingerprint(t, d.Catalog)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d2, info, err := OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if info.Restored != 4 || info.Recovery.SnapshotSeq != 3 {
+		t.Fatalf("restore info = %+v / recovery %+v, want 4 restored over a snapshot at 3", info, info.Recovery)
+	}
+	if got := evalFingerprint(t, d2.Catalog); !sameFingerprint(got, want) {
+		t.Fatal("restored catalog answers differ")
+	}
+}
+
+// TestDurableLegacyJSONRootReplays opens a root written the way earlier
+// builds wrote it — a JSON snapshot, then a log holding a JSON record
+// and packed records — and checks that every acknowledged record is
+// restored and that the next compaction rewrites the snapshot packed.
+func TestDurableLegacyJSONRootReplays(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := navsim.Generate(navsim.Config{NumClosed: 15, NumOngoing: 3, MeanRCCsPerAvail: 20, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := ref.AvailIDs()
+	var entries []walEntry
+	for n := 0; n < 9; n++ {
+		e := walEntry{Key: fmt.Sprintf("k%d", n), RCC: deltaRCC(t, ref, ids[n%len(ids)], n)}
+		if err := ref.AddRCC(e.RCC); err != nil {
+			t.Fatal(err)
+		}
+		entries = append(entries, e)
+	}
+
+	l, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRaw := func(p []byte) {
+		t.Helper()
+		if _, err := l.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range entries[:5] {
+		appendRaw(encodeWALEntry(e))
+	}
+	snap, err := json.Marshal(struct {
+		Entries []walEntry `json:"entries"`
+	}{entries[:5]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Snapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	rec5, err := json.Marshal(entries[5])
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendRaw(rec5)
+	for _, e := range entries[6:] {
+		appendRaw(encodeWALEntry(e))
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, info, err := OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Restored != len(entries) || info.Duplicates != 0 || info.Skipped != 0 {
+		t.Fatalf("restore info = %+v, want %d restored", info, len(entries))
+	}
+	if got := evalFingerprint(t, d.Catalog); !sameFingerprint(got, evalFingerprint(t, ref)) {
+		t.Fatal("legacy root restored different answers")
+	}
+	if dup, err := d.Ingest("k5", entries[5].RCC); err != nil || !dup {
+		t.Fatalf("key of the legacy JSON record: dup=%v err=%v, want dup", dup, err)
+	}
+	if err := d.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2, rec, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if len(rec.Snapshot) == 0 || rec.Snapshot[0] != walEntryV1 || len(rec.Entries) != 0 {
+		t.Fatalf("compacted snapshot %.20q with %d log records, want packed records only", rec.Snapshot, len(rec.Entries))
+	}
+	got, err := decodeWALPayload(rec.Snapshot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameEntries(got, entries) {
+		t.Fatalf("compacted snapshot = %+v, want %+v", got, entries)
 	}
 }

@@ -1,18 +1,20 @@
-// walcodec.go is the compact wire format for individual WAL records.
+// walcodec.go is the one wire format for WAL records and snapshots.
 //
-// Every acknowledged ingest marshals one walEntry onto the log, so the
-// codec sits on the hot path of the durable ingest tier: a JSON marshal
-// there costs more CPU than the catalog apply itself and, on a sharded
-// tier whose fsyncs overlap, becomes a visible slice of the per-core
-// throughput ceiling. Records are varint-packed and then base64-wrapped
-// because the log is line-framed (payloads must be newline-free; see
-// wal.Log.Append). Snapshots (cold path, written once per compaction)
-// stay JSON. Decoding accepts both formats — logs written by older
-// builds replay byte-for-byte — by sniffing the first byte: JSON
-// records always start with '{', packed records with walEntryV1.
+// Every acknowledged ingest appends one walEntry to the log, so the
+// codec sits on the hot path of the durable ingest tier. A record is
+// varint-packed and then base64-wrapped, because the log is line-framed
+// (payloads must be newline-free; see wal.Log.Append). A snapshot is the
+// packed records of the whole applied history joined by single spaces:
+// the base64 alphabet has neither spaces nor newlines, so the history is
+// still one valid frame, and compaction writes the bytes ingestion
+// already built instead of encoding anything. Decoding accepts either
+// shape through decodeWALPayload, plus one read-only branch for the
+// JSON that earlier builds wrote (snapshots, and records before the
+// packed format), sniffed by its leading '{'.
 package statusq
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
@@ -23,9 +25,9 @@ import (
 )
 
 // walEntryV1 tags a packed walEntry: the tag byte followed by the
-// base64 (RawStdEncoding) of the varint-packed fields. The alphabet is
-// newline-free and the tag must never collide with '{' (0x7b), the
-// first byte of every legacy JSON record.
+// base64 (RawStdEncoding) of the varint-packed fields. The alphabet has
+// no spaces or newlines, and the tag must never collide with '{' (0x7b),
+// the first byte of every legacy JSON payload.
 const walEntryV1 = 'B'
 
 var walB64 = base64.RawStdEncoding
@@ -49,18 +51,52 @@ func encodeWALEntry(e walEntry) []byte {
 	return out
 }
 
-// decodeWALEntry unmarshals a WAL record in either the packed format
-// or the legacy JSON format.
+// appendWALHistory appends one packed record to a space-separated
+// history of packed records — the snapshot payload.
+func appendWALHistory(history, record []byte) []byte {
+	if len(history) > 0 {
+		history = append(history, ' ')
+	}
+	return append(history, record...)
+}
+
+// decodeWALPayload decodes a WAL record or snapshot payload into its
+// entries, in order: space-separated packed records (an empty payload is
+// an empty history), or legacy JSON from earlier builds — a snapshot
+// {"entries":[...]} or a single record {"key":...,"rcc":{...}}.
+func decodeWALPayload(raw []byte) ([]walEntry, error) {
+	if len(raw) > 0 && raw[0] == '{' {
+		var legacy struct {
+			Entries []walEntry  `json:"entries"`
+			Key     string      `json:"key"`
+			RCC     *domain.RCC `json:"rcc"`
+		}
+		if err := json.Unmarshal(raw, &legacy); err != nil {
+			return nil, fmt.Errorf("statusq: decode legacy JSON WAL payload: %w", err)
+		}
+		if legacy.RCC != nil {
+			return append(legacy.Entries, walEntry{Key: legacy.Key, RCC: *legacy.RCC}), nil
+		}
+		return legacy.Entries, nil
+	}
+	if len(raw) == 0 {
+		return nil, nil
+	}
+	var entries []walEntry
+	for _, rec := range bytes.Split(raw, []byte{' '}) {
+		e, err := decodeWALEntry(rec)
+		if err != nil {
+			return nil, err
+		}
+		entries = append(entries, e)
+	}
+	return entries, nil
+}
+
+// decodeWALEntry unmarshals one packed record.
 func decodeWALEntry(raw []byte) (walEntry, error) {
 	if len(raw) == 0 {
 		return walEntry{}, fmt.Errorf("statusq: empty WAL record")
-	}
-	if raw[0] == '{' {
-		var e walEntry
-		if err := json.Unmarshal(raw, &e); err != nil {
-			return walEntry{}, err
-		}
-		return e, nil
 	}
 	if raw[0] != walEntryV1 {
 		return walEntry{}, fmt.Errorf("statusq: unknown WAL record version 0x%02x", raw[0])

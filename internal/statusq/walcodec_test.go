@@ -1,9 +1,12 @@
 package statusq
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
 	"testing"
+	"unicode/utf8"
 
 	"domd/internal/domain"
 )
@@ -35,7 +38,8 @@ func TestWALCodecRoundTrip(t *testing.T) {
 }
 
 // TestWALCodecLegacyJSON proves logs written by builds that marshalled
-// records as JSON still replay: the decoder sniffs the leading '{'.
+// records as JSON still replay: the payload decoder sniffs the leading
+// '{'.
 func TestWALCodecLegacyJSON(t *testing.T) {
 	want := walEntry{Key: "legacy", RCC: domain.RCC{
 		ID: 9, AvailID: 3, Type: domain.Growth, SWLIN: 43411001,
@@ -45,11 +49,11 @@ func TestWALCodecLegacyJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeWALEntry(raw)
+	got, err := decodeWALPayload(raw)
 	if err != nil {
 		t.Fatalf("decode legacy JSON record: %v", err)
 	}
-	if got.Key != want.Key || got.RCC != want.RCC {
+	if len(got) != 1 || got[0].Key != want.Key || got[0].RCC != want.RCC {
 		t.Fatalf("legacy decode mismatch: got %+v want %+v", got, want)
 	}
 }
@@ -69,4 +73,123 @@ func TestWALCodecRejectsGarbage(t *testing.T) {
 			t.Fatalf("case %d: decode %v succeeded, want error", i, raw)
 		}
 	}
+}
+
+// sameEntries reports whether two entry lists are identical, comparing
+// amounts by their bits so NaN payloads and -0 count too.
+func sameEntries(a, b []walEntry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Key != y.Key || math.Float64bits(x.RCC.Amount) != math.Float64bits(y.RCC.Amount) {
+			return false
+		}
+		x.RCC.Amount, y.RCC.Amount = 0, 0
+		if x.RCC != y.RCC {
+			return false
+		}
+	}
+	return true
+}
+
+// packHistory encodes entries the way a snapshot stores them.
+func packHistory(entries []walEntry) []byte {
+	var h []byte
+	for _, e := range entries {
+		h = appendWALHistory(h, encodeWALEntry(e))
+	}
+	return h
+}
+
+// checkReencode asserts the invariant every accepted payload must keep:
+// packing its entries and decoding them again gives the same entries.
+func checkReencode(t *testing.T, entries []walEntry) {
+	t.Helper()
+	again, err := decodeWALPayload(packHistory(entries))
+	if err != nil {
+		t.Fatalf("re-encoded payload rejected: %v", err)
+	}
+	if !sameEntries(again, entries) {
+		t.Fatalf("re-encode changed entries: %+v -> %+v", entries, again)
+	}
+}
+
+// fuzzEntry builds an entry from fuzzer-chosen fields.
+func fuzzEntry(key string, id, availID, typ, swlin, created, settled int64, amount uint64) walEntry {
+	return walEntry{Key: key, RCC: domain.RCC{
+		ID: int(id), AvailID: int(availID), Type: domain.RCCType(typ), SWLIN: int(swlin),
+		Created: domain.Day(created), Settled: domain.Day(settled), Amount: math.Float64frombits(amount),
+	}}
+}
+
+// FuzzWALRecord fuzzes the record decoders with raw bytes (never panic;
+// whatever is accepted survives a re-encode) and the record codec with
+// structured fields (decode(encode(x)) == x, and the record stays one
+// space- and newline-free frame).
+func FuzzWALRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte, key string, id, availID, typ, swlin, created, settled int64, amount uint64) {
+		if e, err := decodeWALEntry(raw); err == nil {
+			checkReencode(t, []walEntry{e})
+		}
+		if entries, err := decodeWALPayload(raw); err == nil {
+			checkReencode(t, entries)
+		}
+
+		x := fuzzEntry(key, id, availID, typ, swlin, created, settled, amount)
+		rec := encodeWALEntry(x)
+		if bytes.ContainsAny(rec, " \n") {
+			t.Fatalf("record %q holds a separator", rec)
+		}
+		got, err := decodeWALEntry(rec)
+		if err != nil {
+			t.Fatalf("decode(encode(%+v)): %v", x, err)
+		}
+		if !sameEntries([]walEntry{got}, []walEntry{x}) {
+			t.Fatalf("decode(encode(%+v)) = %+v", x, got)
+		}
+	})
+}
+
+// FuzzWALSnapshot fuzzes the snapshot decoder with raw bytes (never
+// panic; whatever is accepted survives a re-encode) and with histories
+// built from n records derived from the fuzzed fields: the packed
+// history decodes to those records in order, and so does its legacy
+// JSON form.
+func FuzzWALSnapshot(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw []byte, n uint8, key string, id, created int64, amount uint64) {
+		if entries, err := decodeWALPayload(raw); err == nil {
+			checkReencode(t, entries)
+		}
+
+		entries := make([]walEntry, n%32)
+		for i := range entries {
+			d := int64(i)
+			entries[i] = fuzzEntry(key+strconv.Itoa(i), id+d, id-d, d%3, id^d, created, created+d, amount+uint64(i))
+		}
+		got, err := decodeWALPayload(packHistory(entries))
+		if err != nil {
+			t.Fatalf("packed history rejected: %v", err)
+		}
+		if !sameEntries(got, entries) {
+			t.Fatalf("packed history decoded to %+v, want %+v", got, entries)
+		}
+
+		// JSON cannot carry NaN or infinities and rewrites invalid UTF-8,
+		// so only those histories have a faithful legacy form.
+		legacy, err := json.Marshal(struct {
+			Entries []walEntry `json:"entries"`
+		}{entries})
+		if err != nil || !utf8.ValidString(key) {
+			return
+		}
+		fromJSON, err := decodeWALPayload(legacy)
+		if err != nil {
+			t.Fatalf("legacy JSON snapshot rejected: %v", err)
+		}
+		if !sameEntries(fromJSON, got) {
+			t.Fatalf("legacy JSON snapshot decoded to %+v, packed form to %+v", fromJSON, got)
+		}
+	})
 }

@@ -11,7 +11,7 @@ var (
 	mAppendFailures = obs.NewCounter("domd_wal_append_failures_total",
 		"WAL appends that failed before acknowledgment (write or fsync error, injected fault).")
 	mSyncs = obs.NewCounter("domd_wal_syncs_total",
-		"WAL fsync calls issued by appends and Close.")
+		"WAL fsync calls issued by appends.")
 	mSyncSeconds = obs.NewHistogram("domd_wal_sync_duration_seconds",
 		"WAL fsync latency in seconds.", obs.DefBuckets)
 	mCompactions = obs.NewCounter("domd_wal_compactions_total",
@@ -22,9 +22,10 @@ var (
 		"Torn or corrupt log tails cut off during restore.")
 )
 
-// Replication metrics (ReplicatedLog). Counters aggregate across every
-// replica set in the process; the lag gauge is per set, labeled by the
-// set name (the shard WAL directory under a sharded catalog).
+// Replication metrics (ReplicatedLog). Every shard's WAL is a replica
+// set, one-replica sets included, so these count faults at every -repl.
+// Counters aggregate across every replica set in the process; the lag
+// gauge is per set, labeled by the set name (the shard WAL directory).
 var (
 	mReplQuorumFailures = obs.NewCounter("domd_wal_repl_quorum_failures_total",
 		"Appends that could not reach quorum and were not acknowledged.")

@@ -4,6 +4,8 @@
 // crash, unrecoverable). Each replica is an ordinary Log — same CRC
 // framing, same torn-tail cut machinery — which keeps every replica
 // directory independently openable and auditable with existing tooling.
+// A set of one directory is how an unreplicated shard logs: quorum 1,
+// the same fault, rewind and catch-up path as a larger set.
 //
 // # Replica states
 //
@@ -103,6 +105,7 @@ type ReplicatedOptions struct {
 // protected by the owning ReplicatedLog's mutex.
 type replica struct {
 	dir       string
+	failpoint string    // ReplicaFailpoint(dir), built once
 	log       *Log      // nil when the directory failed to open
 	state     ReplState // position in the live/lagging/failed ladder
 	watermark uint64    // last sequence durably acknowledged by this replica
@@ -199,11 +202,13 @@ func OpenReplicated(dirs []string, opts ReplicatedOptions) (*ReplicatedLog, *Rec
 	repair := &ReplRecovery{Replicas: make([]ReplRepair, n)}
 	logs := make([]*Log, n)
 	recs := make([]*Recovered, n)
+	var openErrs []error
 	for i, dir := range dirs {
 		repair.Replicas[i].Dir = dir
 		log, rec, err := Open(dir, opts.Log)
 		if err != nil {
 			repair.Replicas[i].Failed = true
+			openErrs = append(openErrs, err)
 			continue
 		}
 		logs[i], recs[i] = log, rec
@@ -220,7 +225,7 @@ func OpenReplicated(dirs []string, opts ReplicatedOptions) (*ReplicatedLog, *Rec
 		}
 	}
 	if auth < 0 {
-		return nil, nil, nil, fmt.Errorf("wal: replicated open: no replica in %v is openable", dirs)
+		return nil, nil, nil, fmt.Errorf("wal: replicated open: no replica in %v is openable: %w", dirs, errors.Join(openErrs...))
 	}
 	repair.Authoritative = auth
 	authLog, authRec := logs[auth], recs[auth]
@@ -258,7 +263,7 @@ func OpenReplicated(dirs []string, opts ReplicatedOptions) (*ReplicatedLog, *Rec
 		lagGauge:   mReplLag.With(opts.Name),
 	}
 	for i, dir := range dirs {
-		r := &replica{dir: dir, log: logs[i], watermark: authSeq}
+		r := &replica{dir: dir, failpoint: ReplicaFailpoint(dir), log: logs[i], watermark: authSeq}
 		if logs[i] == nil || repair.Replicas[i].Failed {
 			r.state = ReplFailed
 			r.watermark = 0
@@ -350,7 +355,7 @@ func (l *ReplicatedLog) Append(payload []byte) (uint64, error) {
 			errs[i] = errReplicaDown
 			continue
 		}
-		err := faultinject.Fire(ReplicaFailpoint(r.dir))
+		err := faultinject.Fire(r.failpoint)
 		if err == nil {
 			_, err = r.log.Append(payload)
 		}
@@ -388,8 +393,17 @@ func (l *ReplicatedLog) Append(payload []byte) (uint64, error) {
 	}
 
 	l.seq = seq
-	l.tail = append(l.tail, append([]byte(nil), payload...))
-	l.trimTailLocked()
+	if acks == len(l.replicas) {
+		// Every replica holds this record and all before it, so catch-up
+		// can never need them: the window starts empty after it. A set of
+		// one replica never buffers anything.
+		clear(l.tail)
+		l.tail = l.tail[:0]
+		l.tailStart = seq + 1
+	} else {
+		l.tail = append(l.tail, append([]byte(nil), payload...))
+		l.trimTailLocked()
+	}
 
 	if l.replicas[l.primary].state != ReplLive {
 		l.promoteLocked()
@@ -512,7 +526,7 @@ func (l *ReplicatedLog) catchupLocked() {
 		}
 		for r.watermark < l.seq && r.watermark+1 >= l.tailStart {
 			payload := l.tail[r.watermark+1-l.tailStart]
-			err := faultinject.Fire(ReplicaFailpoint(r.dir))
+			err := faultinject.Fire(r.failpoint)
 			if err == nil {
 				_, err = r.log.Append(payload)
 			}
@@ -601,7 +615,14 @@ func (l *ReplicatedLog) Snapshot(payload []byte) error {
 			continue
 		}
 		mReplReplicaFaults.Inc()
-		r.state = ReplFailed
+		// A caught-up replica still holds every record in its log (the
+		// snapshot is made durable before the log is touched), so it
+		// stays live; if the fault broke its log, the next append faults
+		// and rewinds it. A replica this snapshot was to revive stays
+		// failed, since the tail window is gone.
+		if r.state != ReplLive || r.watermark != l.seq {
+			r.state = ReplFailed
+		}
 	}
 	l.tail = nil
 	l.tailStart = l.seq + 1

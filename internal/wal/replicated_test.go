@@ -405,6 +405,41 @@ func TestRewind(t *testing.T) {
 	}
 }
 
+// TestRewindCutsPartialFrameAtSeq covers a short append write: part of
+// a frame reached wal.log but the sequence never advanced. Rewind to the
+// current sequence must still cut those bytes, or the next acknowledged
+// record lands behind debris that replay's CRC check cuts off with it.
+func TestRewindCutsPartialFrameAtSeq(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openT(t, dir, Options{})
+	appendT(t, l, "good")
+	line, err := frame(l.Seq()+1, []byte("doomed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(line[:len(line)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Rewind(l.Seq()); err != nil {
+		t.Fatal(err)
+	}
+	appendT(t, l, "after")
+	closeT(t, l)
+
+	l2, rec := openT(t, dir, Options{})
+	defer closeT(t, l2)
+	if rec.Info.TornTail || len(rec.Entries) != 2 || string(rec.Entries[0]) != "good" || string(rec.Entries[1]) != "after" {
+		t.Fatalf("replay = %q (torn=%v), want [good after]", rec.Entries, rec.Info.TornTail)
+	}
+}
+
 func TestRewindIntoSnapshotFails(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})

@@ -1,8 +1,10 @@
 // Package wal implements the write-ahead log that makes RCC ingestion
-// durable: an append-only, CRC-framed JSON-lines log plus an atomically
-// replaced snapshot, so a serving process can acknowledge an ingested
-// record only after it is on disk and can rebuild its state after a
-// crash by loading the snapshot and replaying the log suffix.
+// durable: an append-only, CRC-framed, line-oriented log plus an
+// atomically replaced snapshot, so a serving process can acknowledge an
+// ingested record only after it is on disk and can rebuild its state
+// after a crash by loading the snapshot and replaying the log suffix.
+// The durable catalog appends through a ReplicatedLog over one replica
+// directory or several; each replica is a Log.
 //
 // # On-disk format
 //
@@ -10,13 +12,13 @@
 //
 //	<crc32c hex8> <seq decimal> <payload>\n
 //
-// where payload is an opaque single-line blob (callers use compact JSON)
-// and the CRC covers "<seq> <payload>". The snapshot (snapshot.wal) is a
-// single record in the same framing whose seq is the last log sequence
-// the snapshot folds in; it is written to a temp file, fsynced, and
-// renamed into place, so a crash never leaves a half-written snapshot
-// visible. Replay loads the snapshot (if any), then applies log records
-// with seq greater than the snapshot's.
+// where payload is an opaque single-line blob (statusq writes packed,
+// base64-wrapped records) and the CRC covers "<seq> <payload>". The
+// snapshot (snapshot.wal) is a single record in the same framing whose
+// seq is the last log sequence the snapshot folds in; it is written to a
+// temp file, fsynced, and renamed into place, so a crash never leaves a
+// half-written snapshot visible. Replay loads the snapshot (if any),
+// then applies log records with seq greater than the snapshot's.
 //
 // # Torn tails
 //
@@ -31,10 +33,8 @@
 // # Durability
 //
 // SyncAlways fsyncs after every append — an Append that returned nil is
-// on disk and may be acknowledged. SyncEvery(n) fsyncs every n-th
-// append, trading the tail of a crash window for throughput; SyncNever
-// leaves flushing to the OS. Snapshots are always fsynced regardless of
-// policy.
+// on disk and may be acknowledged. SyncNever leaves flushing to the OS.
+// Snapshots are always fsynced regardless of policy.
 package wal
 
 import (
@@ -81,8 +81,6 @@ const (
 	// record is durable. This is the only policy under which an
 	// acknowledgment survives power loss.
 	SyncAlways SyncPolicy = iota
-	// SyncEvery fsyncs once per Options.Every appends (and on Close).
-	SyncEvery
 	// SyncNever never fsyncs appends; the OS flushes when it pleases.
 	SyncNever
 )
@@ -92,8 +90,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncAlways:
 		return "always"
-	case SyncEvery:
-		return "every"
 	case SyncNever:
 		return "never"
 	default:
@@ -101,26 +97,21 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// ParseSyncPolicy parses the flag forms "always", "every", "never".
+// ParseSyncPolicy parses the flag forms "always" and "never".
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
 	case "always":
 		return SyncAlways, nil
-	case "every":
-		return SyncEvery, nil
 	case "never":
 		return SyncNever, nil
 	}
-	return 0, fmt.Errorf("wal: unknown sync policy %q (want always, every, or never)", s)
+	return 0, fmt.Errorf("wal: unknown sync policy %q (want always or never)", s)
 }
 
 // Options tune a Log.
 type Options struct {
 	// Policy selects the fsync cadence; the zero value is SyncAlways.
 	Policy SyncPolicy
-	// Every is the append interval between fsyncs under SyncEvery;
-	// values < 1 behave as 1 (every append).
-	Every int
 }
 
 // RecoveryInfo reports what Open reconstructed.
@@ -157,11 +148,10 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex // guards f, seq, unsynced, and closed
-	f        *os.File
-	seq      uint64 // last sequence appended (or recovered)
-	unsynced int    // appends since the last fsync
-	closed   bool
+	mu     sync.Mutex // guards f, seq, and closed
+	f      *os.File
+	seq    uint64 // last sequence appended (or recovered)
+	closed bool
 }
 
 // Open opens (creating if absent) the log in dir and replays existing
@@ -170,9 +160,6 @@ type Log struct {
 // returned as an error. The caller owns applying Recovered before
 // appending new records.
 func Open(dir string, opts Options) (*Log, *Recovered, error) {
-	if opts.Every < 1 {
-		opts.Every = 1
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: open %s: %w", dir, err)
 	}
@@ -362,8 +349,7 @@ func (l *Log) Append(payload []byte) (seq uint64, err error) {
 		return 0, fmt.Errorf("wal: append write: %w", err)
 	}
 	l.seq++
-	l.unsynced++
-	if l.opts.Policy == SyncAlways || (l.opts.Policy == SyncEvery && l.unsynced >= l.opts.Every) {
+	if l.opts.Policy == SyncAlways {
 		if err := faultinject.Fire(FailAppendSync); err != nil {
 			// The write reached the file but its durability is unknown;
 			// the caller must refuse to acknowledge. Replay will surface
@@ -378,7 +364,6 @@ func (l *Log) Append(payload []byte) (seq uint64, err error) {
 		}
 		mSyncs.Inc()
 		mSyncSeconds.ObserveSince(sw)
-		l.unsynced = 0
 	}
 	mAppends.Inc()
 	return l.seq, nil
@@ -448,7 +433,6 @@ func (l *Log) snapshotLocked(payload []byte, seq uint64) (err error) {
 	}
 	l.f = f
 	l.seq = seq
-	l.unsynced = 0
 	mCompactions.Inc()
 	return nil
 }
@@ -457,9 +441,12 @@ func (l *Log) snapshotLocked(payload []byte, seq uint64) (err error) {
 // any later records, and repositions the next Append at to+1. It exists
 // for replication: after a failed replica append the tail's durability is
 // unknown, so the replica is rewound to its last acknowledged watermark
-// before catch-up extends a known-good prefix. Rewinding past the start
-// of the log (into snapshot-covered territory) or forward past the
-// current sequence is an error.
+// before catch-up extends a known-good prefix. Rewinding to the current
+// sequence still truncates: a short write leaves part of a frame after
+// record `to` without advancing the sequence, and the next append must
+// not land behind it. Rewinding past the start of the log (into
+// snapshot-covered territory) or forward past the current sequence is an
+// error.
 func (l *Log) Rewind(to uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -468,9 +455,6 @@ func (l *Log) Rewind(to uint64) error {
 	}
 	if to > l.seq {
 		return fmt.Errorf("wal: rewind forward (have seq %d, want %d)", l.seq, to)
-	}
-	if to == l.seq {
-		return nil
 	}
 	path := filepath.Join(l.dir, logName)
 	offset, err := offsetAfter(path, to)
@@ -493,7 +477,6 @@ func (l *Log) Rewind(to uint64) error {
 	}
 	l.f = f
 	l.seq = to
-	l.unsynced = 0
 	return nil
 }
 
@@ -564,7 +547,6 @@ func (l *Log) Reset() error {
 	}
 	l.f = f
 	l.seq = 0
-	l.unsynced = 0
 	return nil
 }
 
@@ -609,8 +591,8 @@ func syncDir(dir string) error {
 	return d.Close()
 }
 
-// Close fsyncs (unless SyncNever) and closes the log. Further
-// operations return ErrClosed.
+// Close closes the log; every append it acknowledged under SyncAlways is
+// already on disk. Further operations return ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -618,14 +600,5 @@ func (l *Log) Close() error {
 		return ErrClosed
 	}
 	l.closed = true
-	if l.opts.Policy != SyncNever && l.unsynced > 0 {
-		sw := obs.StartTimer()
-		if err := l.f.Sync(); err != nil {
-			l.f.Close() //lint:ignore droppederr best-effort close on an already-failing path
-			return fmt.Errorf("wal: fsync: %w", err)
-		}
-		mSyncs.Inc()
-		mSyncSeconds.ObserveSince(sw)
-	}
 	return l.f.Close()
 }

@@ -298,7 +298,7 @@ func TestSyncPolicyParse(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want SyncPolicy
-	}{{"always", SyncAlways}, {"every", SyncEvery}, {"never", SyncNever}} {
+	}{{"always", SyncAlways}, {"never", SyncNever}} {
 		got, err := ParseSyncPolicy(tc.in)
 		if err != nil || got != tc.want {
 			t.Fatalf("ParseSyncPolicy(%q) = %v, %v", tc.in, got, err)
@@ -307,8 +307,10 @@ func TestSyncPolicyParse(t *testing.T) {
 			t.Fatalf("String() = %q, want %q", got.String(), tc.in)
 		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("bad policy accepted")
+	for _, bad := range []string{"sometimes", "every"} {
+		if _, err := ParseSyncPolicy(bad); err == nil {
+			t.Fatalf("policy %q accepted", bad)
+		}
 	}
 }
 
@@ -363,20 +365,6 @@ func TestInjectedSnapshotFaultLeavesLogIntact(t *testing.T) {
 	defer closeT(t, l2)
 	if rec.Snapshot != nil || len(rec.Entries) != 1 {
 		t.Fatalf("failed snapshot disturbed state: %+v", rec)
-	}
-}
-
-func TestSyncEveryBatches(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{Policy: SyncEvery, Every: 3})
-	for i := 0; i < 7; i++ {
-		appendT(t, l, fmt.Sprintf("r%d", i))
-	}
-	closeT(t, l) // Close flushes the unsynced tail
-	l2, rec := openT(t, dir, Options{})
-	defer closeT(t, l2)
-	if len(rec.Entries) != 7 {
-		t.Fatalf("replayed %d, want 7", len(rec.Entries))
 	}
 }
 
