@@ -7,13 +7,19 @@ STRESS_TIMEOUT ?= 10m
 # fuzz budget per target (the nightly workflow raises it).
 FUZZTIME ?= 10s
 
-.PHONY: build vet test race stress chaos chaos-repl lint docs differential fuzz check bench
+.PHONY: build vet fmt test race stress chaos chaos-repl lint docs differential fuzz check bench
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would rewrite any tracked .go file, listing them
+# (the benchmark's untracked build directory .bench_build/ is skipped).
+fmt:
+	@out=$$(git ls-files -- '*.go' ':!:.bench_build/**' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -96,7 +102,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/statusq/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALSnapshot$$' -fuzztime $(FUZZTIME) ./internal/statusq/
 
-# check is the CI gate: compile, vet, race-test everything, repeat the
+# check is the CI gate: compile, vet, check gofmt, race-test everything, repeat the
 # concurrency stress suite, re-run the chaos (fault-injection) suite and
 # the delta-vs-rebuild differential suite, fuzz the WAL decoders,
 # enforce the lint invariants (domdlint must exit 0 on the tree) and the
@@ -105,7 +111,7 @@ fuzz:
 # `domd serve` uses), then vet and test domdbench, the nested benchmark
 # module (its tests hold BENCHMARK.json to the report tables).
 check:
-	$(GO) build ./... && $(GO) vet ./... && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) fuzz && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
+	$(GO) build ./... && $(GO) vet ./... && $(MAKE) fmt && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) fuzz && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
 
 # bench runs the Go micro-benchmarks (including the statusq
 # ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3), then domdbench, the

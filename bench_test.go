@@ -565,6 +565,46 @@ func BenchmarkDynamicVectorInto(b *testing.B) {
 	}
 }
 
+// BenchmarkTrajectoryAt compares the scratch oracle (every grid point's
+// vector rebuilt through Extractor.Vector) with the served path (one row,
+// one forward sweep from the engine's event orders) for one trajectory:
+// on a fleet-scan-sized history (260 RCCs, the median ongoing avail of
+// that fleet) and a ~5k-RCC one, on the base gap-10 grid at t* = 90 and on
+// the window 50–100 grid at t* = 55, where the served path evaluates
+// a single point and pays the sweep's set-up against one scratch vector.
+func BenchmarkTrajectoryAt(b *testing.B) {
+	fx := mustTrajFixture(b)
+	for _, n := range []int{260, 5_000} {
+		a, rccs := bigAvailFixture(b, n)
+		eng, err := statusq.NewEngine(a, rccs, index.KindAVL)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			grid string
+			p    *core.Pipeline
+			ts   float64
+		}{{"base", fx.base, 90}, {"window-50-100", fx.late, 55}} {
+			b.Run(fmt.Sprintf("scratch/n=%d/%s", n, c.grid), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := scratchTrajectoryOracle(c.p, fx.ext, eng, c.ts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("served/n=%d/%s", n, c.grid), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := c.p.TrajectoryAt(fx.ext.NewRow(eng), c.ts); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkGBTFit(b *testing.B) {
 	w := benchWorkload(b)
 	slice := w.Tensor.Slices[0].Subset(w.Splits.Train)

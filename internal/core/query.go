@@ -80,12 +80,21 @@ func (s *QueryService) Query(a *domain.Avail, rccs []domain.RCC, at domain.Day) 
 	return s.QueryEngine(eng, at)
 }
 
-// QueryEngine answers a DoMD query against a prebuilt Status Query engine.
-// This is the cached serving path: the engine is read-only here, so one
-// engine may be shared by any number of concurrent QueryEngine calls (see
-// the index.TimeIndex concurrency contract).
+// QueryEngine answers a DoMD query against a prebuilt Status Query engine:
+// QueryRow over a fresh row of the engine's feature vectors. The engine
+// is read-only here, so one engine may be shared by any number of
+// concurrent QueryEngine calls (see the index.TimeIndex concurrency
+// contract).
 func (s *QueryService) QueryEngine(eng *statusq.Engine, at domain.Day) (*Result, error) {
-	a := eng.Avail()
+	return s.QueryRow(s.ext.NewRow(eng), at)
+}
+
+// QueryRow answers a DoMD query from a row of feature vectors over a
+// prebuilt engine — the cached serving path. The trajectory is read from
+// the row's one forward sweep, so a caller that also predicts from the
+// same row (a /fleet row) extracts each grid point once.
+func (s *QueryService) QueryRow(row *features.Row, at domain.Day) (*Result, error) {
+	a := row.Engine().Avail()
 	ts, err := a.LogicalTime(at)
 	if err != nil {
 		return nil, err
@@ -93,7 +102,7 @@ func (s *QueryService) QueryEngine(eng *statusq.Engine, at domain.Day) (*Result,
 	if ts < 0 {
 		return nil, fmt.Errorf("core: avail %d has not started at %v (t* = %.1f%%)", a.ID, at, ts)
 	}
-	tr, err := s.pipeline.TrajectoryAt(s.ext, eng, ts)
+	tr, err := s.pipeline.TrajectoryAt(row, ts)
 	if err != nil {
 		return nil, err
 	}
@@ -123,24 +132,27 @@ type Trajectory struct {
 }
 
 // TrajectoryAt is the serving trajectory loop shared by
-// QueryService.QueryEngine and the model registry's Predict: it walks the
-// grid up to logical time ts (>= 0), extracts the full feature vector
-// from eng at each grid point, and runs the per-timestamp models over them.
-// The engine is only read.
-func (p *Pipeline) TrajectoryAt(ext *features.Extractor, eng *statusq.Engine, ts float64) (*Trajectory, error) {
+// QueryService.QueryRow and the model registry's PredictRow: it reads the
+// full feature vectors at the pipeline's grid points up to logical time ts
+// (>= 0) from row — one forward sweep over the row's engine (§4.3),
+// shared with every other trajectory on the row — and runs the
+// per-timestamp models over them. It fails when no grid point lies at or
+// before ts (a window model whose window starts after ts): every point
+// it could evaluate would read history later than t*.
+func (p *Pipeline) TrajectoryAt(row *features.Row, ts float64) (*Trajectory, error) {
 	grid := p.Timestamps()
-	upto := 0
+	upto := -1
 	for k, g := range grid {
 		if g <= ts {
 			upto = k
 		}
 	}
-	fulls := make([][]float64, upto+1)
-	for k := range fulls {
-		var err error
-		if fulls[k], err = ext.Vector(eng, grid[k]); err != nil {
-			return nil, err
-		}
+	if upto < 0 {
+		return nil, fmt.Errorf("core: no grid point at or before t* = %.1f%%", ts)
+	}
+	fulls, err := row.Vectors(grid[:upto+1])
+	if err != nil {
+		return nil, err
 	}
 	raw, fused, err := p.Trajectory(fulls, upto)
 	if err != nil {

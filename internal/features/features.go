@@ -26,10 +26,15 @@
 // per-timestamp model trains on, fanning avails out over a worker pool and
 // advancing one incremental statusq.CellSweep per avail across the
 // timestamp grid (§4.3) instead of recomputing each timestamp from scratch.
+// Serving reads its grids the same way, through a Row: one forward sweep
+// over the avail's cached engine, memoized by grid point for one request.
+// Vector and DynamicVector are the single-point scratch reference both
+// swept paths are tested against bit for bit.
 package features
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -200,8 +205,9 @@ func (e *Extractor) DynamicVectorScratch(dst []float64, eng *statusq.Engine, ts 
 }
 
 // DynamicVector evaluates every generated feature at ts from scratch,
-// allocating the output slice. Kept for ad-hoc single-timestamp queries;
-// grid sweeps should use DynamicVectorInto.
+// allocating the output slice. It is the single-point scratch reference:
+// a grid of points is read through a Row (serving) or BuildTensorOpt
+// (training), which sweep instead.
 func (e *Extractor) DynamicVector(eng *statusq.Engine, ts float64) ([]float64, error) {
 	out := make([]float64, len(e.specs))
 	if err := e.DynamicVectorScratch(out, eng, ts); err != nil {
@@ -210,7 +216,9 @@ func (e *Extractor) DynamicVector(eng *statusq.Engine, ts float64) ([]float64, e
 	return out, nil
 }
 
-// Vector concatenates static and dynamic features for one avail at ts.
+// Vector concatenates static and dynamic features for one avail at ts,
+// from scratch. It is the single-point scratch reference the swept paths
+// are tested against bit for bit; grids of points use a Row.
 func (e *Extractor) Vector(eng *statusq.Engine, ts float64) ([]float64, error) {
 	dyn, err := e.DynamicVector(eng, ts)
 	if err != nil {
@@ -219,6 +227,71 @@ func (e *Extractor) Vector(eng *statusq.Engine, ts float64) ([]float64, error) {
 	out := make([]float64, 0, NumStatic+len(dyn))
 	out = append(out, StaticVector(eng.Avail())...)
 	return append(out, dyn...), nil
+}
+
+// Row is one avail's full feature vectors (static then dynamic, the Names
+// order) at the grid points one request reads, memoized by grid point.
+// Points are extracted by a single forward statusq.CellSweep over the
+// engine (§4.3), so a /fleet row's query and prediction trajectories share
+// one sweep and extract each point once. A Row covers one engine for one
+// request and is not safe for concurrent use.
+type Row struct {
+	ext *Extractor
+	eng *statusq.Engine
+	// sw is taken from eng on the first extraction; last is the grid
+	// point it was last advanced to.
+	sw   *statusq.CellSweep
+	last float64
+	// memo maps math.Float64bits of a grid point to its vector.
+	memo map[uint64][]float64
+}
+
+// NewRow starts an empty row over eng.
+func (e *Extractor) NewRow(eng *statusq.Engine) *Row {
+	return &Row{ext: e, eng: eng, memo: make(map[uint64][]float64)}
+}
+
+// Engine returns the engine the row reads.
+func (r *Row) Engine() *statusq.Engine { return r.eng }
+
+// Vectors returns the full feature vector at each point of grid, which
+// must ascend. Points not yet in the row are swept in one forward pass
+// into one contiguous block; the sweep rewinds only when the first of
+// them lies before the point it last reached. The returned vectors are
+// shared with later calls; do not mutate them.
+func (r *Row) Vectors(grid []float64) ([][]float64, error) {
+	out := make([][]float64, len(grid))
+	var miss []int
+	for k, ts := range grid {
+		if vec, ok := r.memo[math.Float64bits(ts)]; ok {
+			out[k] = vec
+		} else {
+			miss = append(miss, k)
+		}
+	}
+	if len(miss) == 0 {
+		return out, nil
+	}
+	switch {
+	case r.sw == nil:
+		r.sw = r.eng.Sweep()
+	case grid[miss[0]] < r.last:
+		r.sw.Reset()
+	}
+	width := NumStatic + r.ext.NumDynamic()
+	block := make([]float64, len(miss)*width)
+	static := StaticVector(r.eng.Avail())
+	for i, k := range miss {
+		vec := block[i*width : (i+1)*width : (i+1)*width]
+		copy(vec, static)
+		if err := r.ext.DynamicVectorInto(vec[NumStatic:], r.sw, grid[k]); err != nil {
+			return nil, fmt.Errorf("features: avail %d @%g: %w", r.eng.Avail().ID, grid[k], err)
+		}
+		r.last = grid[k]
+		r.memo[math.Float64bits(grid[k])] = vec
+		out[k] = vec
+	}
+	return out, nil
 }
 
 // Tensor is the (avail × feature × t*) feature tensor of §3.1: one

@@ -260,3 +260,59 @@ func TestSpecNameFormat(t *testing.T) {
 		t.Errorf("all-name = %q", all.Name())
 	}
 }
+
+// TestRowExtractsEachPointOnce pins the Row memo a /fleet row's query and
+// prediction share: a later call over points already read (the default
+// window 50–100 grid after the base grid) extracts nothing and hands back
+// the same vectors; a call reaching back before the sweep's position
+// rewinds it; every vector equals the scratch Vector bitwise.
+func TestRowExtractsEachPointOnce(t *testing.T) {
+	e := NewExtractor()
+	eng := fixture(t)
+	row := e.NewRow(eng)
+	base := TimestampGrid(10)
+	first, err := row.Vectors(base[:8]) // t* = 75: points 0..70
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(row.memo) != 8 {
+		t.Fatalf("memo holds %d points after one 8-point call", len(row.memo))
+	}
+	window, err := row.Vectors([]float64{50, 60, 70})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(row.memo) != 8 {
+		t.Fatalf("a subset grid extracted %d new points", len(row.memo)-8)
+	}
+	for i, k := range []int{5, 6, 7} {
+		if &window[i][0] != &first[k][0] {
+			t.Fatalf("point %g was re-extracted instead of shared", base[k])
+		}
+	}
+	// 25 and 100 are new; 25 lies behind the sweep (at 70), so it rewinds.
+	more, err := row.Vectors([]float64{25, 60, 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(row.memo) != 10 {
+		t.Fatalf("memo holds %d points, want 10", len(row.memo))
+	}
+	check := func(ts float64, got []float64) {
+		t.Helper()
+		want, err := e.Vector(eng, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("t*=%g feature %d: row %v, scratch %v", ts, j, got[j], want[j])
+			}
+		}
+	}
+	for k, v := range first {
+		check(base[k], v)
+	}
+	check(25, more[0])
+	check(100, more[2])
+}

@@ -33,8 +33,8 @@ type leakEffects uint8
 
 const (
 	effWGDone leakEffects = 1 << iota // calls sync.WaitGroup.Done
-	effChan                          // channel send/receive/close/select/range
-	effCtx                           // holds a context.Context value
+	effChan                           // channel send/receive/close/select/range
+	effCtx                            // holds a context.Context value
 )
 
 func runGoleak(p *ModulePass) {

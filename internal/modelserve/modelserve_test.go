@@ -238,6 +238,81 @@ func TestWindowRoutingAndFallback(t *testing.T) {
 	}
 }
 
+// TestPredictBeforeFirstWindowReadsNoLaterHistory pins causality when the
+// trained windows start above 0 (-windows 20-50,50-100). At t* = 10
+// routing falls back to 20-50, whose grid has no point at or before t*;
+// answering from its first point would read RCCs created after the query
+// date, so the prediction must fail (served as prediction_unavailable).
+// Inside the windows, an engine holding only the RCCs created by the
+// query date must answer bitwise-equal to one holding the full history.
+func TestPredictBeforeFirstWindowReadsNoLaterHistory(t *testing.T) {
+	fx := mustFixture(t)
+	tv, err := TrainVersion(fx.tensor, fx.sp.Train, fx.sp.Val, TrainOptions{
+		Windows: []Window{{Lo: 20, Hi: 50}, {Lo: 50, Hi: 100}},
+		Alpha:   0.2,
+		Version: "late-start",
+		Config:  testConfig(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := tv.WriteTo(dir, true); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a *domain.Avail
+	for i := range fx.ds.Avails {
+		if fx.ds.Avails[i].Status == domain.StatusClosed {
+			a = &fx.ds.Avails[i]
+			break
+		}
+	}
+	if a == nil {
+		t.Fatal("fixture has no closed avail")
+	}
+	full := engineFor(t, fx, a)
+	knownAt := func(at domain.Day) *statusq.Engine {
+		var known []domain.RCC
+		for _, r := range fx.ds.RCCsByAvail()[a.ID] {
+			if r.Created <= at {
+				known = append(known, r)
+			}
+		}
+		eng, err := statusq.NewEngine(a, known, index.KindAVL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+
+	at := a.PhysicalTime(10)
+	for name, eng := range map[string]*statusq.Engine{"known-at": knownAt(at), "full": full} {
+		if p, err := reg.Predict(eng, at, 0); err == nil {
+			t.Errorf("t*=10 on the %s engine answered %+v; want an error (no grid point at or before t*)", name, p)
+		}
+	}
+	for _, ts := range []float64{30, 75} {
+		at := a.PhysicalTime(ts)
+		early, err := reg.Predict(knownAt(at), at, 0)
+		if err != nil {
+			t.Fatalf("t*=%g known-at: %v", ts, err)
+		}
+		late, err := reg.Predict(full, at, 0)
+		if err != nil {
+			t.Fatalf("t*=%g full: %v", ts, err)
+		}
+		if math.Float64bits(early.Delay) != math.Float64bits(late.Delay) ||
+			math.Float64bits(early.Lo) != math.Float64bits(late.Lo) ||
+			math.Float64bits(early.Hi) != math.Float64bits(late.Hi) || early.Window != late.Window {
+			t.Errorf("t*=%g: history known at the query date answers %+v, full history %+v", ts, early, late)
+		}
+	}
+}
+
 func TestDigestMismatchKeepsOldVersionServing(t *testing.T) {
 	fx := mustFixture(t)
 	tv := trainTestVersion(t, 1, "v001")

@@ -290,17 +290,27 @@ type Prediction struct {
 }
 
 // Predict answers one delay prediction for a live avail from its cached
-// Status Query engine: route t* to a window model, extract the feature
-// trajectory, fuse, and band. alpha <= 0 selects the version's default
-// level. Returns ErrNoModel when no version is loaded; the engine is
-// read-only here, so concurrent Predict calls share engines and models
-// freely.
+// Status Query engine: PredictRow over a fresh row of the engine's feature
+// vectors. alpha <= 0 selects the version's default level. Returns
+// ErrNoModel when no version is loaded; the engine is read-only here, so
+// concurrent Predict calls share engines and models freely.
 func (r *Registry) Predict(eng *statusq.Engine, at domain.Day, alpha float64) (*Prediction, error) {
+	return r.PredictRow(r.ext.NewRow(eng), at, alpha)
+}
+
+// PredictRow answers one delay prediction from a row of feature vectors
+// over a live avail's engine: route t* to a window model, read its feature
+// trajectory from the row, fuse, and band. A window model's grid points
+// are base-grid points, so on a row the query trajectory already swept
+// the prediction extracts nothing new. Fails when the routed window has
+// no grid point at or before t*.
+func (r *Registry) PredictRow(row *features.Row, at domain.Day, alpha float64) (*Prediction, error) {
 	snap := r.snap.Load()
 	if snap == nil || snap.active == nil {
 		return nil, ErrNoModel
 	}
 	v := snap.active
+	eng := row.Engine()
 	ts, err := eng.LogicalTime(at)
 	if err != nil {
 		return nil, err
@@ -313,7 +323,7 @@ func (r *Registry) Predict(eng *statusq.Engine, at domain.Day, alpha float64) (*
 	if alpha <= 0 {
 		alpha = v.alpha
 	}
-	tr, err := m.pipe.TrajectoryAt(r.ext, eng, ts)
+	tr, err := m.pipe.TrajectoryAt(row, ts)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"domd/internal/domain"
+	"domd/internal/features"
 	"domd/internal/obs"
 	"domd/internal/statusq"
 )
@@ -46,11 +47,13 @@ type predictRow struct {
 	AsOf                  int64       `json:"asOf"`
 }
 
-// renderPredict evaluates one prediction against an already-resolved
-// engine. Date/avail problems (not started, invalid t*) are errors — the
-// request itself is unanswerable, same contract as /query. Model
-// problems are not: they annotate the row prediction_unavailable.
-func (s *Server) renderPredict(eng *statusq.Engine, asOf int64, stale bool, at domain.Day, alpha float64) (*predictRow, error) {
+// renderPredict evaluates one prediction from a feature row over an
+// already-resolved engine. Date/avail problems (not started, invalid t*)
+// are errors — the request itself is unanswerable, same contract as
+// /query. Model problems are not: they annotate the row
+// prediction_unavailable.
+func (s *Server) renderPredict(vecs *features.Row, asOf int64, stale bool, at domain.Day, alpha float64) (*predictRow, error) {
+	eng := vecs.Engine()
 	a := eng.Avail()
 	ts, err := eng.LogicalTime(at)
 	if err != nil {
@@ -66,7 +69,7 @@ func (s *Server) renderPredict(eng *statusq.Engine, asOf int64, stale bool, at d
 		mPredictUnavailable.Inc()
 		return row, nil
 	}
-	pred, err := s.models.Predict(eng, at, alpha)
+	pred, err := s.models.PredictRow(vecs, at, alpha)
 	if err != nil {
 		row.PredictionUnavailable = true
 		row.UnavailableReason = err.Error()
@@ -92,7 +95,7 @@ func (s *Server) predictOne(ctx context.Context, id int, at domain.Day, alpha fl
 	if err != nil {
 		return nil, err
 	}
-	return s.renderPredict(eng, asOf, stale, at, alpha)
+	return s.renderPredict(s.ext.NewRow(eng), asOf, stale, at, alpha)
 }
 
 // parseAlpha reads an optional ?alpha= parameter; absent defers to the
@@ -241,7 +244,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 				rows[i].Error = res.err.Error()
 				return
 			}
-			row, err := s.renderPredict(res.eng, res.asOf, res.stale, at, alpha)
+			row, err := s.renderPredict(s.ext.NewRow(res.eng), res.asOf, res.stale, at, alpha)
 			if err != nil {
 				rows[i].Error = err.Error()
 				return

@@ -186,6 +186,7 @@ type Catalog interface {
 // Server handles the SMDII-style JSON API.
 type Server struct {
 	svc      *core.QueryService
+	ext      *features.Extractor // starts each request's feature rows
 	catalog  Catalog
 	ingester Ingester
 	mux      *http.ServeMux
@@ -213,6 +214,7 @@ func New(p *core.Pipeline, ext *features.Extractor, catalog Catalog, opts Option
 	}
 	s := &Server{
 		svc:      core.NewQueryService(p, ext, index.KindAVL),
+		ext:      ext,
 		catalog:  catalog,
 		ingester: opts.Ingester,
 		mux:      http.NewServeMux(),
@@ -613,15 +615,16 @@ func (s *Server) queryOne(ctx context.Context, id int, at domain.Day) (*queryVie
 	if err != nil {
 		return nil, err
 	}
-	return s.renderQuery(eng, asOf, stale, at)
+	return s.renderQuery(s.ext.NewRow(eng), asOf, stale, at)
 }
 
-// renderQuery evaluates one DoMD query against an already-resolved engine
-// and shapes the response view. Split out of queryOne so /query/batch can
-// resolve each engine once per avail and reuse it across every query that
-// targets it.
-func (s *Server) renderQuery(eng *statusq.Engine, asOf int64, stale bool, at domain.Day) (*queryView, error) {
-	res, err := s.svc.QueryEngine(eng, at)
+// renderQuery evaluates one DoMD query from a feature row over an
+// already-resolved engine and shapes the response view. Split out of
+// queryOne so /query/batch can resolve each engine once per avail and
+// reuse it across every query that targets it, and so a /fleet row's
+// prediction reads the feature vectors this query extracted.
+func (s *Server) renderQuery(vecs *features.Row, asOf int64, stale bool, at domain.Day) (*queryView, error) {
+	res, err := s.svc.QueryRow(vecs, at)
 	if err != nil {
 		return nil, err
 	}
@@ -719,9 +722,10 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			// Resolve the engine once and share it between the query
-			// render and the prediction annotation, so the model answer
-			// describes exactly the history the estimates were served from.
+			// Resolve the engine once and share one feature row between
+			// the query render and the prediction annotation, so the model
+			// answer describes exactly the history the estimates were
+			// served from and each grid point is extracted once.
 			if err := r.Context().Err(); err != nil {
 				rows[i].Error = err.Error()
 				return
@@ -730,10 +734,11 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 			var view *queryView
 			var pred *predictRow
 			if err == nil {
-				view, err = s.renderQuery(eng, asOf, stale, at)
-			}
-			if err == nil {
-				pred, err = s.renderPredict(eng, asOf, stale, at, s.alpha)
+				vecs := s.ext.NewRow(eng)
+				view, err = s.renderQuery(vecs, asOf, stale, at)
+				if err == nil {
+					pred, err = s.renderPredict(vecs, asOf, stale, at, s.alpha)
+				}
 			}
 			if err != nil {
 				rows[i].Error = err.Error()
@@ -878,7 +883,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 				rows[i].Error = res.err.Error()
 				return
 			}
-			view, err := s.renderQuery(res.eng, res.asOf, res.stale, at)
+			view, err := s.renderQuery(s.ext.NewRow(res.eng), res.asOf, res.stale, at)
 			if err != nil {
 				rows[i].Error = err.Error()
 				return

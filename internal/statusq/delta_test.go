@@ -118,6 +118,76 @@ func TestDeltaEngineDifferential(t *testing.T) {
 	}
 }
 
+// TestDeltaEngineEventOrders checks the event orders Engine.ApplyRCC keeps
+// for Sweep: after every prefix of a random, out-of-date-order ingest
+// stream they equal a rebuilt engine's, and a sweep taken mid-stream keeps
+// the orders it captured while later applies insert into copies. A sweep
+// from the maintained engine then matches a fresh NewCellSweep bitwise.
+func TestDeltaEngineEventOrders(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	a := &domain.Avail{ID: 1, ShipID: 1, Status: domain.StatusOngoing, PlanStart: 0, PlanEnd: 300, ActStart: 0}
+	base := make([]domain.RCC, 0, 20)
+	for i := 0; i < 20; i++ {
+		base = append(base, randRCC(rng, a, i))
+	}
+	inc, err := NewEngine(a, append([]domain.RCC(nil), base...), index.KindAVL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	history := append([]domain.RCC(nil), base...)
+	type taken struct {
+		sw                     *CellSweep
+		creations, settlements []int
+	}
+	var sweeps []taken
+	for i := 0; i < 400; i++ {
+		r := randRCC(rng, a, 10_000+i)
+		if err := inc.ApplyRCC(r); err != nil {
+			t.Fatalf("ApplyRCC #%d: %v", i, err)
+		}
+		history = append(history, r)
+		scratch, err := NewEngine(a, history, index.KindAVL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalInts(inc.view.creations, scratch.view.creations) {
+			t.Fatalf("prefix %d: creation order diverges from a rebuild", i+1)
+		}
+		if !equalInts(inc.view.settlements, scratch.view.settlements) {
+			t.Fatalf("prefix %d: settlement order diverges from a rebuild", i+1)
+		}
+		if rng.Intn(3) == 0 {
+			sw := inc.Sweep()
+			sweeps = append(sweeps, taken{sw,
+				append([]int(nil), sw.creations...), append([]int(nil), sw.settlements...)})
+		}
+	}
+	if len(sweeps) == 0 {
+		t.Fatal("stream took no sweeps")
+	}
+	for k, s := range sweeps {
+		if !equalInts(s.sw.creations, s.creations) || !equalInts(s.sw.settlements, s.settlements) {
+			t.Fatalf("sweep %d (%d rccs): a later ApplyRCC rewrote its orders", k, s.sw.NumRCCs())
+		}
+	}
+	got := inc.Sweep()
+	want, err := NewCellSweep(a, history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ts := 0.0; ts <= 200; ts += 12.5 {
+		if err := got.AdvanceTo(ts); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.AdvanceTo(ts); err != nil {
+			t.Fatal(err)
+		}
+		if *got.Grids() != *want.Grids() {
+			t.Fatalf("ts=%g: engine sweep diverges from NewCellSweep", ts)
+		}
+	}
+}
+
 // TestDeltaCatalogWALReplayDifferential is the serving-tier half of the
 // differential: a DurableCatalog ingests a randomized 1000-RCC stream into
 // a warm engine (so every ingest takes the O(delta) path), the engine is

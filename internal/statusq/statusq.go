@@ -17,6 +17,9 @@
 // the new window instead of re-running the query from scratch. CellSweep
 // extends that sweep to the full seven-statistic CellStats lattice feeding
 // the ~1500-feature transformation, on a dense CellGrid with ALL margins.
+// An Engine keeps the sweep's two canonical event orders sorted across
+// ApplyRCC, so Engine.Sweep hands serving a fresh CellSweep with no
+// validation and no sort.
 //
 // Complexity of the CellSweep over a K-point timestamp grid on n RCCs, with
 // e_j events and a_j live active RCCs in window j:
@@ -47,8 +50,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"domd/internal/domain"
 	"domd/internal/index"
@@ -135,6 +140,14 @@ type engineView struct {
 	typeGroups [domain.NumRCCTypes][]int
 	swlinTree  *swlin.Tree
 	timeIdx    index.TimeIndex
+	// creations/settlements are the canonical (date, position) event
+	// orders a CellSweep walks (see eventOrders), kept sorted across
+	// ApplyRCC so Sweep hands them out without re-sorting.
+	creations, settlements []int
+	// ordersShared records that a sweep taken since the last ApplyRCC
+	// reads the current order slices. ApplyRCC then inserts into fresh
+	// copies instead of shifting the shared ones in place.
+	ordersShared atomic.Bool
 }
 
 // NewEngine indexes the RCCs of avail a with the chosen time-index design.
@@ -171,6 +184,7 @@ func NewEngine(a *domain.Avail, rccs []domain.RCC, kind index.Kind) (*Engine, er
 			return nil, err
 		}
 	}
+	v.creations, v.settlements = eventOrders(rccs)
 	return e, nil
 }
 
@@ -196,8 +210,10 @@ func (e *Engine) NumRCCs() int {
 // ApplyRCC folds one freshly ingested RCC into the engine's existing
 // state in O(delta): an append into the type group and SWLIN trie (both
 // store members in position order, and the new RCC takes the largest
-// position) and an append into the lazy-sorting time index, whose next
-// deferred re-sort is an O(n) append-and-merge rather than a full sort.
+// position), an append into the lazy-sorting time index, whose next
+// deferred re-sort is an O(n) append-and-merge rather than a full sort,
+// and a sorted insert into each of the two event orders Sweep hands out
+// (an O(n) shift, or an O(n) copy when a sweep still reads the old ones).
 //
 // The result is bitwise-identical to rebuilding the engine from scratch
 // over the extended RCC slice: every query path folds aggregates in
@@ -225,7 +241,33 @@ func (e *Engine) ApplyRCC(r domain.RCC) error {
 	}
 	v.rccs = append(v.rccs, r)
 	v.typeGroups[r.Type] = append(v.typeGroups[r.Type], pos)
+	if v.ordersShared.Swap(false) {
+		// Clipping the capacity makes insertEventSorted's append move the
+		// orders to a fresh array, leaving the sweeps' copies untouched.
+		v.creations = slices.Clip(v.creations)
+		v.settlements = slices.Clip(v.settlements)
+	}
+	v.creations = insertEventSorted(v.creations, pos,
+		func(pos int) int64 { return int64(v.rccs[pos].Created) }, int64(r.Created))
+	v.settlements = insertEventSorted(v.settlements, pos,
+		func(pos int) int64 { return int64(v.rccs[pos].Settled) }, int64(r.Settled))
 	return nil
+}
+
+// Sweep returns a fresh CellSweep over the engine's current RCCs, rewound
+// to before all events. It reuses the engine's validated RCCs and sorted
+// event orders, so taking a sweep costs the sweep's own O(n) link arrays
+// and no sort. The sweep is a consistent snapshot: a later ApplyRCC never
+// writes to anything it reads, so it may be advanced without the engine's
+// lock while ingests continue. Like any CellSweep it is not safe for
+// concurrent use; each caller takes its own.
+func (e *Engine) Sweep() *CellSweep {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	v := &e.view
+	n := len(v.rccs)
+	v.ordersShared.Store(true)
+	return newCellSweep(e.avail, v.rccs[:n:n], v.creations[:n:n], v.settlements[:n:n])
 }
 
 // statusSet retrieves the positions in the given temporal class at logical

@@ -1,8 +1,10 @@
 package statusq
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"domd/internal/domain"
@@ -67,14 +69,6 @@ func NewCellSweep(a *domain.Avail, rccs []domain.RCC) (*CellSweep, error) {
 	if a.PlannedDuration() <= 0 {
 		return nil, fmt.Errorf("statusq: avail %d has non-positive planned duration", a.ID)
 	}
-	s := &CellSweep{
-		avail:       a,
-		rccs:        rccs,
-		creations:   make([]int, len(rccs)),
-		settlements: make([]int, len(rccs)),
-		next:        make([]int32, len(rccs)+1),
-		prev:        make([]int32, len(rccs)+1),
-	}
 	for pos := range rccs {
 		if rccs[pos].AvailID != a.ID {
 			return nil, fmt.Errorf("statusq: rcc %d belongs to avail %d, sweep is for %d",
@@ -83,25 +77,44 @@ func NewCellSweep(a *domain.Avail, rccs []domain.RCC) (*CellSweep, error) {
 		if err := rccs[pos].Validate(); err != nil {
 			return nil, err
 		}
-		s.creations[pos] = pos
-		s.settlements[pos] = pos
 	}
-	sort.Slice(s.creations, func(i, j int) bool {
-		a, b := s.creations[i], s.creations[j]
-		if rccs[a].Created != rccs[b].Created {
-			return rccs[a].Created < rccs[b].Created
-		}
-		return a < b
-	})
-	sort.Slice(s.settlements, func(i, j int) bool {
-		a, b := s.settlements[i], s.settlements[j]
-		if rccs[a].Settled != rccs[b].Settled {
-			return rccs[a].Settled < rccs[b].Settled
-		}
-		return a < b
-	})
+	creations, settlements := eventOrders(rccs)
+	return newCellSweep(a, rccs, creations, settlements), nil
+}
+
+// newCellSweep builds a rewound sweep over already-validated RCCs and their
+// canonical event orders. The sweep reads rccs and the orders without
+// copying them, so the caller must never mutate them in place afterwards.
+func newCellSweep(a *domain.Avail, rccs []domain.RCC, creations, settlements []int) *CellSweep {
+	s := &CellSweep{
+		avail:       a,
+		rccs:        rccs,
+		creations:   creations,
+		settlements: settlements,
+		next:        make([]int32, len(rccs)+1),
+		prev:        make([]int32, len(rccs)+1),
+	}
 	s.Reset()
-	return s, nil
+	return s
+}
+
+// eventOrders returns the canonical creation and settlement event orders
+// of rccs: positions sorted by (date, position). Engine and CellSweep both
+// build their orders here, so an engine-held order is exactly the one a
+// fresh sweep would sort.
+func eventOrders(rccs []domain.RCC) (creations, settlements []int) {
+	creations = make([]int, len(rccs))
+	for pos := range creations {
+		creations[pos] = pos
+	}
+	settlements = slices.Clone(creations)
+	slices.SortFunc(creations, func(a, b int) int {
+		return cmp.Or(cmp.Compare(rccs[a].Created, rccs[b].Created), cmp.Compare(a, b))
+	})
+	slices.SortFunc(settlements, func(a, b int) int {
+		return cmp.Or(cmp.Compare(rccs[a].Settled, rccs[b].Settled), cmp.Compare(a, b))
+	})
+	return creations, settlements
 }
 
 // Avail returns the sweep's avail.

@@ -2,6 +2,7 @@ package statusq
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"domd/internal/domain"
@@ -230,4 +231,75 @@ func TestRetrieveMergeMatchesMap(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestConcurrentSweepDuringApply is the -race gate for Engine.Sweep: sweeps
+// are taken and advanced across the grid while ApplyRCC folds an
+// out-of-order stream into the same engine. Each sweep must stay a
+// consistent snapshot — its grids equal CellGridsAt on a fresh engine over
+// exactly the RCC prefix it captured.
+func TestConcurrentSweepDuringApply(t *testing.T) {
+	a, rccs := randomAvailRCCs(11, 600)
+	const base = 100
+	eng, err := NewEngine(a, append([]domain.RCC(nil), rccs[:base]...), index.KindAVL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := []float64{0, 15, 30, 45, 60, 75, 90, 100, 130}
+	var wg sync.WaitGroup
+	var once sync.Once
+	first, done := make(chan struct{}), make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		<-first // start applying only once a sweep holds the engine's orders
+		for _, r := range rccs[base:] {
+			if err := eng.ApplyRCC(r); err != nil {
+				t.Errorf("ApplyRCC(%d): %v", r.ID, err)
+				return
+			}
+		}
+	}()
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				sw := eng.Sweep()
+				once.Do(func() { close(first) })
+				got := make([]GridSet, len(grid))
+				for k, ts := range grid {
+					if err := sw.AdvanceTo(ts); err != nil {
+						t.Errorf("AdvanceTo(%g): %v", ts, err)
+						return
+					}
+					got[k] = *sw.Grids()
+				}
+				n := sw.NumRCCs()
+				scratch, err := NewEngine(a, rccs[:n:n], index.KindAVL)
+				if err != nil {
+					t.Errorf("rebuild over %d rccs: %v", n, err)
+					return
+				}
+				var want GridSet
+				for k, ts := range grid {
+					if err := scratch.CellGridsAt(ts, &want); err != nil {
+						t.Errorf("CellGridsAt(%g): %v", ts, err)
+						return
+					}
+					if got[k] != want {
+						t.Errorf("sweep over %d rccs diverges from CellGridsAt at ts=%g", n, ts)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
