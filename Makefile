@@ -87,8 +87,8 @@ docs:
 # differential re-runs the incremental-maintenance equivalence suite
 # under the race detector: random RCC streams applied via the O(delta)
 # path must stay bitwise-identical (math.Float64bits) to engines rebuilt
-# from scratch, at the engine, catalog+WAL-replay, sweep, and
-# stat-structure layers — including the 4-shard router
+# from scratch, at the engine, its event orders, catalog+WAL-replay, and
+# sweep layers — including the 4-shard router
 # (TestDeltaShardedEquivalence), whose answers must match a single
 # catalog fed the same stream.
 differential:
@@ -96,15 +96,19 @@ differential:
 
 # fuzz runs each native fuzz target for FUZZTIME: the WAL record and
 # snapshot decoders must never panic, and whatever they accept must
-# survive a re-encode (seed corpora live in testdata/fuzz). go test
-# fuzzes one target per invocation.
+# survive a re-encode (seed corpora live in testdata/fuzz); the HTTP read
+# and ingest surface (GET /query, /predict, /fleet, POST /query/batch,
+# /predict, /rccs) must never answer a 5xx, and a 200 batch answer has one
+# row per query. go test fuzzes one target per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/statusq/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALSnapshot$$' -fuzztime $(FUZZTIME) ./internal/statusq/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadRequests$$' -fuzztime $(FUZZTIME) ./internal/server/
 
 # check is the CI gate: compile, vet, check gofmt, race-test everything, repeat the
 # concurrency stress suite, re-run the chaos (fault-injection) suite and
-# the delta-vs-rebuild differential suite, fuzz the WAL decoders,
+# the delta-vs-rebuild differential suite, fuzz the WAL decoders and the
+# HTTP read/ingest surface,
 # enforce the lint invariants (domdlint must exit 0 on the tree) and the
 # docs cross-checks, run the riskbands example end to end (it serves
 # /predict through server.New over a one-shard catalog, the wiring

@@ -334,7 +334,7 @@ func runTrain(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *alpha <= 0 || *alpha >= 1 {
+	if !(*alpha > 0 && *alpha < 1) { // NaN fails too
 		log.Fatalf("-alpha %g outside (0,1)", *alpha)
 	}
 	avails, rccs := load(c)
@@ -409,7 +409,7 @@ func runServe(args []string) {
 		RequestTimeout:   *requestTimeout,
 		MaxBodyBytes:     *maxBody,
 	}
-	if *predictAlpha < 0 || *predictAlpha >= 1 {
+	if !(*predictAlpha >= 0 && *predictAlpha < 1) { // NaN fails too
 		log.Fatalf("-predict-alpha %g outside (0,1)", *predictAlpha)
 	}
 	// The model registry is optional and its failures are non-fatal: a

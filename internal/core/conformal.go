@@ -89,7 +89,7 @@ func (c *Conformal) Margin(k int, alpha float64) (float64, error) {
 	if k < 0 || k >= len(c.residuals) {
 		return 0, fmt.Errorf("core: slot %d out of range [0,%d)", k, len(c.residuals))
 	}
-	if alpha <= 0 || alpha >= 1 {
+	if !(alpha > 0 && alpha < 1) { // written so that NaN fails it too
 		return 0, fmt.Errorf("core: alpha %f outside (0,1)", alpha)
 	}
 	rs := c.residuals[k]

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 )
 
@@ -96,6 +97,9 @@ func TestConformalErrors(t *testing.T) {
 	}
 	if _, err := c.Margin(0, 1); err == nil {
 		t.Error("alpha 1: want error")
+	}
+	if _, err := c.Margin(0, math.NaN()); err == nil {
+		t.Error("alpha NaN: want error")
 	}
 	if _, _, _, err := c.Interval([]float64{1}, 3, 0.1); err == nil {
 		t.Error("short trajectory: want error")

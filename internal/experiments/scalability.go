@@ -236,7 +236,7 @@ func SweepScratch(idx index.TimeIndex, ivs []LogicalInterval, step float64) [][]
 	return results
 }
 
-// SweepIncremental advances a StatStructure-style running aggregate using
+// SweepIncremental advances a §4.3 running aggregate (the CellSweep scheme) using
 // the (prev, cur] windows of §4.3: each step touches only the new events.
 func SweepIncremental(idx index.TimeIndex, ivs []LogicalInterval, step float64) [][]GroupAgg {
 	var results [][]GroupAgg

@@ -182,7 +182,7 @@ func (r *Registry) loadVersion(mv *ManifestVersion) (*loadedVersion, error) {
 		return nil, fmt.Errorf("modelserve: version %q has no window artifacts", mv.Version)
 	}
 	v := &loadedVersion{name: mv.Version, alpha: mv.Alpha}
-	if v.alpha <= 0 || v.alpha >= 1 {
+	if !(v.alpha > 0 && v.alpha < 1) {
 		v.alpha = DefaultAlpha
 	}
 	for _, art := range mv.Artifacts {

@@ -1,18 +1,13 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"domd/internal/domain"
 	"domd/internal/features"
 	"domd/internal/obs"
-	"domd/internal/statusq"
 )
 
 // The /predict, /models, and /models/reload handlers: the serving face of
@@ -86,60 +81,30 @@ func (s *Server) renderPredict(vecs *features.Row, asOf int64, stale bool, at do
 	return row, nil
 }
 
-// predictOne resolves the avail's cached engine and renders a prediction.
-func (s *Server) predictOne(ctx context.Context, id int, at domain.Day, alpha float64) (*predictRow, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	eng, asOf, stale, err := s.catalog.EngineAsOf(id)
-	if err != nil {
-		return nil, err
-	}
-	return s.renderPredict(s.ext.NewRow(eng), asOf, stale, at, alpha)
-}
-
-// parseAlpha reads an optional ?alpha= parameter; absent defers to the
+// parseAlpha reads an optional ?alpha= value; absent defers to the
 // server default (Options.PredictAlpha, else the model version's level).
-func (s *Server) parseAlpha(r *http.Request) (float64, error) {
-	raw := r.URL.Query().Get("alpha")
+// The check is written so that NaN fails it.
+func (s *Server) parseAlpha(raw string) (float64, error) {
 	if raw == "" {
 		return s.alpha, nil
 	}
 	alpha, err := strconv.ParseFloat(raw, 64)
-	if err != nil || alpha <= 0 || alpha >= 1 {
+	if err != nil || !(alpha > 0 && alpha < 1) {
 		return 0, fmt.Errorf("alpha must be a number in (0,1), got %q", raw)
 	}
 	return alpha, nil
 }
 
 // handlePredict is GET /predict. Status contract: 400 bad parameters,
-// 404 unknown avail, 422 avail not started at the date, 200 otherwise —
+// 404 unknown avail, 422 avail not started at the date, 503 (+
+// Retry-After) when the request's deadline expired, 200 otherwise —
 // including model-side degradation, which annotates the body instead.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.URL.Query().Get("avail"))
-	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("missing or invalid avail parameter"))
+	out, ok := s.readOne(w, r, answers{predict: true})
+	if !ok {
 		return
 	}
-	at, err := domain.ParseDay(r.URL.Query().Get("date"))
-	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, err)
-		return
-	}
-	alpha, err := s.parseAlpha(r)
-	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, err)
-		return
-	}
-	row, err := s.predictOne(r.Context(), id, at, alpha)
-	if err != nil {
-		status := http.StatusUnprocessableEntity
-		if errors.Is(err, statusq.ErrUnknownAvail) {
-			status = http.StatusNotFound
-		}
-		s.writeErr(w, r, status, err)
-		return
-	}
+	row := out.pred
 	if sp := obs.FromContext(r.Context()); sp != nil {
 		sp.SetBool("stale", row.Stale)
 		sp.SetBool("unavailable", row.PredictionUnavailable)
@@ -150,8 +115,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, http.StatusOK, row)
 }
 
-// predictBatchIn is the POST /predict request body; Alpha <= 0 defers to
-// the server default.
+// predictBatchIn is the POST /predict request body; an omitted (zero)
+// Alpha defers to the server default, and one outside [0,1) is 422.
 type predictBatchIn struct {
 	Queries []batchQueryIn `json:"queries"`
 	Alpha   float64        `json:"alpha,omitempty"`
@@ -166,107 +131,38 @@ type predictBatchRow struct {
 }
 
 // handlePredictBatch is POST /predict: many predictions in one request,
-// with the /query/batch amortization (one engine lookup per distinct
-// avail) and status contract — 400 malformed or empty body, 413
-// oversized, 422 over MaxBatchQueries or bad alpha, 200 with per-row
-// errors inline.
+// with the /query/batch amortization (one engine lookup and one feature
+// row per distinct avail) and status contract — 400 malformed or empty
+// body, 413 oversized, 422 over MaxBatchQueries or bad alpha, 200 with
+// per-row errors inline.
 func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 	var in predictBatchIn
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeErr(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err))
+	if !s.decodeBody(w, r, &in) {
 		return
 	}
-	if len(in.Queries) == 0 {
-		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("empty batch: provide at least one query"))
+	reqs, ok := s.batchReqs(w, r, in.Queries)
+	if !ok {
 		return
 	}
-	if len(in.Queries) > MaxBatchQueries {
-		s.writeErr(w, r, http.StatusUnprocessableEntity,
-			fmt.Errorf("batch of %d queries exceeds the limit of %d", len(in.Queries), MaxBatchQueries))
+	if !(in.Alpha >= 0 && in.Alpha < 1) {
+		s.writeErr(w, r, http.StatusUnprocessableEntity, fmt.Errorf("alpha must lie in (0,1), got %g", in.Alpha))
 		return
 	}
 	alpha := in.Alpha
 	if alpha == 0 { //lint:ignore floateq exactly zero is the JSON omitted-field sentinel
 		alpha = s.alpha
 	}
-	if alpha < 0 || alpha >= 1 {
-		s.writeErr(w, r, http.StatusUnprocessableEntity, fmt.Errorf("alpha must lie in (0,1), got %g", in.Alpha))
-		return
-	}
-
-	// One engine resolution per distinct avail, same as /query/batch.
-	type resolved struct {
-		eng   *statusq.Engine
-		asOf  int64
-		stale bool
-		err   error
-	}
-	engines := make(map[int]*resolved)
-	for _, q := range in.Queries {
-		if _, ok := engines[q.Avail]; ok {
-			continue
+	outs, avails := s.evaluate(r.Context(), reqs, answers{predict: true, alpha: alpha})
+	rows := make([]predictBatchRow, len(outs))
+	for i, o := range outs {
+		rows[i].AvailID = reqs[i].avail
+		if o.err != nil {
+			rows[i].Error = o.err.Error()
+		} else {
+			rows[i].Result = o.pred
 		}
-		res := &resolved{}
-		res.eng, res.asOf, res.stale, res.err = s.catalog.EngineAsOf(q.Avail)
-		engines[q.Avail] = res
 	}
-
-	rows := make([]predictBatchRow, len(in.Queries))
-	sem := make(chan struct{}, s.fleetPar)
-	var wg sync.WaitGroup
-	for i, q := range in.Queries {
-		rows[i].AvailID = q.Avail
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := r.Context().Err(); err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			at, err := domain.ParseDay(q.Date)
-			if err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			res := engines[q.Avail]
-			if res.err != nil {
-				rows[i].Error = res.err.Error()
-				return
-			}
-			row, err := s.renderPredict(s.ext.NewRow(res.eng), res.asOf, res.stale, at, alpha)
-			if err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			rows[i].Result = row
-		}()
-	}
-	wg.Wait()
-	if sp := obs.FromContext(r.Context()); sp != nil {
-		failed, unavailable := 0, 0
-		for i := range rows {
-			if rows[i].Error != "" {
-				failed++
-			} else if rows[i].Result != nil && rows[i].Result.PredictionUnavailable {
-				unavailable++
-			}
-		}
-		sp.SetInt("rows", int64(len(rows)))
-		sp.SetInt("avails", int64(len(engines)))
-		sp.SetInt("failedRows", int64(failed))
-		sp.SetInt("unavailablePredictions", int64(unavailable))
-	}
+	spanRows(r.Context(), outs, avails)
 	s.writeJSON(w, r, http.StatusOK, rows)
 }
 

@@ -55,7 +55,7 @@ var trainTestVersion = sync.OnceValues(func() (*modelserve.TrainedVersion, error
 
 // newTestRegistry publishes the shared trained version into a fresh
 // per-test directory and opens a registry over it.
-func newTestRegistry(t *testing.T) *modelserve.Registry {
+func newTestRegistry(t testing.TB) *modelserve.Registry {
 	t.Helper()
 	tv, err := trainTestVersion()
 	if err != nil {
@@ -167,6 +167,8 @@ func TestPredictEndpoint(t *testing.T) {
 	// before the avail's actual start.
 	get(t, srv.URL+"/predict?avail=nope&date="+date, http.StatusBadRequest, nil)
 	get(t, fmt.Sprintf("%s/predict?avail=%d&date=%s&alpha=1.5", srv.URL, a.ID, date), http.StatusBadRequest, nil)
+	get(t, fmt.Sprintf("%s/predict?avail=%d&date=%s&alpha=NaN", srv.URL, a.ID, date), http.StatusBadRequest, nil)
+	get(t, fmt.Sprintf("%s/predict?avail=%d&date=%s&alpha=nan", srv.URL, a.ID, date), http.StatusBadRequest, nil)
 	get(t, srv.URL+"/predict?avail=999999&date="+date, http.StatusNotFound, nil)
 	get(t, fmt.Sprintf("%s/predict?avail=%d&date=%s", srv.URL, a.ID, (a.ActStart-30).String()),
 		http.StatusUnprocessableEntity, nil)

@@ -10,7 +10,8 @@
 //	GET  /query?avail=ID&date=2024-04-12   DoMD query (Problem 1)
 //	GET  /fleet?date=2024-04-12            DoMD for every ongoing avail
 //	POST /query/batch                      many DoMD queries in one request
-//	                                       (one engine lookup per avail)
+//	                                       (one engine lookup and one feature
+//	                                       row per distinct avail)
 //	GET  /predict?avail=ID&date=...        predicted delay + conformal band
 //	                                       + model version (Options.Models)
 //	POST /predict                          many predictions in one request
@@ -64,9 +65,20 @@
 // flight. /healthz, /readyz, and /metrics bypass shedding so probes and
 // scrapes stay accurate under overload. The handler is safe for
 // concurrent use: queries are answered from the catalog's cached
-// per-avail engines (single-flight built), and /fleet fans out with
-// bounded parallelism, per-avail error isolation, and request-context
-// propagation.
+// per-avail engines (single-flight built).
+//
+// # One read path
+//
+// GET /query, GET /predict, GET /fleet, POST /query/batch and POST
+// /predict answer through one evaluation (evaluate, read.go); each handler
+// keeps only its request parsing and response shaping. Requests are
+// grouped by avail: each distinct avail resolves its engine once and
+// answers all its dates from one features.Row, and the avails fan out over
+// at most Options.FleetParallelism goroutines with per-row error isolation
+// and request-context propagation. A panic in a fan-out worker is
+// re-raised on the handler goroutine once every worker has returned, so
+// the recovery above answers 500 and the process keeps serving. A single
+// read whose deadline expired answers 503 + Retry-After, like shedding.
 //
 // The same stack instruments every request: per-route request counters
 // and latency histograms, an in-flight gauge, and shed/panic counters in
@@ -88,7 +100,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -102,9 +113,9 @@ import (
 	"domd/internal/swlin"
 )
 
-// DefaultFleetParallelism bounds the /fleet fan-out when Options leaves it
-// unset: wide enough to hide per-avail latency, narrow enough that one
-// fleet request cannot monopolize the process.
+// DefaultFleetParallelism bounds the read fan-out (/fleet and the batch
+// forms) when Options leaves it unset: wide enough to hide per-avail
+// latency, narrow enough that one request cannot monopolize the process.
 const DefaultFleetParallelism = 8
 
 // DefaultMaxInFlight is the concurrency-limiter capacity when Options
@@ -132,8 +143,9 @@ type Ingester interface {
 
 // Options tune the handler.
 type Options struct {
-	// FleetParallelism caps the number of avails queried concurrently by
-	// one /fleet request; <= 0 selects DefaultFleetParallelism.
+	// FleetParallelism caps the number of avails one read request (a
+	// /fleet sweep or a batch) evaluates concurrently; <= 0 selects
+	// DefaultFleetParallelism.
 	FleetParallelism int
 	// MaxInFlight caps concurrently handled requests; excess load is
 	// shed with 503 + Retry-After. 0 selects DefaultMaxInFlight,
@@ -604,25 +616,10 @@ type queryView struct {
 	TopDrivers  []driverView   `json:"top_drivers"`
 }
 
-// queryOne answers one avail's DoMD query from the catalog's cached
-// engine, falling back to the last good engine (marked stale) when the
-// current rebuild fails.
-func (s *Server) queryOne(ctx context.Context, id int, at domain.Day) (*queryView, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	eng, asOf, stale, err := s.catalog.EngineAsOf(id)
-	if err != nil {
-		return nil, err
-	}
-	return s.renderQuery(s.ext.NewRow(eng), asOf, stale, at)
-}
-
 // renderQuery evaluates one DoMD query from a feature row over an
-// already-resolved engine and shapes the response view. Split out of
-// queryOne so /query/batch can resolve each engine once per avail and
-// reuse it across every query that targets it, and so a /fleet row's
-// prediction reads the feature vectors this query extracted.
+// already-resolved engine and shapes the response view. The row may be
+// shared with other dates of the same avail and with the prediction of
+// the same request (see evaluate).
 func (s *Server) renderQuery(vecs *features.Row, asOf int64, stale bool, at domain.Day) (*queryView, error) {
 	res, err := s.svc.QueryRow(vecs, at)
 	if err != nil {
@@ -650,30 +647,15 @@ func (s *Server) renderQuery(vecs *features.Row, asOf int64, stale bool, at doma
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.URL.Query().Get("avail"))
-	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("missing or invalid avail parameter"))
-		return
-	}
-	at, err := domain.ParseDay(r.URL.Query().Get("date"))
-	if err != nil {
-		s.writeErr(w, r, http.StatusBadRequest, err)
-		return
-	}
-	view, err := s.queryOne(r.Context(), id, at)
-	if err != nil {
-		status := http.StatusUnprocessableEntity
-		if errors.Is(err, statusq.ErrUnknownAvail) {
-			status = http.StatusNotFound
-		}
-		s.writeErr(w, r, status, err)
+	out, ok := s.readOne(w, r, answers{query: true})
+	if !ok {
 		return
 	}
 	if sp := obs.FromContext(r.Context()); sp != nil {
-		sp.SetInt("asOf", view.AsOf)
-		sp.SetBool("stale", view.Stale)
+		sp.SetInt("asOf", out.query.AsOf)
+		sp.SetBool("stale", out.query.Stale)
 	}
-	s.writeJSON(w, r, http.StatusOK, view)
+	s.writeJSON(w, r, http.StatusOK, out.query)
 }
 
 // fleetRow is one /fleet entry; failed avails carry an error message so one
@@ -704,71 +686,36 @@ type availHealth interface {
 	HealthForAvail(id int) statusq.ShardHealth
 }
 
+// handleFleet answers every ongoing avail at one date: one request per
+// avail carrying both the DoMD query and the prediction, so a row's model
+// answer describes exactly the history its estimates were served from.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	at, err := domain.ParseDay(r.URL.Query().Get("date"))
 	if err != nil {
 		s.writeErr(w, r, http.StatusBadRequest, err)
 		return
 	}
-	ah, _ := s.catalog.(availHealth)
 	ids := s.catalog.OngoingIDs()
-	rows := make([]fleetRow, len(ids)) // non-nil: no ongoing avails encodes []
-	sem := make(chan struct{}, s.fleetPar)
-	var wg sync.WaitGroup
+	reqs := make([]readReq, len(ids))
 	for i, id := range ids {
-		rows[i].AvailID = id
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			// Resolve the engine once and share one feature row between
-			// the query render and the prediction annotation, so the model
-			// answer describes exactly the history the estimates were
-			// served from and each grid point is extracted once.
-			if err := r.Context().Err(); err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			eng, asOf, stale, err := s.catalog.EngineAsOf(id)
-			var view *queryView
-			var pred *predictRow
-			if err == nil {
-				vecs := s.ext.NewRow(eng)
-				view, err = s.renderQuery(vecs, asOf, stale, at)
-				if err == nil {
-					pred, err = s.renderPredict(vecs, asOf, stale, at, s.alpha)
-				}
-			}
-			if err != nil {
-				rows[i].Error = err.Error()
-			} else {
-				rows[i].Result = view
-				rows[i].setPrediction(pred)
-			}
-			if ah != nil && ah.HealthForAvail(id) != statusq.ShardHealthy {
-				rows[i].Degraded = true
-			}
-		}()
+		reqs[i] = readReq{avail: id, at: at}
 	}
-	wg.Wait()
-	if sp := obs.FromContext(r.Context()); sp != nil {
-		stale, failed, unavailable := 0, 0, 0
-		for i := range rows {
-			if rows[i].Error != "" {
-				failed++
-			} else if rows[i].Result != nil && rows[i].Result.Stale {
-				stale++
-			}
-			if rows[i].PredictionUnavailable {
-				unavailable++
-			}
+	outs, avails := s.evaluate(r.Context(), reqs, answers{query: true, predict: true, alpha: s.alpha})
+	ah, _ := s.catalog.(availHealth)
+	rows := make([]fleetRow, len(ids)) // non-nil: no ongoing avails encodes []
+	for i, o := range outs {
+		rows[i].AvailID = ids[i]
+		if o.err != nil {
+			rows[i].Error = o.err.Error()
+		} else {
+			rows[i].Result = o.query
+			rows[i].setPrediction(o.pred)
 		}
-		sp.SetInt("rows", int64(len(rows)))
-		sp.SetInt("staleRows", int64(stale))
-		sp.SetInt("failedRows", int64(failed))
-		sp.SetInt("unavailablePredictions", int64(unavailable))
+		if ah != nil && ah.HealthForAvail(ids[i]) != statusq.ShardHealthy {
+			rows[i].Degraded = true
+		}
 	}
+	spanRows(r.Context(), outs, avails)
 	s.writeJSON(w, r, http.StatusOK, rows)
 }
 
@@ -809,103 +756,32 @@ type batchRow struct {
 }
 
 // handleQueryBatch answers many DoMD queries in one request. The point is
-// amortization on warm paths: the catalog engine lookup (and any rebuild it
-// triggers) happens once per distinct avail in the batch, and the
-// evaluations then fan out with the same bounded parallelism and per-row
-// error isolation as /fleet. Status contract: 400 malformed body or empty
-// batch, 413 oversized body, 422 more than MaxBatchQueries entries, 200
-// otherwise with per-row errors inline.
+// amortization on warm paths: each distinct avail in the batch resolves
+// its engine (and any rebuild it triggers) once and answers all its dates
+// from one feature row, and the avails fan out with the same bounded
+// parallelism and per-row error isolation as /fleet. Status contract: 400
+// malformed body or empty batch, 413 oversized body, 422 more than
+// MaxBatchQueries entries, 200 otherwise with per-row errors inline.
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	var in batchIn
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeErr(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err))
+	if !s.decodeBody(w, r, &in) {
 		return
 	}
-	if len(in.Queries) == 0 {
-		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("empty batch: provide at least one query"))
+	reqs, ok := s.batchReqs(w, r, in.Queries)
+	if !ok {
 		return
 	}
-	if len(in.Queries) > MaxBatchQueries {
-		s.writeErr(w, r, http.StatusUnprocessableEntity,
-			fmt.Errorf("batch of %d queries exceeds the limit of %d", len(in.Queries), MaxBatchQueries))
-		return
-	}
-
-	// Resolve each distinct avail's engine exactly once. Resolution is
-	// sequential on purpose: builds are single-flight per avail anyway, and
-	// a warm batch resolves from cache without ever blocking.
-	type resolved struct {
-		eng   *statusq.Engine
-		asOf  int64
-		stale bool
-		err   error
-	}
-	engines := make(map[int]*resolved)
-	for _, q := range in.Queries {
-		if _, ok := engines[q.Avail]; ok {
-			continue
+	outs, avails := s.evaluate(r.Context(), reqs, answers{query: true})
+	rows := make([]batchRow, len(outs))
+	for i, o := range outs {
+		rows[i].AvailID = reqs[i].avail
+		if o.err != nil {
+			rows[i].Error = o.err.Error()
+		} else {
+			rows[i].Result = o.query
 		}
-		res := &resolved{}
-		res.eng, res.asOf, res.stale, res.err = s.catalog.EngineAsOf(q.Avail)
-		engines[q.Avail] = res
 	}
-
-	rows := make([]batchRow, len(in.Queries))
-	sem := make(chan struct{}, s.fleetPar)
-	var wg sync.WaitGroup
-	for i, q := range in.Queries {
-		rows[i].AvailID = q.Avail
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if err := r.Context().Err(); err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			at, err := domain.ParseDay(q.Date)
-			if err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			res := engines[q.Avail]
-			if res.err != nil {
-				rows[i].Error = res.err.Error()
-				return
-			}
-			view, err := s.renderQuery(s.ext.NewRow(res.eng), res.asOf, res.stale, at)
-			if err != nil {
-				rows[i].Error = err.Error()
-				return
-			}
-			rows[i].Result = view
-		}()
-	}
-	wg.Wait()
-	if sp := obs.FromContext(r.Context()); sp != nil {
-		stale, failed := 0, 0
-		for i := range rows {
-			if rows[i].Error != "" {
-				failed++
-			} else if rows[i].Result != nil && rows[i].Result.Stale {
-				stale++
-			}
-		}
-		sp.SetInt("rows", int64(len(rows)))
-		sp.SetInt("avails", int64(len(engines)))
-		sp.SetInt("staleRows", int64(stale))
-		sp.SetInt("failedRows", int64(failed))
-	}
+	spanRows(r.Context(), outs, avails)
 	s.writeJSON(w, r, http.StatusOK, rows)
 }
 
@@ -939,17 +815,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var in rccIn
-	body := http.MaxBytesReader(w, r.Body, s.maxBody)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeErr(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		s.writeErr(w, r, http.StatusBadRequest, fmt.Errorf("malformed JSON body: %w", err))
+	if !s.decodeBody(w, r, &in) {
 		return
 	}
 

@@ -58,7 +58,7 @@ var trainTestPipeline = sync.OnceValues(func() (*core.Pipeline, *features.Extrac
 // openTier opens the catalog `domd serve` builds — a one-shard,
 // one-replica sharded tier — over the tables, on a WAL in t.TempDir()
 // that never fsyncs.
-func openTier(t *testing.T, avails []domain.Avail, rccs []domain.RCC) *statusq.ShardedCatalog {
+func openTier(t testing.TB, avails []domain.Avail, rccs []domain.RCC) *statusq.ShardedCatalog {
 	t.Helper()
 	sc, _, err := statusq.OpenSharded(t.TempDir(), 1, avails, rccs, index.KindAVL,
 		statusq.DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})

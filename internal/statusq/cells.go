@@ -153,6 +153,13 @@ func (c *CellStats) AggregateAll(dst []float64, createdTotal int, ts float64) {
 	}
 }
 
+// GroupKey identifies one (RCC type × SWLIN subsystem) cell of the
+// group-by lattice.
+type GroupKey struct {
+	Type      domain.RCCType
+	Subsystem int // SWLIN first digit
+}
+
 // CellStatsAt computes per-(type × subsystem) cells for one status class at
 // logical time ts in a single pass over the qualifying RCCs.
 func (e *Engine) CellStatsAt(ts float64, status domain.RCCStatus) (map[GroupKey]CellStats, error) {

@@ -341,69 +341,6 @@ func TestDeltaSweepDifferential(t *testing.T) {
 	}
 }
 
-// TestDeltaStatStructureDifferential is the same differential for the
-// additive §4.3 StatStructure.
-func TestDeltaStatStructureDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(93))
-	a := &domain.Avail{ID: 6, ShipID: 1, Status: domain.StatusOngoing, PlanStart: 0, PlanEnd: 200, ActStart: 0}
-	diff := func(t *testing.T, trial int, inc, fresh *StatStructure) {
-		t.Helper()
-		for typ := 0; typ < domain.NumRCCTypes; typ++ {
-			for sub := 0; sub < NumSubsystems; sub++ {
-				k := GroupKey{Type: domain.RCCType(typ), Subsystem: sub}
-				if inc.Group(k) != fresh.Group(k) {
-					t.Fatalf("trial %d: group %+v diverges: %+v != %+v", trial, k, inc.Group(k), fresh.Group(k))
-				}
-			}
-		}
-		if inc.Totals(nil, nil) != fresh.Totals(nil, nil) {
-			t.Fatalf("trial %d: totals diverge", trial)
-		}
-	}
-	applied := 0
-	for trial := 0; trial < 300; trial++ {
-		base := make([]domain.RCC, 0, 30)
-		for i := 0; i < rng.Intn(30); i++ {
-			base = append(base, randRCC(rng, a, trial*1000+i))
-		}
-		inc, err := NewStatStructure(a, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts1 := rng.Float64() * 100
-		if err := inc.AdvanceTo(ts1); err != nil {
-			t.Fatal(err)
-		}
-		r := randRCC(rng, a, trial*1000+999)
-		if err := inc.ApplyRCC(r); err != nil {
-			if !errors.Is(err, ErrCannotApply) {
-				t.Fatalf("trial %d: ApplyRCC: %v", trial, err)
-			}
-			continue
-		}
-		applied++
-		fresh, err := NewStatStructure(a, append(append([]domain.RCC(nil), base...), r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.AdvanceTo(ts1); err != nil {
-			t.Fatal(err)
-		}
-		diff(t, trial, inc, fresh)
-		ts2 := ts1 + rng.Float64()*(120-ts1)
-		if err := inc.AdvanceTo(ts2); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.AdvanceTo(ts2); err != nil {
-			t.Fatal(err)
-		}
-		diff(t, trial, inc, fresh)
-	}
-	if applied == 0 {
-		t.Fatal("no trial exercised a successful ApplyRCC")
-	}
-}
-
 // TestDeltaSweepCannotApply pins the designed fallback trigger: an RCC
 // whose creation (or settlement) date precedes events the sweep already
 // folded is rejected with ErrCannotApply, leaving the sweep fully usable.

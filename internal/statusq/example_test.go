@@ -40,31 +40,3 @@ func ExampleEngine_Eval() {
 	fmt.Printf("active growth RCCs: %.0f, settled dollars: %.0f\n", activeGrowth, settledDollars)
 	// Output: active growth RCCs: 2, settled dollars: 56724
 }
-
-// Incremental computation (paper §4.3): advance the sweep instead of
-// re-querying from scratch.
-func ExampleStatStructure() {
-	avail := &domain.Avail{
-		ID: 1, Status: domain.StatusClosed,
-		PlanStart: 0, PlanEnd: 100, ActStart: 0, ActEnd: 120,
-	}
-	rccs := []domain.RCC{
-		{ID: 1, AvailID: 1, Type: domain.Growth, SWLIN: 43411001, Created: 10, Settled: 50, Amount: 8000},
-		{ID: 2, AvailID: 1, Type: domain.NewWork, SWLIN: 91190001, Created: 5, Settled: 25, Amount: 56724},
-	}
-	ss, err := statusq.NewStatStructure(avail, rccs)
-	if err != nil {
-		panic(err)
-	}
-	for _, ts := range []float64{10, 30, 60} {
-		if err := ss.AdvanceTo(ts); err != nil {
-			panic(err)
-		}
-		all := ss.Totals(nil, nil)
-		fmt.Printf("t*=%2.0f%%: active %d settled %d\n", ts, all.ActiveCount, all.SettledCount)
-	}
-	// Output:
-	// t*=10%: active 2 settled 0
-	// t*=30%: active 1 settled 1
-	// t*=60%: active 0 settled 2
-}

@@ -11,13 +11,13 @@
 //   - a pluggable logical-time index ℛ (package index) over the RCC
 //     (created, settled) intervals.
 //
-// Incremental computation (§4.3) comes in two flavours. StatStructure
-// maintains the additive per-group aggregates: advancing from one logical
-// timestamp to the next touches only the creation/settlement events inside
-// the new window instead of re-running the query from scratch. CellSweep
-// extends that sweep to the full seven-statistic CellStats lattice feeding
-// the ~1500-feature transformation, on a dense CellGrid with ALL margins.
-// An Engine keeps the sweep's two canonical event orders sorted across
+// Incremental computation (§4.3) is one structure, CellSweep: advancing
+// from one logical timestamp to the next touches only the
+// creation/settlement events inside the new window instead of re-running
+// the query from scratch, and it maintains the full seven-statistic
+// CellStats lattice feeding the ~1500-feature transformation, on a dense
+// CellGrid with ALL margins. Training and serving both read it. An Engine
+// keeps the sweep's two canonical event orders sorted across
 // ApplyRCC, so Engine.Sweep hands serving a fresh CellSweep with no
 // validation and no sort.
 //

@@ -249,6 +249,15 @@ func TestAllIndexKindsAgree(t *testing.T) {
 	}
 }
 
+func TestAggregateString(t *testing.T) {
+	if Count.String() != "COUNT" || AvgAmount.String() != "AVG_SETTLED_AMT" {
+		t.Error("aggregate names wrong")
+	}
+	if Aggregate(99).String() == "" {
+		t.Error("out-of-range aggregate should still print")
+	}
+}
+
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

@@ -10,9 +10,9 @@ import (
 	"domd/internal/domain"
 )
 
-// CellSweep extends the StatStructure event sweep of §4.3 to the full
-// seven-statistic CellStats lattice the feature transformation 𝒯 consumes:
-// it maintains a dense GridSet (one CellGrid per status class, with ALL
+// CellSweep is the incremental Status Query state of §4.3
+// ("StatStructure(t*_xj)"), carried over the full seven-statistic CellStats
+// lattice the feature transformation 𝒯 consumes: it maintains a dense GridSet (one CellGrid per status class, with ALL
 // margins) while moving forward over the avail's creation and settlement
 // events.
 //

@@ -1,12 +1,14 @@
 package statusq
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"domd/internal/domain"
 	"domd/internal/index"
+	"domd/internal/swlin"
 )
 
 // randomAvailRCCs builds a random avail and RCC set for differential tests.
@@ -140,6 +142,125 @@ func TestCellSweepBackwardsAndReset(t *testing.T) {
 	}
 	if *sw.Grids() != want {
 		t.Fatal("replay after Reset diverged from the direct advance")
+	}
+}
+
+// TestCellSweepMatchesFixture reads hand-computed §4.3 aggregates off the
+// sweep's grids at t* = 30 on the four-RCC fixture.
+func TestCellSweepMatchesFixture(t *testing.T) {
+	sw, err := NewCellSweep(fixtureAvail(), fixtureRCCs(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.AdvanceTo(30); err != nil { // day 30
+		t.Fatal(err)
+	}
+	active, settled := sw.Grids().Grid(domain.Active), sw.Grids().Grid(domain.SettledStatus)
+	all, allSettled := active.At(-1, -1), settled.At(-1, -1)
+	if all.Count != 3 || allSettled.Count != 1 {
+		t.Errorf("@30%%: active %d settled %d, want 3/1", all.Count, allSettled.Count)
+	}
+	if math.Abs(all.SumAmount-700) > 1e-9 {
+		t.Errorf("active sum = %f, want 700", all.SumAmount)
+	}
+	if math.Abs(allSettled.SumAmount-800) > 1e-9 {
+		t.Errorf("settled sum = %f, want 800", allSettled.SumAmount)
+	}
+	if math.Abs(allSettled.SumDuration-10) > 1e-9 {
+		t.Errorf("settled duration = %f, want 10", allSettled.SumDuration)
+	}
+	if sw.CreatedCount() != 4 {
+		t.Errorf("created = %d, want 4", sw.CreatedCount())
+	}
+
+	g := int(domain.Growth)
+	if a, st := active.At(g, -1).Count, settled.At(g, -1).Count; a != 2 || st != 0 {
+		t.Errorf("growth: active %d settled %d, want 2/0", a, st)
+	}
+	if a, st := active.At(-1, 4).Count, settled.At(-1, 4).Count; a != 2 || st != 1 {
+		t.Errorf("subsystem 4: active %d settled %d, want 2/1", a, st)
+	}
+	if cell := active.At(int(domain.NewWork), 9); cell.Count != 1 || cell.SumAmount != 400 {
+		t.Errorf("NW/9 cell: %+v", *cell)
+	}
+	for st := domain.RCCStatus(0); st < domain.NumRCCStatuses; st++ {
+		if z := sw.Grids().Grid(st).At(g, 7); *z != (CellStats{}) {
+			t.Errorf("absent cell G/7 in status %d should be zero: %+v", st, *z)
+		}
+	}
+}
+
+// TestIncrementalMatchesDirect sweeps random data over the logical timeline
+// and cross-checks the sweep's additive aggregates against the index-based
+// engine, at every step and for every type × subsystem filter, ALL margins
+// included.
+func TestIncrementalMatchesDirect(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	a := &domain.Avail{ID: 3, Status: domain.StatusClosed,
+		PlanStart: 100, PlanEnd: 400, ActStart: 110, ActEnd: 520}
+	var rccs []domain.RCC
+	for i := 0; i < 500; i++ {
+		created := a.ActStart + domain.Day(rng.Intn(400))
+		sub := rng.Intn(10)
+		code, err := swlin.FromParts(sub*100+11, 11, 1+rng.Intn(5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rccs = append(rccs, domain.RCC{
+			ID: i + 1, AvailID: 3,
+			Type:    domain.RCCType(rng.Intn(domain.NumRCCTypes)),
+			SWLIN:   int(code),
+			Created: created,
+			Settled: created + domain.Day(rng.Intn(150)),
+			Amount:  10 + float64(rng.Intn(50000)),
+		})
+	}
+	e, err := NewEngine(a, rccs, index.KindAVL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := NewCellSweep(a, rccs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ts := 0.0; ts <= 140; ts += 7 {
+		if err := sw.AdvanceTo(ts); err != nil {
+			t.Fatal(err)
+		}
+		active, settled := sw.Grids().Grid(domain.Active), sw.Grids().Grid(domain.SettledStatus)
+		for typ := -1; typ < domain.NumRCCTypes; typ++ {
+			var qTyp *domain.RCCType
+			if typ >= 0 {
+				tv := domain.RCCType(typ)
+				qTyp = &tv
+			}
+			for sub := -1; sub < NumSubsystems; sub++ {
+				var prefix []int
+				if sub >= 0 {
+					prefix = []int{sub}
+				}
+				act, set := active.At(typ, sub), settled.At(typ, sub)
+				activeCount, err := e.Eval(ts, Query{Type: qTyp, SWLINPrefix: prefix, Status: domain.Active, Agg: Count})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if float64(act.Count) != activeCount {
+					t.Fatalf("ts=%g typ=%d sub=%d: active count sweep=%d direct=%f", ts, typ, sub, act.Count, activeCount)
+				}
+				settledSum, _ := e.Eval(ts, Query{Type: qTyp, SWLINPrefix: prefix, Status: domain.SettledStatus, Agg: SumAmount})
+				if math.Abs(set.SumAmount-settledSum) > 1e-6 {
+					t.Fatalf("ts=%g typ=%d sub=%d: settled sum sweep=%f direct=%f", ts, typ, sub, set.SumAmount, settledSum)
+				}
+				activeSum, _ := e.Eval(ts, Query{Type: qTyp, SWLINPrefix: prefix, Status: domain.Active, Agg: SumAmount})
+				if math.Abs(act.SumAmount-activeSum) > 1e-6 {
+					t.Fatalf("ts=%g typ=%d sub=%d: active sum sweep=%f direct=%f", ts, typ, sub, act.SumAmount, activeSum)
+				}
+				settledDur, _ := e.Eval(ts, Query{Type: qTyp, SWLINPrefix: prefix, Status: domain.SettledStatus, Agg: SumDuration})
+				if math.Abs(set.SumDuration-settledDur) > 1e-6 {
+					t.Fatalf("ts=%g typ=%d sub=%d: settled dur sweep=%f direct=%f", ts, typ, sub, set.SumDuration, settledDur)
+				}
+			}
+		}
 	}
 }
 
