@@ -87,8 +87,8 @@ docs:
 # differential re-runs the incremental-maintenance equivalence suite
 # under the race detector: random RCC streams applied via the O(delta)
 # path must stay bitwise-identical (math.Float64bits) to engines rebuilt
-# from scratch, at the engine, its event orders, catalog+WAL-replay, and
-# sweep layers — including the 4-shard router
+# from scratch, at the engine, its event orders and the sweeps it hands
+# out, and catalog+WAL-replay layers — including the 4-shard router
 # (TestDeltaShardedEquivalence), whose answers must match a single
 # catalog fed the same stream.
 differential:
@@ -99,31 +99,37 @@ differential:
 # survive a re-encode (seed corpora live in testdata/fuzz); the HTTP read
 # and ingest surface (GET /query, /predict, /fleet, POST /query/batch,
 # /predict, /rccs) must never answer a 5xx, and a 200 batch answer has one
-# row per query. go test fuzzes one target per invocation.
+# row per query; every SWLIN code Parse accepts round-trips through
+# String, and Subsystem agrees with Digit(0) and Prefix(1). go test fuzzes
+# one target per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/statusq/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALSnapshot$$' -fuzztime $(FUZZTIME) ./internal/statusq/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequests$$' -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzSWLINCode$$' -fuzztime $(FUZZTIME) ./internal/swlin/
 
 # check is the CI gate: compile, vet, check gofmt, race-test everything, repeat the
 # concurrency stress suite, re-run the chaos (fault-injection) suite and
 # the delta-vs-rebuild differential suite, fuzz the WAL decoders and the
-# HTTP read/ingest surface,
+# HTTP read/ingest surface and SWLIN parsing, run the in-process serving
+# benchmarks once each so they cannot rot,
 # enforce the lint invariants (domdlint must exit 0 on the tree) and the
 # docs cross-checks, run the riskbands example end to end (it serves
 # /predict through server.New over a one-shard catalog, the wiring
 # `domd serve` uses), then vet and test domdbench, the nested benchmark
 # module (its tests hold BENCHMARK.json to the report tables).
 check:
-	$(GO) build ./... && $(GO) vet ./... && $(MAKE) fmt && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) fuzz && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
+	$(GO) build ./... && $(GO) vet ./... && $(MAKE) fmt && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) fuzz && $(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchtime 1x ./internal/server/ && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
 
 # bench runs the Go micro-benchmarks (including the statusq
-# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3), then domdbench, the
+# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3, and the in-process
+# GET /fleet and POST /query/batch pair), then domdbench, the
 # serving benchmark declared in BENCHMARK.json, on both of its workloads:
 # each run builds cmd/domd, serves it, and drives it over HTTP (see
 # domdbench/README.md). The last line of each run is its JSON result.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 	$(GO) test -run '^$$' -bench 'ApplyRCC|RebuildAfterIngest' -benchmem ./internal/statusq/
+	$(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchmem ./internal/server/
 	bash domdbench/run.sh --workload fleet-scan --seed 1 --seconds 21 --trace 0
 	bash domdbench/run.sh --workload ingest-mix --seed 1 --seconds 21 --trace 0

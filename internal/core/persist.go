@@ -134,7 +134,7 @@ func Load(r io.Reader) (*Pipeline, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: load slot %d: %w", i, err)
 		}
-		p.slots = append(p.slots, slot{cols: sj.Cols, model: m, params: sj.Params})
+		p.slots = append(p.slots, newSlot(sj.Cols, m, sj.Params))
 	}
 	if pj.Config.Stacked {
 		if pj.StaticModel == nil {

@@ -14,6 +14,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -135,6 +136,14 @@ type slot struct {
 	// params records tuned booster hyperparameters (nil when untuned or
 	// linear).
 	params *gbt.Params
+	// imp is model.Importances(), computed once when the slot is built:
+	// models are immutable, and TopFeatures reads it on every query.
+	imp []float64
+}
+
+// newSlot builds a slot and caches its model's importances.
+func newSlot(cols []int, model ml.Model, params *gbt.Params) slot {
+	return slot{cols: cols, model: model, params: params, imp: model.Importances()}
 }
 
 // Pipeline is a trained DoMD estimator.
@@ -351,7 +360,7 @@ func Train(cfg Config, tensor *features.Tensor, trainRows, valRows []int) (*Pipe
 			errs[k] = fmt.Errorf("core: fit @%g: %w", ts, err)
 			return
 		}
-		p.slots[k] = slot{cols: cols, model: model, params: tuned}
+		p.slots[k] = newSlot(cols, model, tuned)
 		p.trainStats[k] = newColStats(fitSet)
 	}
 
@@ -589,8 +598,7 @@ func (p *Pipeline) GlobalImportances() map[string]float64 {
 	}
 	for k := range p.slots {
 		s := &p.slots[k]
-		imp := s.model.Importances()
-		for j, v := range imp {
+		for j, v := range s.imp {
 			if v == 0 { //lint:ignore floateq zero is the exact "feature unused" sentinel from Importances
 				continue
 			}
@@ -634,10 +642,9 @@ func (p *Pipeline) TopFeatures(k int, full []float64, n int) ([]Attribution, err
 	}
 	s := &p.slots[k]
 	x := p.slotInput(k, full)
-	imp := s.model.Importances()
 	stats := p.trainStats[k]
-	atts := make([]Attribution, 0, len(imp))
-	for j, im := range imp {
+	atts := make([]Attribution, 0, len(s.imp))
+	for j, im := range s.imp {
 		z := 0.0
 		if j < len(stats.std) && stats.std[j] > 0 {
 			z = math.Abs(x[j]-stats.mean[j]) / stats.std[j]
@@ -648,7 +655,17 @@ func (p *Pipeline) TopFeatures(k int, full []float64, n int) ([]Attribution, err
 		}
 		atts = append(atts, Attribution{Name: name, Score: im * (0.5 + z), Value: x[j]})
 	}
-	sort.SliceStable(atts, func(a, b int) bool { return atts[a].Score > atts[b].Score })
+	// Stable by descending Score: the comparator orders exactly as
+	// "a.Score > b.Score" would, without reflection.
+	slices.SortStableFunc(atts, func(a, b Attribution) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case b.Score > a.Score:
+			return 1
+		}
+		return 0
+	})
 	if n > len(atts) {
 		n = len(atts)
 	}

@@ -81,12 +81,14 @@ func (s *QueryService) Query(a *domain.Avail, rccs []domain.RCC, at domain.Day) 
 }
 
 // QueryEngine answers a DoMD query against a prebuilt Status Query engine:
-// QueryRow over a fresh row of the engine's feature vectors. The engine
-// is read-only here, so one engine may be shared by any number of
-// concurrent QueryEngine calls (see the index.TimeIndex concurrency
-// contract).
+// QueryRow over a fresh row of the engine's feature vectors, released
+// before it returns. The engine is read-only here, so one engine may be
+// shared by any number of concurrent QueryEngine calls (see the
+// index.TimeIndex concurrency contract).
 func (s *QueryService) QueryEngine(eng *statusq.Engine, at domain.Day) (*Result, error) {
-	return s.QueryRow(s.ext.NewRow(eng), at)
+	row := s.ext.NewRow(eng)
+	defer row.Release()
+	return s.QueryRow(row, at)
 }
 
 // QueryRow answers a DoMD query from a row of feature vectors over a
@@ -124,7 +126,8 @@ type Trajectory struct {
 	Upto int
 	// Grid is the pipeline's t* grid; the trajectory covers Grid[:Upto+1].
 	Grid []float64
-	// Fulls holds the full feature vector at each covered grid point.
+	// Fulls holds the full feature vector at each covered grid point. The
+	// vectors are the row's own: valid until the row is released.
 	Fulls [][]float64
 	// Raw holds the per-timestamp estimates and Fused the progressively
 	// fused ones, both indexed like Fulls.

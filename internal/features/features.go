@@ -27,7 +27,8 @@
 // advancing one incremental statusq.CellSweep per avail across the
 // timestamp grid (§4.3) instead of recomputing each timestamp from scratch.
 // Serving reads its grids the same way, through a Row: one forward sweep
-// over the avail's cached engine, memoized by grid point for one request.
+// over the avail's cached engine, memoized by grid point for one request
+// into pooled vectors the request gives back when it is done.
 // Vector and DynamicVector are the single-point scratch reference both
 // swept paths are tested against bit for bit.
 package features
@@ -233,8 +234,10 @@ func (e *Extractor) Vector(eng *statusq.Engine, ts float64) ([]float64, error) {
 // order) at the grid points one request reads, memoized by grid point.
 // Points are extracted by a single forward statusq.CellSweep over the
 // engine (§4.3), so a /fleet row's query and prediction trajectories share
-// one sweep and extract each point once. A Row covers one engine for one
-// request and is not safe for concurrent use.
+// one sweep and extract each point once. Each vector is borrowed from a
+// package pool and goes back on Release, so a served grid point allocates
+// nothing once the pool is warm. A Row covers one engine for one request
+// and is not safe for concurrent use.
 type Row struct {
 	ext *Extractor
 	eng *statusq.Engine
@@ -242,56 +245,98 @@ type Row struct {
 	// point it was last advanced to.
 	sw   *statusq.CellSweep
 	last float64
-	// memo maps math.Float64bits of a grid point to its vector.
-	memo map[uint64][]float64
+	// memo holds the extracted points in extraction order.
+	memo     []rowPoint
+	released bool
 }
+
+// rowPoint is one memoized grid point and its pooled vector.
+type rowPoint struct {
+	ts  float64
+	vec *[]float64
+}
+
+// vecPool recycles full feature vectors across rows. Every entry of a
+// vector is overwritten on extraction (the static copy, then
+// DynamicVectorInto), so a recycled one needs no zeroing.
+var vecPool sync.Pool
 
 // NewRow starts an empty row over eng.
 func (e *Extractor) NewRow(eng *statusq.Engine) *Row {
-	return &Row{ext: e, eng: eng, memo: make(map[uint64][]float64)}
+	return &Row{ext: e, eng: eng}
 }
 
 // Engine returns the engine the row reads.
 func (r *Row) Engine() *statusq.Engine { return r.eng }
 
 // Vectors returns the full feature vector at each point of grid, which
-// must ascend. Points not yet in the row are swept in one forward pass
-// into one contiguous block; the sweep rewinds only when the first of
-// them lies before the point it last reached. The returned vectors are
-// shared with later calls; do not mutate them.
+// must ascend. Points not yet in the row are swept in one forward pass;
+// the sweep rewinds only when the first of them lies before the point it
+// last reached. The returned vectors are shared with later calls and are
+// valid until Release; do not mutate them.
 func (r *Row) Vectors(grid []float64) ([][]float64, error) {
+	if r.released {
+		return nil, fmt.Errorf("features: avail %d: row used after Release", r.eng.Avail().ID)
+	}
 	out := make([][]float64, len(grid))
-	var miss []int
+	var static []float64
 	for k, ts := range grid {
-		if vec, ok := r.memo[math.Float64bits(ts)]; ok {
+		if vec := r.lookup(ts); vec != nil {
 			out[k] = vec
-		} else {
-			miss = append(miss, k)
+			continue
 		}
-	}
-	if len(miss) == 0 {
-		return out, nil
-	}
-	switch {
-	case r.sw == nil:
-		r.sw = r.eng.Sweep()
-	case grid[miss[0]] < r.last:
-		r.sw.Reset()
-	}
-	width := NumStatic + r.ext.NumDynamic()
-	block := make([]float64, len(miss)*width)
-	static := StaticVector(r.eng.Avail())
-	for i, k := range miss {
-		vec := block[i*width : (i+1)*width : (i+1)*width]
+		switch {
+		case r.sw == nil:
+			r.sw = r.eng.Sweep()
+		case ts < r.last:
+			r.sw.Reset()
+		}
+		if static == nil {
+			static = StaticVector(r.eng.Avail())
+		}
+		buf := r.ext.pooledVector()
+		vec := *buf
 		copy(vec, static)
-		if err := r.ext.DynamicVectorInto(vec[NumStatic:], r.sw, grid[k]); err != nil {
-			return nil, fmt.Errorf("features: avail %d @%g: %w", r.eng.Avail().ID, grid[k], err)
+		if err := r.ext.DynamicVectorInto(vec[NumStatic:], r.sw, ts); err != nil {
+			vecPool.Put(buf)
+			return nil, fmt.Errorf("features: avail %d @%g: %w", r.eng.Avail().ID, ts, err)
 		}
-		r.last = grid[k]
-		r.memo[math.Float64bits(grid[k])] = vec
+		r.last = ts
+		r.memo = append(r.memo, rowPoint{ts: ts, vec: buf})
 		out[k] = vec
 	}
 	return out, nil
+}
+
+// lookup returns the memoized vector at grid point ts, or nil.
+func (r *Row) lookup(ts float64) []float64 {
+	for i := range r.memo {
+		if math.Float64bits(r.memo[i].ts) == math.Float64bits(ts) {
+			return *r.memo[i].vec
+		}
+	}
+	return nil
+}
+
+// Release returns the row's vectors to the pool. Every vector Vectors
+// handed out is invalid afterwards, and later Vectors calls fail. Release
+// is idempotent.
+func (r *Row) Release() {
+	for _, p := range r.memo {
+		vecPool.Put(p.vec)
+	}
+	r.memo, r.sw, r.released = nil, nil, true
+}
+
+// pooledVector takes a full-width vector from the pool, or allocates one
+// when the pool is empty. Its contents are arbitrary.
+func (e *Extractor) pooledVector() *[]float64 {
+	width := NumStatic + e.NumDynamic()
+	if buf, ok := vecPool.Get().(*[]float64); ok && len(*buf) == width {
+		return buf
+	}
+	vec := make([]float64, width)
+	return &vec
 }
 
 // Tensor is the (avail × feature × t*) feature tensor of §3.1: one

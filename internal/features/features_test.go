@@ -316,3 +316,39 @@ func TestRowExtractsEachPointOnce(t *testing.T) {
 	check(25, more[0])
 	check(100, more[2])
 }
+
+// TestRowRelease pins the pooled-vector contract: after Release, Vectors
+// fails instead of handing out vectors the pool may have recycled, and a
+// later row — which may reuse the released vectors — still extracts every
+// point bitwise equal to the scratch Vector.
+func TestRowRelease(t *testing.T) {
+	e := NewExtractor()
+	eng := fixture(t)
+	grid := TimestampGrid(10)
+	row := e.NewRow(eng)
+	if _, err := row.Vectors(grid); err != nil {
+		t.Fatal(err)
+	}
+	row.Release()
+	row.Release() // idempotent
+	if vecs, err := row.Vectors(grid[:1]); err == nil {
+		t.Fatalf("Vectors after Release = %d vectors, want an error", len(vecs))
+	}
+	next := e.NewRow(eng)
+	defer next.Release()
+	vecs, err := next.Vectors(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, ts := range grid {
+		want, err := e.Vector(eng, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if math.Float64bits(vecs[k][j]) != math.Float64bits(want[j]) {
+				t.Fatalf("t*=%g feature %d: recycled row %v, scratch %v", ts, j, vecs[k][j], want[j])
+			}
+		}
+	}
+}

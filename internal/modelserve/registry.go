@@ -291,11 +291,14 @@ type Prediction struct {
 
 // Predict answers one delay prediction for a live avail from its cached
 // Status Query engine: PredictRow over a fresh row of the engine's feature
-// vectors. alpha <= 0 selects the version's default level. Returns
-// ErrNoModel when no version is loaded; the engine is read-only here, so
-// concurrent Predict calls share engines and models freely.
+// vectors, released before it returns. alpha <= 0 selects the version's
+// default level. Returns ErrNoModel when no version is loaded; the engine
+// is read-only here, so concurrent Predict calls share engines and models
+// freely.
 func (r *Registry) Predict(eng *statusq.Engine, at domain.Day, alpha float64) (*Prediction, error) {
-	return r.PredictRow(r.ext.NewRow(eng), at, alpha)
+	row := r.ext.NewRow(eng)
+	defer row.Release()
+	return r.PredictRow(row, at, alpha)
 }
 
 // PredictRow answers one delay prediction from a row of feature vectors

@@ -67,9 +67,10 @@ func (s *Server) evaluate(ctx context.Context, reqs []readReq, ans answers) ([]r
 }
 
 // evalAvail answers the requests idx, which all name one avail, into outs
-// from one engine resolution and one feature row. Each row fails alone,
-// checking in order: the request context, its date, the engine, and the
-// evaluation itself.
+// from one engine resolution and one feature row, released once every
+// request has been rendered (the views copy their numbers out). Each row
+// fails alone, checking in order: the request context, its date, the
+// engine, and the evaluation itself.
 func (s *Server) evalAvail(ctx context.Context, idx []int, reqs []readReq, outs []readOut, ans answers) {
 	var (
 		row    *features.Row
@@ -77,6 +78,11 @@ func (s *Server) evalAvail(ctx context.Context, idx []int, reqs []readReq, outs 
 		stale  bool
 		engErr error
 	)
+	defer func() {
+		if row != nil {
+			row.Release()
+		}
+	}()
 	for _, i := range idx {
 		o := &outs[i]
 		if o.err = ctx.Err(); o.err != nil {

@@ -452,6 +452,96 @@ func TestConcurrentReadPathWithIngest(t *testing.T) {
 	wg.Wait()
 }
 
+// TestConcurrentReadsMatchSequential guards the pooled feature vectors
+// against aliasing: a fixed set of reads — GET /fleet at two dates, and
+// POST /query/batch and POST /predict over repeated avails in shuffled
+// date order — is served one at a time, then replayed from several
+// goroutines at once. Every concurrent body must equal its sequential
+// body byte for byte: a vector handed back to the pool while a row still
+// read it, or shared by two rows, would change some number.
+func TestConcurrentReadsMatchSequential(t *testing.T) {
+	s, ds := newReadServer(t, 6, Options{Models: newTestRegistry(t)})
+	var ongoing []domain.Avail
+	var early domain.Day
+	for _, a := range ds.Avails {
+		if a.Status == domain.StatusOngoing {
+			ongoing = append(ongoing, a)
+			early = max(early, a.PhysicalTime(20))
+		}
+	}
+	rng := rand.New(rand.NewSource(61))
+	var qs []batchQueryIn
+	for _, a := range ongoing {
+		for _, ts := range []float64{5, 20, 35, 50, 65, 80, 95} {
+			qs = append(qs, batchQueryIn{Avail: a.ID, Date: a.PhysicalTime(ts).String()})
+		}
+	}
+	rng.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+	type read struct{ method, target, body string }
+	reads := []read{
+		{http.MethodGet, "/fleet?date=" + fleetDate(ds).String(), ""},
+		{http.MethodGet, "/fleet?date=" + early.String(), ""},
+	}
+	for _, c := range []struct {
+		route string
+		in    any
+	}{
+		{"/query/batch", batchIn{Queries: qs}},
+		{"/predict", predictBatchIn{Queries: qs, Alpha: 0.1}},
+	} {
+		body, err := json.Marshal(c.in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads = append(reads, read{http.MethodPost, c.route, string(body)})
+	}
+	want := make([][]byte, len(reads))
+	for i, r := range reads {
+		status, out := serve(s, r.method, r.target, r.body)
+		if status != http.StatusOK {
+			t.Fatalf("%s %s = %d %s", r.method, r.target, status, out)
+		}
+		want[i] = out
+	}
+	rounds := 3
+	if testing.Short() {
+		rounds = 1
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < rounds*len(reads); k++ {
+				i := (w + k) % len(reads)
+				r := reads[i]
+				status, out := serve(s, r.method, r.target, r.body)
+				if status != http.StatusOK || !bytes.Equal(out, want[i]) {
+					t.Errorf("worker %d: %s %s = %d, body differs from the sequential read:\n%s\nwant\n%s",
+						w, r.method, r.target, status, out, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// BenchmarkFleet measures GET /fleet in process over 48 ongoing avails,
+// each row a query and a prediction from one feature row. B/op shows
+// what a request allocates once the row vectors are recycled.
+func BenchmarkFleet(b *testing.B) {
+	s, ds := newReadServer(b, 48, Options{Models: newTestRegistry(b)})
+	target := "/fleet?date=" + fleetDate(ds).String()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if status, out := serve(s, http.MethodGet, target, ""); status != http.StatusOK {
+			b.Fatalf("status %d: %s", status, out)
+		}
+	}
+}
+
 // BenchmarkQueryBatch measures POST /query/batch in process for the two
 // batch shapes: one avail × 64 dates (the dates share one engine and one
 // feature row) and 48 avails × 1 date (one fan-out unit per avail).

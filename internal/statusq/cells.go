@@ -49,22 +49,28 @@ func (c *CellStats) add(amount, dur float64) {
 
 // Merge combines two cells.
 func (c CellStats) Merge(o CellStats) CellStats {
+	c.mergeFrom(&o)
+	return c
+}
+
+// mergeFrom folds o into c in place — the one copy of the merge
+// arithmetic, shared by Merge and the margin fold. An empty c takes o
+// whole; an empty o leaves c as it is.
+func (c *CellStats) mergeFrom(o *CellStats) {
 	if c.Count == 0 {
-		return o
+		*c = *o
+		return
 	}
 	if o.Count == 0 {
-		return c
+		return
 	}
-	out := CellStats{
-		Count:       c.Count + o.Count,
-		SumAmount:   c.SumAmount + o.SumAmount,
-		SumSqAmount: c.SumSqAmount + o.SumSqAmount,
-		MaxAmount:   math.Max(c.MaxAmount, o.MaxAmount),
-		MinAmount:   math.Min(c.MinAmount, o.MinAmount),
-		SumDuration: c.SumDuration + o.SumDuration,
-		MaxDuration: math.Max(c.MaxDuration, o.MaxDuration),
-	}
-	return out
+	c.Count += o.Count
+	c.SumAmount += o.SumAmount
+	c.SumSqAmount += o.SumSqAmount
+	c.MaxAmount = math.Max(c.MaxAmount, o.MaxAmount)
+	c.MinAmount = math.Min(c.MinAmount, o.MinAmount)
+	c.SumDuration += o.SumDuration
+	c.MaxDuration = math.Max(c.MaxDuration, o.MaxDuration)
 }
 
 // Aggregate evaluates one aggregate from the cell. createdTotal (the
@@ -216,29 +222,30 @@ func (g *CellGrid) At(typ, sub int) *CellStats {
 }
 
 // finalizeMargins recomputes the ALL margins from the concrete cells in a
-// fixed canonical order (types ascending, then subsystems ascending). Both
-// the scratch and sweep fill paths call this, so equal concrete cells yield
-// bitwise-equal margins.
+// fixed canonical order (types ascending, then subsystems ascending),
+// folding each cell into its margin in place. Both the scratch and sweep
+// fill paths call this, so equal concrete cells yield bitwise-equal
+// margins.
 func (g *CellGrid) finalizeMargins() {
 	for t := 0; t < domain.NumRCCTypes; t++ {
-		m := CellStats{}
+		m := &g[t][SubsystemAll]
+		*m = CellStats{}
 		for s := 0; s < NumSubsystems; s++ {
-			m = m.Merge(g[t][s])
+			m.mergeFrom(&g[t][s])
 		}
-		g[t][SubsystemAll] = m
 	}
 	for s := 0; s < NumSubsystems; s++ {
-		m := CellStats{}
+		m := &g[TypeAll][s]
+		*m = CellStats{}
 		for t := 0; t < domain.NumRCCTypes; t++ {
-			m = m.Merge(g[t][s])
+			m.mergeFrom(&g[t][s])
 		}
-		g[TypeAll][s] = m
 	}
-	m := CellStats{}
+	m := &g[TypeAll][SubsystemAll]
+	*m = CellStats{}
 	for s := 0; s < NumSubsystems; s++ {
-		m = m.Merge(g[TypeAll][s])
+		m.mergeFrom(&g[TypeAll][s])
 	}
-	g[TypeAll][SubsystemAll] = m
 }
 
 // clearConcrete zeroes the concrete (non-margin) cells.

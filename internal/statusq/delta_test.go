@@ -1,7 +1,6 @@
 package statusq
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,10 +13,10 @@ import (
 )
 
 // The delta differential suite proves the tentpole claim of the
-// incremental ingest path: an engine (or sweep structure) maintained by
-// ApplyRCC across a randomized ingest stream is bitwise-identical, under
-// every query, to one rebuilt from scratch over the same history — after
-// every prefix of the stream, and across a WAL-replay restore.
+// incremental ingest path: an engine maintained by ApplyRCC across a
+// randomized ingest stream is bitwise-identical, under every query, to one
+// rebuilt from scratch over the same history — after every prefix of the
+// stream, and across a WAL-replay restore.
 
 // randRCC draws a random RCC for avail a. Creation dates are drawn
 // uniformly, so the stream arrives out of creation order — the regime the
@@ -278,110 +277,4 @@ func TestDeltaCatalogWALReplayDifferential(t *testing.T) {
 	}
 	diffEngines(t, rng, restored, scratch, "post-replay")
 	diffEngines(t, rng, warm, scratch, "pre-close delta engine vs post-replay history")
-}
-
-// TestDeltaSweepDifferential checks CellSweep.ApplyRCC: after advancing a
-// sweep to a random position and folding a new RCC in, the grid state must
-// equal (bitwise, via struct equality on the float fields) a fresh sweep
-// over the extended set advanced to the same position — and stay equal
-// after both advance further.
-func TestDeltaSweepDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(82))
-	a := &domain.Avail{ID: 5, ShipID: 1, Status: domain.StatusOngoing, PlanStart: 0, PlanEnd: 200, ActStart: 0}
-	applied, rejected := 0, 0
-	for trial := 0; trial < 300; trial++ {
-		base := make([]domain.RCC, 0, 30)
-		for i := 0; i < rng.Intn(30); i++ {
-			base = append(base, randRCC(rng, a, trial*1000+i))
-		}
-		inc, err := NewCellSweep(a, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts1 := rng.Float64() * 100
-		if err := inc.AdvanceTo(ts1); err != nil {
-			t.Fatal(err)
-		}
-		before := *inc.Grids()
-		r := randRCC(rng, a, trial*1000+999)
-		if err := inc.ApplyRCC(r); err != nil {
-			if !errors.Is(err, ErrCannotApply) {
-				t.Fatalf("trial %d: ApplyRCC: %v", trial, err)
-			}
-			if *inc.Grids() != before {
-				t.Fatalf("trial %d: rejected ApplyRCC mutated the grids", trial)
-			}
-			rejected++
-			continue
-		}
-		applied++
-		fresh, err := NewCellSweep(a, append(append([]domain.RCC(nil), base...), r))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.AdvanceTo(ts1); err != nil {
-			t.Fatal(err)
-		}
-		if *inc.Grids() != *fresh.Grids() {
-			t.Fatalf("trial %d: grids diverge after ApplyRCC at ts=%g", trial, ts1)
-		}
-		ts2 := ts1 + rng.Float64()*(120-ts1)
-		if err := inc.AdvanceTo(ts2); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.AdvanceTo(ts2); err != nil {
-			t.Fatal(err)
-		}
-		if *inc.Grids() != *fresh.Grids() {
-			t.Fatalf("trial %d: grids diverge after advancing to ts=%g", trial, ts2)
-		}
-	}
-	if applied == 0 || rejected == 0 {
-		t.Fatalf("trial mix did not cover both outcomes: applied=%d rejected=%d", applied, rejected)
-	}
-}
-
-// TestDeltaSweepCannotApply pins the designed fallback trigger: an RCC
-// whose creation (or settlement) date precedes events the sweep already
-// folded is rejected with ErrCannotApply, leaving the sweep fully usable.
-func TestDeltaSweepCannotApply(t *testing.T) {
-	a := &domain.Avail{ID: 7, ShipID: 1, Status: domain.StatusOngoing, PlanStart: 0, PlanEnd: 100, ActStart: 0}
-	base := []domain.RCC{
-		{ID: 1, AvailID: 7, Type: domain.Growth, SWLIN: 43411001, Created: 10, Settled: 90, Amount: 1},
-		{ID: 2, AvailID: 7, Type: domain.Growth, SWLIN: 43411002, Created: 20, Settled: 95, Amount: 2},
-	}
-	s, err := NewCellSweep(a, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AdvanceTo(30); err != nil { // both creations applied
-		t.Fatal(err)
-	}
-	// Created=15 is inside the swept region but before the last applied
-	// creation (day 20): folding it now would break the canonical order.
-	outOfOrder := domain.RCC{ID: 3, AvailID: 7, Type: domain.NewGrowth, SWLIN: 43411003, Created: 15, Settled: 80, Amount: 3}
-	if err := s.ApplyRCC(outOfOrder); !errors.Is(err, ErrCannotApply) {
-		t.Fatalf("out-of-order ApplyRCC = %v, want ErrCannotApply", err)
-	}
-	if s.NumRCCs() != 2 {
-		t.Fatalf("rejected apply changed NumRCCs to %d", s.NumRCCs())
-	}
-	// In-order (or future-dated) RCCs still apply, and the sweep advances.
-	ok := domain.RCC{ID: 4, AvailID: 7, Type: domain.NewGrowth, SWLIN: 43411004, Created: 25, Settled: 80, Amount: 4}
-	if err := s.ApplyRCC(ok); err != nil {
-		t.Fatalf("in-order ApplyRCC: %v", err)
-	}
-	if err := s.AdvanceTo(90); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := NewCellSweep(a, append(append([]domain.RCC(nil), base...), ok))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fresh.AdvanceTo(90); err != nil {
-		t.Fatal(err)
-	}
-	if *s.Grids() != *fresh.Grids() {
-		t.Fatal("sweep state diverges from scratch after rejected + accepted applies")
-	}
 }

@@ -47,7 +47,6 @@
 package statusq
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -59,13 +58,6 @@ import (
 	"domd/internal/index"
 	"domd/internal/swlin"
 )
-
-// ErrCannotApply reports that an incremental sweep structure cannot fold a
-// new RCC without breaking the canonical (date, position) fold order that
-// makes incremental state bitwise-identical to from-scratch state — e.g. an
-// RCC whose creation or settlement date precedes events the sweep already
-// applied. Callers fall back to a full rebuild.
-var ErrCannotApply = errors.New("statusq: rcc out of order for incremental apply")
 
 // Aggregate names an aggregation function applied to the retrieved RCC set.
 type Aggregate int

@@ -216,78 +216,6 @@ func insertEventSorted(events []int, p int, date func(pos int) int64, d int64) [
 	return events
 }
 
-// ApplyRCC folds one freshly ingested RCC into the sweep state in O(delta)
-// without rewinding: the new events are spliced into the sorted event
-// orders, and any event already inside the swept region is folded exactly
-// where a from-scratch sweep advanced to the same position would fold it —
-// last, since the new RCC takes the largest position. If that fold order
-// cannot be preserved (the new RCC's creation or settlement predates events
-// the sweep already applied), ApplyRCC returns ErrCannotApply and leaves
-// the sweep unchanged; the caller must rebuild.
-func (s *CellSweep) ApplyRCC(r domain.RCC) error {
-	if r.AvailID != s.avail.ID {
-		return fmt.Errorf("statusq: rcc %d belongs to avail %d, sweep is for %d", r.ID, r.AvailID, s.avail.ID)
-	}
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	applyCreate := int64(r.Created) <= s.pos
-	applySettle := int64(r.Settled) <= s.pos
-	if applyCreate && s.ci > 0 && r.Created < s.rccs[s.creations[s.ci-1]].Created {
-		return ErrCannotApply
-	}
-	if applySettle && s.si > 0 && r.Settled < s.rccs[s.settlements[s.si-1]].Settled {
-		return ErrCannotApply
-	}
-	p := len(s.rccs)
-
-	// Relocate the sentinel from index p to p+1: the live list's links are
-	// preserved, and slot p becomes the new RCC's slot.
-	s.next = append(s.next, 0)
-	s.prev = append(s.prev, 0)
-	oldS, newS := int32(p), int32(p+1)
-	if s.next[oldS] == oldS {
-		s.next[newS], s.prev[newS] = newS, newS
-	} else {
-		s.next[newS], s.prev[newS] = s.next[oldS], s.prev[oldS]
-		s.prev[s.next[newS]] = newS
-		s.next[s.prev[newS]] = newS
-	}
-
-	s.rccs = append(s.rccs, r)
-	created := func(pos int) int64 { return int64(s.rccs[pos].Created) }
-	settled := func(pos int) int64 { return int64(s.rccs[pos].Settled) }
-	s.creations = insertEventSorted(s.creations, p, created, int64(r.Created))
-	s.settlements = insertEventSorted(s.settlements, p, settled, int64(r.Settled))
-
-	if applyCreate {
-		g := s.grids.Grid(domain.Created)
-		cellOf(g, &r).add(r.Amount, float64(r.Duration()))
-		g.finalizeMargins()
-		s.ci++
-	}
-	if applySettle {
-		g := s.grids.Grid(domain.SettledStatus)
-		cellOf(g, &r).add(r.Amount, float64(r.Duration()))
-		g.finalizeMargins()
-		s.si++
-	}
-	// Active membership changes only when the RCC is created but not yet
-	// settled inside the swept region; the non-monotone Active class is then
-	// rebuilt from the live list, as AdvanceTo does.
-	if applyCreate && !applySettle {
-		s.link(p)
-		activeGrid := s.grids.Grid(domain.Active)
-		activeGrid.clearConcrete()
-		for q := s.next[newS]; q != newS; q = s.next[q] {
-			rr := &s.rccs[q]
-			cellOf(activeGrid, rr).add(rr.Amount, float64(rr.Duration()))
-		}
-		activeGrid.finalizeMargins()
-	}
-	return nil
-}
-
 // Grids exposes the current grid state (valid until the next AdvanceTo or
 // Reset; do not mutate).
 func (s *CellSweep) Grids() *GridSet { return &s.grids }

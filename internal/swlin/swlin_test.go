@@ -241,3 +241,28 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
+
+// FuzzSWLINCode checks every string Parse accepts: the code is valid, it
+// round-trips through String, and the constant-divide Subsystem agrees
+// with the general Digit(0) and Prefix(1).
+func FuzzSWLINCode(f *testing.F) {
+	for _, s := range []string{"434-11-001", "43411001", "000-00-000", "999-99-999", "9-1-2-3-4-5-6-7", "12a45678", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := Parse(s)
+		if err != nil {
+			return
+		}
+		if !c.Valid() {
+			t.Fatalf("Parse(%q) = %d, not a valid code", s, int(c))
+		}
+		back, err := Parse(c.String())
+		if err != nil || back != c {
+			t.Fatalf("Parse(%q).String() = %q re-parses to %d (%v), want %d", s, c.String(), int(back), err, int(c))
+		}
+		if sub, d, p := c.Subsystem(), c.Digit(0), c.Prefix(1); sub != d || sub != p {
+			t.Fatalf("code %s: Subsystem %d, Digit(0) %d, Prefix(1) %d", c, sub, d, p)
+		}
+	})
+}
