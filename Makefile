@@ -100,30 +100,34 @@ differential:
 # and ingest surface (GET /query, /predict, /fleet, POST /query/batch,
 # /predict, /rccs) must never answer a 5xx, and a 200 batch answer has one
 # row per query; every SWLIN code Parse accepts round-trips through
-# String, and Subsystem agrees with Digit(0) and Prefix(1). go test fuzzes
-# one target per invocation.
+# String, and Subsystem agrees with Digit(0) and Prefix(1); every GBT model
+# artifact UnmarshalJSON accepts compiles without panicking and predicts
+# bitwise like its pointer trees. go test fuzzes one target per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/statusq/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALSnapshot$$' -fuzztime $(FUZZTIME) ./internal/statusq/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequests$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSWLINCode$$' -fuzztime $(FUZZTIME) ./internal/swlin/
+	$(GO) test -run '^$$' -fuzz '^FuzzGBTModel$$' -fuzztime $(FUZZTIME) ./internal/ml/gbt/
 
 # check is the CI gate: compile, vet, check gofmt, race-test everything, repeat the
 # concurrency stress suite, re-run the chaos (fault-injection) suite and
-# the delta-vs-rebuild differential suite, fuzz the WAL decoders and the
-# HTTP read/ingest surface and SWLIN parsing, run the in-process serving
-# benchmarks once each so they cannot rot,
+# the delta-vs-rebuild differential suite, fuzz the WAL decoders, the
+# HTTP read/ingest surface, SWLIN parsing and GBT model artifacts, run the
+# in-process serving benchmarks and the tree-kernel benchmark once each so
+# they cannot rot,
 # enforce the lint invariants (domdlint must exit 0 on the tree) and the
 # docs cross-checks, run the riskbands example end to end (it serves
 # /predict through server.New over a one-shard catalog, the wiring
 # `domd serve` uses), then vet and test domdbench, the nested benchmark
 # module (its tests hold BENCHMARK.json to the report tables).
 check:
-	$(GO) build ./... && $(GO) vet ./... && $(MAKE) fmt && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) fuzz && $(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchtime 1x ./internal/server/ && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
+	$(GO) build ./... && $(GO) vet ./... && $(MAKE) fmt && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) fuzz && $(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchtime 1x ./internal/server/ && $(GO) test -run '^$$' -bench 'GBTPredict' -benchtime 1x ./internal/ml/gbt/ && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
 
 # bench runs the Go micro-benchmarks (including the statusq
-# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3, and the in-process
-# GET /fleet and POST /query/batch pair), then domdbench, the
+# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3, the in-process
+# GET /fleet and POST /query/batch pair, and the compiled GBT tree kernel
+# at depths 4 and 8), then domdbench, the
 # serving benchmark declared in BENCHMARK.json, on both of its workloads:
 # each run builds cmd/domd, serves it, and drives it over HTTP (see
 # domdbench/README.md). The last line of each run is its JSON result.
@@ -131,5 +135,6 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 	$(GO) test -run '^$$' -bench 'ApplyRCC|RebuildAfterIngest' -benchmem ./internal/statusq/
 	$(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchmem ./internal/server/
+	$(GO) test -run '^$$' -bench 'GBTPredict' -benchmem ./internal/ml/gbt/
 	bash domdbench/run.sh --workload fleet-scan --seed 1 --seconds 21 --trace 0
 	bash domdbench/run.sh --workload ingest-mix --seed 1 --seconds 21 --trace 0

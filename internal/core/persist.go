@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"domd/internal/features"
 	"domd/internal/fusion"
 	"domd/internal/ml"
 	"domd/internal/ml/gbt"
@@ -148,5 +149,41 @@ func Load(r io.Reader) (*Pipeline, error) {
 	for _, cs := range pj.TrainStats {
 		p.trainStats = append(p.trainStats, colStats{mean: cs.Mean, std: cs.Std})
 	}
+	if err := p.checkShapes(); err != nil {
+		return nil, fmt.Errorf("core: load pipeline: %w", err)
+	}
 	return p, nil
+}
+
+// checkShapes rejects a pipeline whose slots would index out of range on
+// the first prediction or explanation: every column must name a feature,
+// and each slot's model and training statistics must be as wide as its
+// input (its columns, plus the static prediction when stacked). The
+// stacked static model reads only the static features.
+func (p *Pipeline) checkShapes() error {
+	for k := range p.slots {
+		s := &p.slots[k]
+		for _, c := range s.cols {
+			if c < 0 || c >= len(p.names) {
+				return fmt.Errorf("slot %d: column %d outside the %d features", k, c, len(p.names))
+			}
+		}
+		width := len(s.cols)
+		if p.cfg.Stacked {
+			width++
+		}
+		if len(s.imp) != width {
+			return fmt.Errorf("slot %d: model reads %d inputs, slot has %d", k, len(s.imp), width)
+		}
+		if cs := p.trainStats[k]; len(cs.mean) != width || len(cs.std) != width {
+			return fmt.Errorf("slot %d: train stats have %d means and %d stds for %d inputs",
+				k, len(cs.mean), len(cs.std), width)
+		}
+	}
+	if p.staticModel != nil {
+		if n := len(p.staticModel.Importances()); n > features.NumStatic {
+			return fmt.Errorf("static model reads %d inputs, there are %d static features", n, features.NumStatic)
+		}
+	}
+	return nil
 }

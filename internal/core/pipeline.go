@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 
@@ -472,17 +471,17 @@ func newColStats(d *ml.Dataset) colStats {
 }
 
 // slotInput assembles the model input for the slot at position k from a
-// full feature vector.
-func (p *Pipeline) slotInput(k int, full []float64) []float64 {
+// full feature vector into dst, reusing its storage, and returns it.
+func (p *Pipeline) slotInput(dst []float64, k int, full []float64) []float64 {
 	s := &p.slots[k]
-	x := make([]float64, 0, len(s.cols)+1)
+	dst = dst[:0]
 	for _, c := range s.cols {
-		x = append(x, full[c])
+		dst = append(dst, full[c])
 	}
 	if p.cfg.Stacked {
-		x = append(x, p.staticPred(full))
+		dst = append(dst, p.staticPred(full))
 	}
-	return x
+	return dst
 }
 
 func (p *Pipeline) staticPred(full []float64) float64 {
@@ -495,7 +494,7 @@ func (p *Pipeline) PredictAt(k int, full []float64) (float64, error) {
 	if k < 0 || k >= len(p.slots) {
 		return 0, fmt.Errorf("core: slot %d out of range [0,%d)", k, len(p.slots))
 	}
-	return p.slots[k].model.Predict(p.slotInput(k, full)), nil
+	return p.slots[k].model.Predict(p.slotInput(nil, k, full)), nil
 }
 
 // Trajectory answers a DoMD query (Problem 1): given the full feature
@@ -509,13 +508,15 @@ func (p *Pipeline) Trajectory(fulls [][]float64, upto int) (raw, fused []float64
 	if len(fulls) <= upto {
 		return nil, nil, fmt.Errorf("core: %d feature vectors for %d timestamps", len(fulls), upto+1)
 	}
-	raw = make([]float64, upto+1)
-	fused = make([]float64, upto+1)
+	// raw, fused and one slot-input buffer reused by every slot share an
+	// allocation: models do not retain their input.
+	n := upto + 1
+	buf := make([]float64, 2*n+len(p.slots[upto].cols)+1)
+	raw, fused = buf[:n:n], buf[n:2*n:2*n]
+	x := buf[2*n : 2*n]
 	for k := 0; k <= upto; k++ {
-		raw[k], err = p.PredictAt(k, fulls[k])
-		if err != nil {
-			return nil, nil, err
-		}
+		x = p.slotInput(x, k, fulls[k])
+		raw[k] = p.slots[k].model.Predict(x)
 		fused[k], err = p.fuser.Fuse(raw[:k+1])
 		if err != nil {
 			return nil, nil, err
@@ -635,39 +636,51 @@ type Attribution struct {
 }
 
 // TopFeatures explains the prediction at grid index k for the given full
-// feature vector: the n features with the highest importance × |z| scores.
+// feature vector: the n features with the highest importance × |z| scores,
+// best first. Equal scores keep column order, and NaN scores rank after
+// every number. The n winners are selected in one pass over the columns.
 func (p *Pipeline) TopFeatures(k int, full []float64, n int) ([]Attribution, error) {
 	if k < 0 || k >= len(p.slots) {
 		return nil, fmt.Errorf("core: slot %d out of range", k)
 	}
 	s := &p.slots[k]
-	x := p.slotInput(k, full)
 	stats := p.trainStats[k]
-	atts := make([]Attribution, 0, len(s.imp))
+	top := make([]Attribution, 0, min(max(n, 0), len(s.imp)))
 	for j, im := range s.imp {
+		var x float64
+		if j < len(s.cols) {
+			x = full[s.cols[j]]
+		} else {
+			x = p.staticPred(full)
+		}
 		z := 0.0
 		if j < len(stats.std) && stats.std[j] > 0 {
-			z = math.Abs(x[j]-stats.mean[j]) / stats.std[j]
+			z = math.Abs(x-stats.mean[j]) / stats.std[j]
 		}
+		score := im * (0.5 + z)
+		// top stays sorted: column j lands after every kept entry it does
+		// not outrank, which is where a stable sort would put it.
+		pos := len(top)
+		for pos > 0 && outranks(score, top[pos-1].Score) {
+			pos--
+		}
+		if pos == cap(top) {
+			continue
+		}
+		if len(top) < cap(top) {
+			top = append(top, Attribution{})
+		}
+		copy(top[pos+1:], top[pos:])
 		name := "STATIC_PRED"
 		if j < len(s.cols) {
 			name = p.names[s.cols[j]]
 		}
-		atts = append(atts, Attribution{Name: name, Score: im * (0.5 + z), Value: x[j]})
+		top[pos] = Attribution{Name: name, Score: score, Value: x}
 	}
-	// Stable by descending Score: the comparator orders exactly as
-	// "a.Score > b.Score" would, without reflection.
-	slices.SortStableFunc(atts, func(a, b Attribution) int {
-		switch {
-		case a.Score > b.Score:
-			return -1
-		case b.Score > a.Score:
-			return 1
-		}
-		return 0
-	})
-	if n > len(atts) {
-		n = len(atts)
-	}
-	return atts[:n], nil
+	return top, nil
+}
+
+// outranks orders attribution scores: descending, NaN last.
+func outranks(a, b float64) bool {
+	return a > b || (math.IsNaN(b) && !math.IsNaN(a))
 }

@@ -108,7 +108,7 @@ func (s *QueryService) QueryRow(row *features.Row, at domain.Day) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{AvailID: a.ID, At: at, LogicalTime: ts}
+	res := &Result{AvailID: a.ID, At: at, LogicalTime: ts, Estimates: make([]Estimate, 0, tr.Upto+1)}
 	for k := 0; k <= tr.Upto; k++ {
 		res.Estimates = append(res.Estimates, Estimate{Timestamp: tr.Grid[k], Raw: tr.Raw[k], Fused: tr.Fused[k]})
 	}

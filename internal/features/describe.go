@@ -17,7 +17,7 @@ func Describe(name string) (string, error) {
 		return desc, nil
 	}
 	if name == "STATIC_PRED" {
-		return "base delay prediction from the static model (stacked architecture)", nil
+		return staticPredDescription, nil
 	}
 	spec, err := ParseName(name)
 	if err != nil {
@@ -25,35 +25,55 @@ func Describe(name string) (string, error) {
 	}
 	typ := "of any type"
 	if spec.Type != nil {
-		typ = map[domain.RCCType]string{
-			domain.Growth:    "of type Growth (upgrades to existing systems)",
-			domain.NewWork:   "of type New Work (newly created systems)",
-			domain.NewGrowth: "of type New Growth (distinct added components)",
-		}[*spec.Type]
+		typ = typeDescriptions[*spec.Type]
 	}
 	where := "anywhere on the ship"
 	if spec.Subsystem >= 0 {
 		where = fmt.Sprintf("in SWLIN subsystem %d", spec.Subsystem)
 	}
-	status := map[domain.RCCStatus]string{
-		domain.Active:        "currently active (created but not yet settled)",
-		domain.SettledStatus: "already settled",
-		domain.Created:       "created so far",
-	}[spec.Status]
-	agg := map[statusq.Aggregate]string{
-		statusq.Count:       "number of RCCs",
-		statusq.SumAmount:   "total settled dollars of RCCs",
-		statusq.AvgAmount:   "average settled dollars per RCC",
-		statusq.MaxAmount:   "largest settled amount among RCCs",
-		statusq.MinAmount:   "smallest settled amount among RCCs",
-		statusq.StdAmount:   "dollar-amount spread (std dev) of RCCs",
-		statusq.SumDuration: "total open-days of RCCs",
-		statusq.AvgDuration: "average open-days per RCC",
-		statusq.MaxDuration: "longest open interval among RCCs",
-		statusq.Pct:         "share of visible RCCs that are RCCs",
-		statusq.Rate:        "RCC arrival rate (count per % of plan) for RCCs",
-	}[spec.Agg]
-	return fmt.Sprintf("%s %s %s, %s", agg, typ, where, status), nil
+	return fmt.Sprintf("%s %s %s, %s", aggDescriptions[spec.Agg], typ, where, statusDescriptions[spec.Status]), nil
+}
+
+// DescribeAll maps each name Describe accepts, plus "STATIC_PRED", to its
+// sentence: the table a server renders drivers from, built once per
+// extractor instead of parsing names on every request. Names Describe
+// rejects are left out.
+func DescribeAll(names []string) map[string]string {
+	out := map[string]string{"STATIC_PRED": staticPredDescription}
+	for _, name := range names {
+		if desc, err := Describe(name); err == nil {
+			out[name] = desc
+		}
+	}
+	return out
+}
+
+const staticPredDescription = "base delay prediction from the static model (stacked architecture)"
+
+var typeDescriptions = map[domain.RCCType]string{
+	domain.Growth:    "of type Growth (upgrades to existing systems)",
+	domain.NewWork:   "of type New Work (newly created systems)",
+	domain.NewGrowth: "of type New Growth (distinct added components)",
+}
+
+var statusDescriptions = map[domain.RCCStatus]string{
+	domain.Active:        "currently active (created but not yet settled)",
+	domain.SettledStatus: "already settled",
+	domain.Created:       "created so far",
+}
+
+var aggDescriptions = map[statusq.Aggregate]string{
+	statusq.Count:       "number of RCCs",
+	statusq.SumAmount:   "total settled dollars of RCCs",
+	statusq.AvgAmount:   "average settled dollars per RCC",
+	statusq.MaxAmount:   "largest settled amount among RCCs",
+	statusq.MinAmount:   "smallest settled amount among RCCs",
+	statusq.StdAmount:   "dollar-amount spread (std dev) of RCCs",
+	statusq.SumDuration: "total open-days of RCCs",
+	statusq.AvgDuration: "average open-days per RCC",
+	statusq.MaxDuration: "longest open interval among RCCs",
+	statusq.Pct:         "share of visible RCCs that are RCCs",
+	statusq.Rate:        "RCC arrival rate (count per % of plan) for RCCs",
 }
 
 var staticDescriptions = map[string]string{

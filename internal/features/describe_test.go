@@ -134,3 +134,21 @@ func TestEvalFeatureMatchesVector(t *testing.T) {
 		t.Error("static name should error (not a Status Query)")
 	}
 }
+
+// TestDescribeAllMatchesDescribe pins the serving table to Describe: one
+// entry per accepted name, STATIC_PRED included, and none for a name
+// Describe rejects.
+func TestDescribeAllMatchesDescribe(t *testing.T) {
+	names := append(NewExtractor().Names(), "NOT-A-FEATURE")
+	table := DescribeAll(names)
+	if len(table) != len(names) { // every name but the bad one, plus STATIC_PRED
+		t.Fatalf("table has %d entries for %d names", len(table), len(names))
+	}
+	for _, name := range append(names, "STATIC_PRED") {
+		want, err := Describe(name)
+		got, ok := table[name]
+		if ok != (err == nil) || got != want {
+			t.Fatalf("%q: table (%q, %v), Describe (%q, %v)", name, got, ok, want, err)
+		}
+	}
+}

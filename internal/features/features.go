@@ -279,6 +279,9 @@ func (r *Row) Vectors(grid []float64) ([][]float64, error) {
 		return nil, fmt.Errorf("features: avail %d: row used after Release", r.eng.Avail().ID)
 	}
 	out := make([][]float64, len(grid))
+	if r.memo == nil {
+		r.memo = make([]rowPoint, 0, len(grid))
+	}
 	var static []float64
 	for k, ts := range grid {
 		if vec := r.lookup(ts); vec != nil {
@@ -318,12 +321,15 @@ func (r *Row) lookup(ts float64) []float64 {
 	return nil
 }
 
-// Release returns the row's vectors to the pool. Every vector Vectors
-// handed out is invalid afterwards, and later Vectors calls fail. Release
-// is idempotent.
+// Release returns the row's vectors and its sweep to their pools. Every
+// vector Vectors handed out is invalid afterwards, and later Vectors calls
+// fail. Release is idempotent.
 func (r *Row) Release() {
 	for _, p := range r.memo {
 		vecPool.Put(p.vec)
+	}
+	if r.sw != nil {
+		r.sw.Release()
 	}
 	r.memo, r.sw, r.released = nil, nil, true
 }

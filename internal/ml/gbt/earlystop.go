@@ -50,6 +50,7 @@ func FitEarlyStopping(p Params, l loss.Loss, train, val *ml.Dataset, patience in
 		}
 	}
 	m.trees = m.trees[:bestRound]
+	m.compile()
 	return m, bestRound, nil
 }
 

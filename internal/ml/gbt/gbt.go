@@ -22,7 +22,7 @@ type Params struct {
 	NumRounds int
 	// LearningRate η shrinks each tree's contribution.
 	LearningRate float64
-	// MaxDepth bounds each tree.
+	// MaxDepth bounds each tree, at most MaxTreeDepth.
 	MaxDepth int
 	// MinChildWeight is the minimum hessian mass per leaf child.
 	MinChildWeight float64
@@ -73,6 +73,9 @@ func (p Params) Validate() error {
 	if p.ColsampleByTree <= 0 || p.ColsampleByTree > 1 {
 		return fmt.Errorf("gbt: colsample %f outside (0,1]", p.ColsampleByTree)
 	}
+	if p.MaxDepth > MaxTreeDepth {
+		return fmt.Errorf("gbt: max depth %d > %d", p.MaxDepth, MaxTreeDepth)
+	}
 	switch p.TreeMethod {
 	case "", "exact":
 	case "hist":
@@ -112,11 +115,13 @@ func (t *Trainer) Fit(d *ml.Dataset) (ml.Model, error) {
 	return Fit(t.Params, t.Loss, d)
 }
 
-// Model is a trained boosted ensemble.
+// Model is a trained boosted ensemble. The pointer trees are the training
+// and persistence form; Predict reads their compiled layout.
 type Model struct {
 	base     float64 // global bias (mean target)
 	eta      float64
 	trees    []*tree.Node
+	flat     ensemble // trees compiled; rebuilt whenever trees changes
 	nFeature int
 }
 
@@ -226,16 +231,14 @@ func Fit(p Params, l loss.Loss, d *ml.Dataset) (*Model, error) {
 			pred[i] += p.LearningRate * tr.Predict(row)
 		}
 	}
+	m.compile()
 	return m, nil
 }
 
-// Predict implements ml.Model.
+// Predict implements ml.Model: base + Σ η·w over the trees in order, read
+// from the compiled ensemble.
 func (m *Model) Predict(x []float64) float64 {
-	out := m.base
-	for _, t := range m.trees {
-		out += m.eta * t.Predict(x)
-	}
-	return out
+	return m.flat.predict(m.base, m.eta, x)
 }
 
 // Importances implements ml.Model: total split gain per feature.

@@ -3,6 +3,7 @@ package gbt
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"domd/internal/ml/tree"
 )
@@ -34,14 +35,14 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &mj); err != nil {
 		return fmt.Errorf("gbt: unmarshal model: %w", err)
 	}
-	if mj.NumFeatures < 1 {
+	if mj.NumFeatures < 1 || mj.NumFeatures > math.MaxInt32 {
 		return fmt.Errorf("gbt: unmarshal model: invalid feature count %d", mj.NumFeatures)
 	}
 	for i, t := range mj.Trees {
 		if t == nil {
 			return fmt.Errorf("gbt: unmarshal model: tree %d is null", i)
 		}
-		if err := validateTree(t, mj.NumFeatures); err != nil {
+		if err := validateTree(t, mj.NumFeatures, 0); err != nil {
 			return fmt.Errorf("gbt: unmarshal model: tree %d: %w", i, err)
 		}
 	}
@@ -49,14 +50,19 @@ func (m *Model) UnmarshalJSON(data []byte) error {
 	m.eta = mj.Eta
 	m.nFeature = mj.NumFeatures
 	m.trees = mj.Trees
+	m.compile()
 	return nil
 }
 
 // validateTree rejects structurally broken trees (missing children, split
-// feature out of range) so a corrupt file cannot panic Predict.
-func validateTree(n *tree.Node, numFeatures int) error {
+// feature out of range, deeper than MaxTreeDepth) so a corrupt file can
+// neither panic Predict nor blow up the compiled layout. depth is n's.
+func validateTree(n *tree.Node, numFeatures, depth int) error {
 	if n.IsLeaf() {
 		return nil
+	}
+	if depth >= MaxTreeDepth {
+		return fmt.Errorf("tree deeper than %d", MaxTreeDepth)
 	}
 	if n.Feature >= numFeatures {
 		return fmt.Errorf("split feature %d out of range [0,%d)", n.Feature, numFeatures)
@@ -64,8 +70,8 @@ func validateTree(n *tree.Node, numFeatures int) error {
 	if n.Left == nil || n.Right == nil {
 		return fmt.Errorf("internal node missing children")
 	}
-	if err := validateTree(n.Left, numFeatures); err != nil {
+	if err := validateTree(n.Left, numFeatures, depth+1); err != nil {
 		return err
 	}
-	return validateTree(n.Right, numFeatures)
+	return validateTree(n.Right, numFeatures, depth+1)
 }

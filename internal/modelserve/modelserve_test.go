@@ -363,6 +363,88 @@ func TestDigestMismatchKeepsOldVersionServing(t *testing.T) {
 	}
 }
 
+// TestMisshapenPipelineKeepsOldVersionServing re-digests a version whose
+// pipeline reads a column past the feature vector: it passes the digest
+// check, so only core.Load's shape check stands between it and a panic on
+// the first prediction. The reload must fail and the old version serve.
+func TestMisshapenPipelineKeepsOldVersionServing(t *testing.T) {
+	fx := mustFixture(t)
+	dir := t.TempDir()
+	if _, err := trainTestVersion(t, 1, "v001").WriteTo(dir, true); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trainTestVersion(t, 2, "v002").WriteTo(dir, true); err != nil {
+		t.Fatal(err)
+	}
+
+	man, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, ok := man.Version("v002")
+	if !ok {
+		t.Fatal("v002 not in manifest")
+	}
+	art := &mv.Artifacts[0]
+	path := filepath.Join(dir, filepath.FromSlash(art.File))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Edit slots[0].cols[0] to 1e6, leaving every other byte of the
+	// pipeline as saved.
+	var aj artifactJSON
+	var pipe map[string]json.RawMessage
+	var slots []map[string]json.RawMessage
+	var cols []int
+	if err := json.Unmarshal(data, &aj); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(aj.Pipeline, &pipe); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(pipe["slots"], &slots); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(slots[0]["cols"], &cols); err != nil {
+		t.Fatal(err)
+	}
+	cols[0] = 1e6
+	remarshal := func(v any) json.RawMessage {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	slots[0]["cols"] = remarshal(cols)
+	pipe["slots"] = remarshal(slots)
+	aj.Pipeline = remarshal(pipe)
+	data = remarshal(aj)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	art.SHA256 = digest(data)
+	if err := man.Write(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := reg.Reload(); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("reload of a misshapen pipeline: err = %v", err)
+	}
+	if got := reg.ActiveVersion(); got != "v001" {
+		t.Fatalf("active after failed reload = %q, want v001 still serving", got)
+	}
+	a := ongoingAvail(t, fx)
+	if _, err := reg.Predict(engineFor(t, fx, a), a.PhysicalTime(60), 0); err != nil {
+		t.Fatalf("predict after failed reload: %v", err)
+	}
+}
+
 func TestHotSwapAdvancesVersion(t *testing.T) {
 	tv1 := trainTestVersion(t, 1, "v001")
 	tv2 := trainTestVersion(t, 2, "v002")

@@ -199,6 +199,7 @@ type Catalog interface {
 type Server struct {
 	svc      *core.QueryService
 	ext      *features.Extractor // starts each request's feature rows
+	drivers  map[string]string   // driver descriptions by name; read-only after New
 	catalog  Catalog
 	ingester Ingester
 	mux      *http.ServeMux
@@ -227,6 +228,7 @@ func New(p *core.Pipeline, ext *features.Extractor, catalog Catalog, opts Option
 	s := &Server{
 		svc:      core.NewQueryService(p, ext, index.KindAVL),
 		ext:      ext,
+		drivers:  features.DescribeAll(ext.Names()),
 		catalog:  catalog,
 		ingester: opts.Ingester,
 		mux:      http.NewServeMux(),
@@ -632,14 +634,21 @@ func (s *Server) renderQuery(vecs *features.Row, asOf int64, stale bool, at doma
 		FinalDays:   res.Final(),
 		Stale:       stale,
 		AsOf:        asOf,
+		Estimates:   make([]estimateView, 0, len(res.Estimates)),
 	}
 	for _, e := range res.Estimates {
 		view.Estimates = append(view.Estimates, estimateView{Timestamp: e.Timestamp, Raw: e.Raw, Fused: e.Fused})
 	}
+	if len(res.TopDrivers) > 0 {
+		view.TopDrivers = make([]driverView, 0, len(res.TopDrivers))
+	}
 	for _, d := range res.TopDrivers {
-		desc, err := features.Describe(d.Name)
-		if err != nil {
-			desc = ""
+		desc, ok := s.drivers[d.Name]
+		if !ok {
+			var err error
+			if desc, err = features.Describe(d.Name); err != nil {
+				desc = ""
+			}
 		}
 		view.TopDrivers = append(view.TopDrivers, driverView{Name: d.Name, Description: desc, Value: d.Value, Score: d.Score})
 	}

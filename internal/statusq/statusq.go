@@ -246,20 +246,27 @@ func (e *Engine) ApplyRCC(r domain.RCC) error {
 	return nil
 }
 
-// Sweep returns a fresh CellSweep over the engine's current RCCs, rewound
-// to before all events. It reuses the engine's validated RCCs and sorted
-// event orders, so taking a sweep costs the sweep's own O(n) link arrays
-// and no sort. The sweep is a consistent snapshot: a later ApplyRCC never
-// writes to anything it reads, so it may be advanced without the engine's
-// lock while ingests continue. Like any CellSweep it is not safe for
-// concurrent use; each caller takes its own.
+// Sweep returns a CellSweep over the engine's current RCCs, rewound to
+// before all events. It reuses the engine's validated RCCs and sorted
+// event orders, so taking a sweep costs no sort, and the sweep itself
+// comes from a pool that Release refills, so it allocates only when its
+// link arrays are too short. The sweep is a consistent snapshot: a later
+// ApplyRCC never writes to anything it reads, so it may be advanced
+// without the engine's lock while ingests continue. Like any CellSweep it
+// is not safe for concurrent use; each caller takes its own, and may
+// Release it when done.
 func (e *Engine) Sweep() *CellSweep {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	v := &e.view
 	n := len(v.rccs)
 	v.ordersShared.Store(true)
-	return newCellSweep(e.avail, v.rccs[:n:n], v.creations[:n:n], v.settlements[:n:n])
+	s, _ := sweepPool.Get().(*CellSweep)
+	if s == nil {
+		s = new(CellSweep)
+	}
+	s.init(e.avail, v.rccs[:n:n], v.creations[:n:n], v.settlements[:n:n])
+	return s
 }
 
 // statusSet retrieves the positions in the given temporal class at logical

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"domd/internal/domain"
 )
@@ -86,16 +87,35 @@ func NewCellSweep(a *domain.Avail, rccs []domain.RCC) (*CellSweep, error) {
 // canonical event orders. The sweep reads rccs and the orders without
 // copying them, so the caller must never mutate them in place afterwards.
 func newCellSweep(a *domain.Avail, rccs []domain.RCC, creations, settlements []int) *CellSweep {
-	s := &CellSweep{
-		avail:       a,
-		rccs:        rccs,
-		creations:   creations,
-		settlements: settlements,
-		next:        make([]int32, len(rccs)+1),
-		prev:        make([]int32, len(rccs)+1),
+	s := new(CellSweep)
+	s.init(a, rccs, creations, settlements)
+	return s
+}
+
+// sweepPool recycles the sweeps Engine.Sweep hands out and Release
+// returns: a sweep's grids and link arrays are its bulk, and Reset
+// clears every part of them a sweep reads before writing.
+var sweepPool sync.Pool
+
+// init points s at rccs and their event orders and rewinds it. The link
+// arrays are reused when long enough: link writes an entry before unlink
+// or the list walk reads it, so their old contents never show.
+func (s *CellSweep) init(a *domain.Avail, rccs []domain.RCC, creations, settlements []int) {
+	s.avail, s.rccs, s.creations, s.settlements = a, rccs, creations, settlements
+	if n := len(rccs) + 1; cap(s.next) >= n {
+		s.next, s.prev = s.next[:n], s.prev[:n]
+	} else {
+		s.next, s.prev = make([]int32, n), make([]int32, n)
 	}
 	s.Reset()
-	return s
+}
+
+// Release hands a sweep taken from Engine.Sweep back for reuse by a later
+// Sweep. It drops the sweep's references to the engine's avail, RCCs and
+// event orders; the sweep must not be used afterwards.
+func (s *CellSweep) Release() {
+	s.avail, s.rccs, s.creations, s.settlements = nil, nil, nil, nil
+	sweepPool.Put(s)
 }
 
 // eventOrders returns the canonical creation and settlement event orders

@@ -424,3 +424,46 @@ func TestConcurrentSweepDuringApply(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestRecycledSweepMatchesScratch takes sweeps from engines of shrinking
+// and growing RCC counts, releasing each after a full pass, so later
+// sweeps reuse the grids and link arrays earlier ones dirtied (through the
+// pool, and once directly). Every pass must match the scratch grid fill
+// bitwise.
+func TestRecycledSweepMatchesScratch(t *testing.T) {
+	check := func(sw *CellSweep, eng *Engine, label string) {
+		t.Helper()
+		var scratch GridSet
+		for ts := 0.0; ts <= 100; ts += 2.5 {
+			if err := sw.AdvanceTo(ts); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.CellGridsAt(ts, &scratch); err != nil {
+				t.Fatal(err)
+			}
+			if *sw.Grids() != scratch {
+				t.Fatalf("%s ts=%g: recycled sweep differs from the scratch grids", label, ts)
+			}
+		}
+	}
+	var dirty *CellSweep
+	for i, n := range []int{300, 20, 0, 150, 400} {
+		a, rccs := randomAvailRCCs(int64(10+i), n)
+		eng, err := NewEngine(a, rccs, index.KindAVL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw := eng.Sweep()
+		check(sw, eng, "pooled")
+		if dirty != nil {
+			v := &eng.view
+			dirty.init(eng.avail, v.rccs, v.creations, v.settlements)
+			check(dirty, eng, "reinitialized")
+		}
+		dirty = sw
+		sw.Release()
+		if sw.rccs != nil || sw.creations != nil || sw.settlements != nil || sw.avail != nil {
+			t.Fatal("Release kept references to the engine's state")
+		}
+	}
+}
