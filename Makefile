@@ -85,10 +85,11 @@ docs:
 	sh scripts/check_docs.sh
 
 # differential re-runs the incremental-maintenance equivalence suite
-# under the race detector: random RCC streams applied via the O(delta)
-# path must stay bitwise-identical (math.Float64bits) to engines rebuilt
-# from scratch, at the engine, its event orders and the sweeps it hands
-# out, and catalog+WAL-replay layers — including the 4-shard router
+# under the race detector: random RCC streams applied via ApplyRCC must
+# stay bitwise-identical (math.Float64bits) to engines rebuilt from
+# scratch — in the serving engine's RCCs, event orders and the sweeps it
+# hands out, and in Status Queries over an index of its RCCs — at the
+# engine and catalog+WAL-replay layers, including the 4-shard router
 # (TestDeltaShardedEquivalence), whose answers must match a single
 # catalog fed the same stream.
 differential:
@@ -102,20 +103,22 @@ differential:
 # row per query; every SWLIN code Parse accepts round-trips through
 # String, and Subsystem agrees with Digit(0) and Prefix(1); every GBT model
 # artifact UnmarshalJSON accepts compiles without panicking and predicts
-# bitwise like its pointer trees. go test fuzzes one target per invocation.
+# bitwise like its pointer trees; every date ParseDay accepts round-trips
+# through Day.String. go test fuzzes one target per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/statusq/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALSnapshot$$' -fuzztime $(FUZZTIME) ./internal/statusq/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequests$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSWLINCode$$' -fuzztime $(FUZZTIME) ./internal/swlin/
 	$(GO) test -run '^$$' -fuzz '^FuzzGBTModel$$' -fuzztime $(FUZZTIME) ./internal/ml/gbt/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseDay$$' -fuzztime $(FUZZTIME) ./internal/domain/
 
 # check is the CI gate: compile, vet, check gofmt, race-test everything, repeat the
 # concurrency stress suite, re-run the chaos (fault-injection) suite and
 # the delta-vs-rebuild differential suite, fuzz the WAL decoders, the
-# HTTP read/ingest surface, SWLIN parsing and GBT model artifacts, run the
-# in-process serving benchmarks and the tree-kernel benchmark once each so
-# they cannot rot,
+# HTTP read/ingest surface, SWLIN parsing, GBT model artifacts and date
+# parsing, run the in-process serving benchmarks and the tree-kernel
+# benchmark once each so they cannot rot,
 # enforce the lint invariants (domdlint must exit 0 on the tree) and the
 # docs cross-checks, run the riskbands example end to end (it serves
 # /predict through server.New over a one-shard catalog, the wiring
@@ -125,7 +128,8 @@ check:
 	$(GO) build ./... && $(GO) vet ./... && $(MAKE) fmt && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) fuzz && $(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchtime 1x ./internal/server/ && $(GO) test -run '^$$' -bench 'GBTPredict' -benchtime 1x ./internal/ml/gbt/ && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
 
 # bench runs the Go micro-benchmarks (including the statusq
-# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3, the in-process
+# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3 and the serving-engine
+# build NewEngine at 260, 1000 and 4000 RCCs, the in-process
 # GET /fleet and POST /query/batch pair, and the compiled GBT tree kernel
 # at depths 4 and 8), then domdbench, the
 # serving benchmark declared in BENCHMARK.json, on both of its workloads:
@@ -133,7 +137,7 @@ check:
 # domdbench/README.md). The last line of each run is its JSON result.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
-	$(GO) test -run '^$$' -bench 'ApplyRCC|RebuildAfterIngest' -benchmem ./internal/statusq/
+	$(GO) test -run '^$$' -bench 'ApplyRCC|RebuildAfterIngest|NewEngine' -benchmem ./internal/statusq/
 	$(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench 'GBTPredict' -benchmem ./internal/ml/gbt/
 	bash domdbench/run.sh --workload fleet-scan --seed 1 --seconds 21 --trace 0

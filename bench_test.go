@@ -388,14 +388,15 @@ func BenchmarkFeatureExtractionPerAvailTimestamp(b *testing.B) {
 	ds := benchData(b)
 	ext := features.NewExtractor()
 	a := &ds.Avails[0]
-	eng, err := statusq.NewEngine(a, ds.RCCsByAvail()[a.ID], index.KindAVL)
+	ix, err := statusq.NewIndexed(a, ds.RCCsByAvail()[a.ID], index.KindAVL)
 	if err != nil {
 		b.Fatal(err)
 	}
+	dst := make([]float64, ext.NumDynamic())
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ext.Vector(eng, 50); err != nil {
+		if err := ext.DynamicVectorScratch(dst, ix, 50); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -443,7 +444,7 @@ func BenchmarkBuildTensorSerialVsParallel(b *testing.B) {
 	b.Run("sweep-serial", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := features.BuildTensorOpt(ext, ds.Avails, byAvail, gap, index.KindAVL, features.TensorOptions{Workers: 1}); err != nil {
+			if _, err := features.BuildTensorOpt(ext, ds.Avails, byAvail, gap, features.TensorOptions{Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -451,7 +452,7 @@ func BenchmarkBuildTensorSerialVsParallel(b *testing.B) {
 	b.Run("sweep-parallel", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := features.BuildTensorOpt(ext, ds.Avails, byAvail, gap, index.KindAVL, features.TensorOptions{}); err != nil {
+			if _, err := features.BuildTensorOpt(ext, ds.Avails, byAvail, gap, features.TensorOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -506,7 +507,7 @@ func BenchmarkCellSweepVsScratch(b *testing.B) {
 	for _, n := range []int{8_000, 32_000} {
 		a, rccs := bigAvailFixture(b, n)
 		b.Run(fmt.Sprintf("scratch/n=%d", n), func(b *testing.B) {
-			eng, err := statusq.NewEngine(a, rccs, index.KindAVL)
+			ix, err := statusq.NewIndexed(a, rccs, index.KindAVL)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -515,7 +516,7 @@ func BenchmarkCellSweepVsScratch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, ts := range grid {
-					if err := eng.CellGridsAt(ts, &gs); err != nil {
+					if err := ix.CellGridsAt(ts, &gs); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -576,7 +577,7 @@ func BenchmarkTrajectoryAt(b *testing.B) {
 	fx := mustTrajFixture(b)
 	for _, n := range []int{260, 5_000} {
 		a, rccs := bigAvailFixture(b, n)
-		eng, err := statusq.NewEngine(a, rccs, index.KindAVL)
+		eng, err := statusq.NewEngine(a, rccs)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -172,8 +172,11 @@ func trainPipeline(c *commonFlags, tensor *features.Tensor, sp split.Splits) *co
 		}
 		defer f.Close()
 		p, err := core.Load(f)
+		if err == nil {
+			err = p.CheckFeatureNames(tensor.Slices[0].Names)
+		}
 		if err != nil {
-			log.Fatal(err)
+			log.Fatalf("%s: %v", c.loadPath, err)
 		}
 		return p
 	}
@@ -446,7 +449,7 @@ func runServe(args []string) {
 	// default): that is where the per-shard health ladder, circuit
 	// breaker, and /readyz rows live, and server.New wires it as the
 	// Ingester too.
-	catalog, info, err := statusq.OpenSharded(*walDir, *shards, avails, rccs, index.KindAVL, statusq.DurableOptions{
+	catalog, info, err := statusq.OpenSharded(*walDir, *shards, avails, rccs, statusq.DurableOptions{
 		WAL:          wal.Options{Policy: policy},
 		CompactEvery: *walCompactEvery,
 		DedupCap:     *dedupCap,
@@ -656,7 +659,7 @@ func runDrift(args []string) {
 		var X [][]float64
 		for i := range avails {
 			a := &avails[i]
-			eng, err := statusq.NewEngine(a, byAvail[a.ID], index.KindAVL)
+			eng, err := statusq.NewEngine(a, byAvail[a.ID])
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -102,7 +102,7 @@ func main() {
 		if a.Status != domain.StatusOngoing {
 			continue
 		}
-		eng, err := statusq.NewEngine(a, ds.RCCsByAvail()[a.ID], index.KindAVL)
+		eng, err := statusq.NewEngine(a, ds.RCCsByAvail()[a.ID])
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func serveConformalBands(ds *navsim.Dataset, ext *features.Extractor, tensor *fe
 		return err
 	}
 	defer os.RemoveAll(walDir)
-	catalog, _, err := statusq.OpenSharded(walDir, 1, ds.Avails, ds.RCCs, index.KindAVL, statusq.DurableOptions{})
+	catalog, _, err := statusq.OpenSharded(walDir, 1, ds.Avails, ds.RCCs, statusq.DurableOptions{})
 	if err != nil {
 		return err
 	}

@@ -155,6 +155,24 @@ func Load(r io.Reader) (*Pipeline, error) {
 	return p, nil
 }
 
+// CheckFeatureNames reports an error unless the pipeline was trained on
+// exactly names, in order: the full vector a feature extractor gives it
+// (features.Extractor.Names). Load checks a pipeline against its own
+// names list only, so whoever pairs a loaded pipeline with an extractor
+// checks here; a wider list passes Load and then indexes past the served
+// vector on the first prediction.
+func (p *Pipeline) CheckFeatureNames(names []string) error {
+	if len(p.names) != len(names) {
+		return fmt.Errorf("core: pipeline reads %d features, the extractor gives %d", len(p.names), len(names))
+	}
+	for i := range names {
+		if p.names[i] != names[i] {
+			return fmt.Errorf("core: pipeline feature %d is %q, the extractor's is %q", i, p.names[i], names[i])
+		}
+	}
+	return nil
+}
+
 // checkShapes rejects a pipeline whose slots would index out of range on
 // the first prediction or explanation: every column must name a feature,
 // and each slot's model and training statistics must be as wide as its

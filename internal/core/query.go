@@ -16,13 +16,17 @@ import (
 type QueryService struct {
 	pipeline *Pipeline
 	ext      *features.Extractor
-	kind     index.Kind
 }
 
 // NewQueryService wires a trained pipeline to the feature extractor it was
-// trained with. kind selects the Status Query index backend.
+// trained with.
+//
+// kind is ignored: queries read the §4.3 sweep, not a time index. The
+// parameter stays only because the domdbench tracer links this signature;
+// the benchmark change that moves the tracer off it (ROADMAP item 2) drops
+// it.
 func NewQueryService(p *Pipeline, ext *features.Extractor, kind index.Kind) *QueryService {
-	return &QueryService{pipeline: p, ext: ext, kind: kind}
+	return &QueryService{pipeline: p, ext: ext}
 }
 
 // Estimate is one point of the DoMD trajectory.
@@ -73,7 +77,7 @@ func (s *QueryService) Query(a *domain.Avail, rccs []domain.RCC, at domain.Day) 
 	if ts < 0 {
 		return nil, fmt.Errorf("core: avail %d has not started at %v (t* = %.1f%%)", a.ID, at, ts)
 	}
-	eng, err := statusq.NewEngine(a, rccs, s.kind)
+	eng, err := statusq.NewEngine(a, rccs)
 	if err != nil {
 		return nil, err
 	}
@@ -83,8 +87,7 @@ func (s *QueryService) Query(a *domain.Avail, rccs []domain.RCC, at domain.Day) 
 // QueryEngine answers a DoMD query against a prebuilt Status Query engine:
 // QueryRow over a fresh row of the engine's feature vectors, released
 // before it returns. The engine is read-only here, so one engine may be
-// shared by any number of concurrent QueryEngine calls (see the
-// index.TimeIndex concurrency contract).
+// shared by any number of concurrent QueryEngine calls.
 func (s *QueryService) QueryEngine(eng *statusq.Engine, at domain.Day) (*Result, error) {
 	row := s.ext.NewRow(eng)
 	defer row.Release()

@@ -142,7 +142,7 @@ func TestQueryEngineMatchesQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := statusq.NewEngine(a, rccs, index.KindAVL)
+	eng, err := statusq.NewEngine(a, rccs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,16 @@ type Day int
 var Epoch = time.Date(2000, time.January, 1, 0, 0, 0, 0, time.UTC)
 
 // FromTime converts a wall-clock time to a Day, truncating to UTC midnight.
+// It counts whole seconds, not a time.Duration, which saturates about 292
+// years from the epoch.
 func FromTime(t time.Time) Day {
-	return Day(t.UTC().Truncate(24*time.Hour).Sub(Epoch) / (24 * time.Hour))
+	const secsPerDay = 24 * 60 * 60
+	secs := t.Unix() - Epoch.Unix()
+	days := secs / secsPerDay
+	if secs%secsPerDay < 0 {
+		days-- // floor: a time before the epoch belongs to the earlier day
+	}
+	return Day(days)
 }
 
 // Time converts a Day back to a UTC midnight time.Time.

@@ -27,6 +27,27 @@ func TestParseDayRejectsGarbage(t *testing.T) {
 	}
 }
 
+// FuzzParseDay checks every string ParseDay accepts: Day.String renders it
+// back unchanged, and parsing that rendering gives the same Day.
+func FuzzParseDay(f *testing.F) {
+	for _, s := range []string{"2000-01-01", "2024-02-29", "2023-02-29", "1999-12-31", "0000-01-01", "9999-12-31", "2020-1-01", "20200101", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		d, err := ParseDay(s)
+		if err != nil {
+			return
+		}
+		if got := d.String(); got != s {
+			t.Fatalf("ParseDay(%q) = %d renders as %q", s, int(d), got)
+		}
+		back, err := ParseDay(d.String())
+		if err != nil || back != d {
+			t.Fatalf("ParseDay(%q) = %d re-parses to %d (%v)", s, int(d), int(back), err)
+		}
+	})
+}
+
 func TestFromTimeTruncates(t *testing.T) {
 	noon := time.Date(2020, 3, 4, 12, 30, 0, 0, time.UTC)
 	midnight := time.Date(2020, 3, 4, 0, 0, 0, 0, time.UTC)

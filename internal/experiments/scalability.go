@@ -165,13 +165,13 @@ func RunTensorScalability(base *navsim.Dataset, factors []int, gridStep float64,
 		m.NumAvails = tRef.NumAvails()
 
 		start = time.Now()
-		if _, err := features.BuildTensorOpt(ext, scaled.Avails, byAvail, gridStep, index.KindAVL, features.TensorOptions{Workers: 1}); err != nil {
+		if _, err := features.BuildTensorOpt(ext, scaled.Avails, byAvail, gridStep, features.TensorOptions{Workers: 1}); err != nil {
 			return nil, err
 		}
 		m.SweepSerial = time.Since(start)
 
 		start = time.Now()
-		if _, err := features.BuildTensorOpt(ext, scaled.Avails, byAvail, gridStep, index.KindAVL, features.TensorOptions{Workers: workers}); err != nil {
+		if _, err := features.BuildTensorOpt(ext, scaled.Avails, byAvail, gridStep, features.TensorOptions{Workers: workers}); err != nil {
 			return nil, err
 		}
 		m.SweepParallel = time.Since(start)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"domd/internal/domain"
-	"domd/internal/index"
 	"domd/internal/statusq"
 	"domd/internal/swlin"
 )
@@ -34,11 +33,11 @@ func TestNoFutureLeakage(t *testing.T) {
 	)
 
 	ext := NewExtractor()
-	engEarly, err := statusq.NewEngine(a, early, index.KindAVL)
+	engEarly, err := statusq.NewEngine(a, early)
 	if err != nil {
 		t.Fatal(err)
 	}
-	engFuture, err := statusq.NewEngine(a, future, index.KindAVL)
+	engFuture, err := statusq.NewEngine(a, future)
 	if err != nil {
 		t.Fatal(err)
 	}

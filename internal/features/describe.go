@@ -87,21 +87,6 @@ var staticDescriptions = map[string]string{
 	"HOMEPORT_DIST":    "distance from homeport to the maintenance center (nmi)",
 }
 
-// EvalFeature evaluates a single named generated feature at logical time ts
-// — the ad-hoc inspection path for SMEs drilling into one driver without
-// materializing the full vector.
-func EvalFeature(eng *statusq.Engine, name string, ts float64) (float64, error) {
-	spec, err := ParseName(name)
-	if err != nil {
-		return 0, err
-	}
-	q := statusq.Query{Type: spec.Type, Status: spec.Status, Agg: spec.Agg}
-	if spec.Subsystem >= 0 {
-		q.SWLINPrefix = []int{spec.Subsystem}
-	}
-	return eng.Eval(ts, q)
-}
-
 // ParseName inverts Spec.Name: "G4-SETTLED_AVG_SETTLED_AMT" → its Spec.
 func ParseName(name string) (Spec, error) {
 	dash := strings.IndexByte(name, '-')

@@ -190,15 +190,15 @@ func (e *Extractor) DynamicVectorInto(dst []float64, sw *statusq.CellSweep, ts f
 }
 
 // DynamicVectorScratch evaluates every generated feature at ts into dst
-// using the engine's from-scratch dense grid fill. This is the
+// using the index engine's from-scratch dense grid fill. This is the
 // non-incremental reference path: each call pays the full index retrieval
 // and sort, but any timestamp can be queried in any order.
-func (e *Extractor) DynamicVectorScratch(dst []float64, eng *statusq.Engine, ts float64) error {
+func (e *Extractor) DynamicVectorScratch(dst []float64, ix *statusq.Indexed, ts float64) error {
 	if len(dst) != len(e.specs) {
 		return fmt.Errorf("features: dst len %d, want %d", len(dst), len(e.specs))
 	}
 	var gs statusq.GridSet
-	if err := eng.CellGridsAt(ts, &gs); err != nil {
+	if err := ix.CellGridsAt(ts, &gs); err != nil {
 		return err
 	}
 	e.evalGrids(dst, &gs, ts)
@@ -207,19 +207,25 @@ func (e *Extractor) DynamicVectorScratch(dst []float64, eng *statusq.Engine, ts 
 
 // DynamicVector evaluates every generated feature at ts from scratch,
 // allocating the output slice. It is the single-point scratch reference:
-// a grid of points is read through a Row (serving) or BuildTensorOpt
-// (training), which sweep instead.
+// it indexes a snapshot of the engine's RCCs (statusq.Indexed) and never
+// reads a sweep, so the swept paths — a Row (serving) and BuildTensorOpt
+// (training) — are tested against an independent computation.
 func (e *Extractor) DynamicVector(eng *statusq.Engine, ts float64) ([]float64, error) {
+	ix, err := statusq.NewIndexed(eng.Avail(), eng.RCCs(), index.KindAVL)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]float64, len(e.specs))
-	if err := e.DynamicVectorScratch(out, eng, ts); err != nil {
+	if err := e.DynamicVectorScratch(out, ix, ts); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
 // Vector concatenates static and dynamic features for one avail at ts,
-// from scratch. It is the single-point scratch reference the swept paths
-// are tested against bit for bit; grids of points use a Row.
+// from scratch (see DynamicVector). It is the single-point scratch
+// reference the swept paths are tested against bit for bit; grids of
+// points use a Row.
 func (e *Extractor) Vector(eng *statusq.Engine, ts float64) ([]float64, error) {
 	dyn, err := e.DynamicVector(eng, ts)
 	if err != nil {
@@ -391,24 +397,23 @@ func TimestampGrid(x float64) []float64 {
 // spacing x percent (the "model gap interval" of Problem 1). Only closed
 // avails are included, since training needs the delay label. It is the
 // default-options form of BuildTensorOpt.
+//
+// kind is ignored: the build runs on the event sweep and materializes no
+// time index. The parameter stays only because the domdbench tracer links
+// this signature; the benchmark change that moves the tracer off it
+// (ROADMAP item 2) drops it.
 func BuildTensor(ext *Extractor, avails []domain.Avail, rccsByAvail map[int][]domain.RCC, x float64, kind index.Kind) (*Tensor, error) {
-	return BuildTensorOpt(ext, avails, rccsByAvail, x, kind, TensorOptions{})
+	return BuildTensorOpt(ext, avails, rccsByAvail, x, TensorOptions{})
 }
 
 // BuildTensorOpt extracts the tensor with explicit options. Avails fan out
 // over a bounded worker pool; each worker owns one incremental
 // statusq.CellSweep per avail and visits the timestamp grid in ascending
 // order, so every timestamp after the first costs only the events inside
-// its window (§4.3). kind names the time-index design ad-hoc Status Queries
-// would use and is validated here for interface compatibility; the grid
-// build itself runs entirely on the event sweep and materializes no
-// per-avail index.
-func BuildTensorOpt(ext *Extractor, avails []domain.Avail, rccsByAvail map[int][]domain.RCC, x float64, kind index.Kind, opts TensorOptions) (*Tensor, error) {
+// its window (§4.3).
+func BuildTensorOpt(ext *Extractor, avails []domain.Avail, rccsByAvail map[int][]domain.RCC, x float64, opts TensorOptions) (*Tensor, error) {
 	if x <= 0 || x > 100 {
 		return nil, fmt.Errorf("features: gap interval %f outside (0,100]", x)
-	}
-	if _, err := index.New(kind); err != nil {
-		return nil, err
 	}
 	ts := TimestampGrid(x)
 
@@ -521,8 +526,9 @@ func BuildTensorOpt(ext *Extractor, avails []domain.Avail, rccsByAvail map[int][
 	return t, nil
 }
 
-// BuildTensorScratch is the pre-sweep reference build: one engine per
-// avail, every timestamp recomputed from scratch via the index, serially.
+// BuildTensorScratch is the pre-sweep reference build: one index engine
+// (statusq.Indexed, of the given kind) per avail, every timestamp
+// recomputed from scratch via the index, serially.
 // It is retained for differential verification (its output is
 // bitwise-identical to BuildTensorOpt at any worker count) and for the
 // scalability study quantifying what the incremental sweep saves.
@@ -545,7 +551,7 @@ func BuildTensorScratch(ext *Extractor, avails []domain.Avail, rccsByAvail map[i
 		if err != nil {
 			return nil, err
 		}
-		eng, err := statusq.NewEngine(a, rccsByAvail[a.ID], kind)
+		ix, err := statusq.NewIndexed(a, rccsByAvail[a.ID], kind)
 		if err != nil {
 			return nil, fmt.Errorf("features: avail %d: %w", a.ID, err)
 		}
@@ -554,7 +560,7 @@ func BuildTensorScratch(ext *Extractor, avails []domain.Avail, rccsByAvail map[i
 		for k, tstar := range ts {
 			vec := make([]float64, NumStatic+ext.NumDynamic())
 			copy(vec, static)
-			if err := ext.DynamicVectorScratch(vec[NumStatic:], eng, tstar); err != nil {
+			if err := ext.DynamicVectorScratch(vec[NumStatic:], ix, tstar); err != nil {
 				return nil, fmt.Errorf("features: avail %d @%g: %w", a.ID, tstar, err)
 			}
 			t.Slices[k].X = append(t.Slices[k].X, vec)

@@ -81,7 +81,7 @@ func fixture(t *testing.T) *statusq.Engine {
 		{ID: 103, AvailID: 1, Type: domain.NewWork, SWLIN: mk("911-90-001"), Created: 30, Settled: 60, Amount: 400},
 		{ID: 104, AvailID: 1, Type: domain.NewGrowth, SWLIN: mk("434-33-001"), Created: 0, Settled: 10, Amount: 800},
 	}
-	eng, err := statusq.NewEngine(a, rccs, index.KindAVL)
+	eng, err := statusq.NewEngine(a, rccs)
 	if err != nil {
 		t.Fatal(err)
 	}

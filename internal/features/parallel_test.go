@@ -70,11 +70,11 @@ func TestBuildTensorDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := BuildTensorOpt(ext, ds.Avails, ds.RCCsByAvail(), gap, index.KindAVL, TensorOptions{Workers: 1})
+		serial, err := BuildTensorOpt(ext, ds.Avails, ds.RCCsByAvail(), gap, TensorOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := BuildTensorOpt(ext, ds.Avails, ds.RCCsByAvail(), gap, index.KindAVL, TensorOptions{Workers: 8})
+		parallel, err := BuildTensorOpt(ext, ds.Avails, ds.RCCsByAvail(), gap, TensorOptions{Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +93,7 @@ func TestBuildTensorParallelDisjointRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	ext := NewExtractor()
-	tensor, err := BuildTensorOpt(ext, ds.Avails, ds.RCCsByAvail(), 10, index.KindAVL, TensorOptions{Workers: 32})
+	tensor, err := BuildTensorOpt(ext, ds.Avails, ds.RCCsByAvail(), 10, TensorOptions{Workers: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDynamicVectorIntoMatchesScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := statusq.NewEngine(a, byAvail[a.ID], index.KindAVL)
+	ix, err := statusq.NewIndexed(a, byAvail[a.ID], index.KindAVL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestDynamicVectorIntoMatchesScratch(t *testing.T) {
 		if err := ext.DynamicVectorInto(got, sw, ts); err != nil {
 			t.Fatal(err)
 		}
-		if err := ext.DynamicVectorScratch(want, eng, ts); err != nil {
+		if err := ext.DynamicVectorScratch(want, ix, ts); err != nil {
 			t.Fatal(err)
 		}
 		for i := range got {
@@ -149,7 +149,7 @@ func TestDynamicVectorIntoMatchesScratch(t *testing.T) {
 	if err := ext.DynamicVectorInto(got, sw, 10); err == nil {
 		t.Error("backwards sweep timestamp: want error")
 	}
-	if err := ext.DynamicVectorScratch(want, eng, 10); err != nil {
+	if err := ext.DynamicVectorScratch(want, ix, 10); err != nil {
 		t.Errorf("scratch path must accept arbitrary timestamp order: %v", err)
 	}
 	if err := ext.DynamicVectorInto(got[:5], sw, 100); err == nil {
@@ -170,14 +170,14 @@ func TestBuildTensorScratchRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestBuildTensorUnknownKind: the index kind is still validated even though
-// the sweep path materializes no per-avail index.
-func TestBuildTensorUnknownKind(t *testing.T) {
+// TestBuildTensorScratchUnknownKind: the reference build indexes every
+// avail with the chosen design, so an unknown design is an error.
+func TestBuildTensorScratchUnknownKind(t *testing.T) {
 	ds, err := navsim.Generate(navsim.Config{NumClosed: 4, NumOngoing: 0, MeanRCCsPerAvail: 10, Seed: 14})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildTensor(NewExtractor(), ds.Avails, ds.RCCsByAvail(), 20, index.Kind("bogus")); err == nil {
+	if _, err := BuildTensorScratch(NewExtractor(), ds.Avails, ds.RCCsByAvail(), 20, index.Kind("bogus")); err == nil {
 		t.Error("unknown index kind: want error")
 	}
 }

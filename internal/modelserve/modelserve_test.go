@@ -95,7 +95,7 @@ func trainTestVersion(t *testing.T, seed int64, name string) *TrainedVersion {
 // engineFor builds a throwaway Status Query engine for one avail.
 func engineFor(t *testing.T, fx *fixture, a *domain.Avail) *statusq.Engine {
 	t.Helper()
-	eng, err := statusq.NewEngine(a, fx.ds.RCCsByAvail()[a.ID], index.KindAVL)
+	eng, err := statusq.NewEngine(a, fx.ds.RCCsByAvail()[a.ID])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestPredictBeforeFirstWindowReadsNoLaterHistory(t *testing.T) {
 				known = append(known, r)
 			}
 		}
-		eng, err := statusq.NewEngine(a, known, index.KindAVL)
+		eng, err := statusq.NewEngine(a, known)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,57 +381,11 @@ func TestMisshapenPipelineKeepsOldVersionServing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	man, err := ReadManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mv, ok := man.Version("v002")
-	if !ok {
-		t.Fatal("v002 not in manifest")
-	}
-	art := &mv.Artifacts[0]
-	path := filepath.Join(dir, filepath.FromSlash(art.File))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Edit slots[0].cols[0] to 1e6, leaving every other byte of the
 	// pipeline as saved.
-	var aj artifactJSON
-	var pipe map[string]json.RawMessage
-	var slots []map[string]json.RawMessage
-	var cols []int
-	if err := json.Unmarshal(data, &aj); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(aj.Pipeline, &pipe); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(pipe["slots"], &slots); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(slots[0]["cols"], &cols); err != nil {
-		t.Fatal(err)
-	}
-	cols[0] = 1e6
-	remarshal := func(v any) json.RawMessage {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
-	}
-	slots[0]["cols"] = remarshal(cols)
-	pipe["slots"] = remarshal(slots)
-	aj.Pipeline = remarshal(pipe)
-	data = remarshal(aj)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	art.SHA256 = digest(data)
-	if err := man.Write(dir); err != nil {
-		t.Fatal(err)
-	}
+	editPipeline(t, dir, "v002", func(pipe map[string]json.RawMessage) {
+		editSlotCol(t, pipe, 1e6)
+	})
 
 	if _, err := reg.Reload(); err == nil || !strings.Contains(err.Error(), "outside") {
 		t.Fatalf("reload of a misshapen pipeline: err = %v", err)
@@ -442,6 +396,113 @@ func TestMisshapenPipelineKeepsOldVersionServing(t *testing.T) {
 	a := ongoingAvail(t, fx)
 	if _, err := reg.Predict(engineFor(t, fx, a), a.PhysicalTime(60), 0); err != nil {
 		t.Fatalf("predict after failed reload: %v", err)
+	}
+}
+
+// editPipeline rewrites the pipeline of version's first window artifact in
+// dir through edit, which sees the pipeline's JSON fields, and re-digests
+// the artifact in the manifest so only the edit can make a load fail.
+func editPipeline(t *testing.T, dir, version string, edit func(pipe map[string]json.RawMessage)) {
+	t.Helper()
+	man, err := ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv, ok := man.Version(version)
+	if !ok {
+		t.Fatalf("%s not in manifest", version)
+	}
+	art := &mv.Artifacts[0]
+	path := filepath.Join(dir, filepath.FromSlash(art.File))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var aj artifactJSON
+	var pipe map[string]json.RawMessage
+	if err := json.Unmarshal(data, &aj); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(aj.Pipeline, &pipe); err != nil {
+		t.Fatal(err)
+	}
+	edit(pipe)
+	aj.Pipeline = remarshal(t, pipe)
+	data = remarshal(t, aj)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	art.SHA256 = digest(data)
+	if err := man.Write(dir); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// editSlotCol sets the pipeline's slots[0].cols[0] to col.
+func editSlotCol(t *testing.T, pipe map[string]json.RawMessage, col int) {
+	t.Helper()
+	var slots []map[string]json.RawMessage
+	var cols []int
+	if err := json.Unmarshal(pipe["slots"], &slots); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(slots[0]["cols"], &cols); err != nil {
+		t.Fatal(err)
+	}
+	cols[0] = col
+	slots[0]["cols"] = remarshal(t, cols)
+	pipe["slots"] = remarshal(t, slots)
+}
+
+func remarshal(t *testing.T, v any) json.RawMessage {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestWiderFeatureNamesRejectedAtLoad: a window pipeline whose names list
+// is wider than the vector the extractor gives, with a slot column past
+// that vector but inside its own list, passes core.Load's shape check.
+// The registry refuses it at load (before, the first prediction panicked
+// "index out of range [1462] with length 1460"), and v001 keeps serving.
+func TestWiderFeatureNamesRejectedAtLoad(t *testing.T) {
+	fx := mustFixture(t)
+	dir := t.TempDir()
+	if _, err := trainTestVersion(t, 1, "v001").WriteTo(dir, true); err != nil {
+		t.Fatal(err)
+	}
+	reg, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := trainTestVersion(t, 2, "v002").WriteTo(dir, true); err != nil {
+		t.Fatal(err)
+	}
+	width := len(features.NewExtractor().Names())
+	editPipeline(t, dir, "v002", func(pipe map[string]json.RawMessage) {
+		var names []string
+		if err := json.Unmarshal(pipe["names"], &names); err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, "EXTRA_0", "EXTRA_1", "EXTRA_2", "EXTRA_3")
+		pipe["names"] = remarshal(t, names)
+		editSlotCol(t, pipe, width+2)
+	})
+	if _, err := reg.Reload(); err == nil || !strings.Contains(err.Error(), "features") {
+		t.Fatalf("reload of a pipeline wider than the extractor: err = %v", err)
+	}
+	if got := reg.ActiveVersion(); got != "v001" {
+		t.Fatalf("active after failed reload = %q, want v001 still serving", got)
+	}
+	a := ongoingAvail(t, fx)
+	if _, err := reg.Predict(engineFor(t, fx, a), a.PhysicalTime(60), 0); err != nil {
+		t.Fatalf("predict after failed reload: %v", err)
+	}
+	if _, err := Open(dir); err == nil {
+		t.Fatal("open with the wide version active: want error")
 	}
 }
 

@@ -176,7 +176,8 @@ func (r *Registry) buildSnapshot() (*snapshot, error) {
 }
 
 // loadVersion loads and digest-verifies every window artifact of one
-// manifest version.
+// manifest version, and checks each window's pipeline reads the vector
+// the registry's extractor gives it.
 func (r *Registry) loadVersion(mv *ManifestVersion) (*loadedVersion, error) {
 	if len(mv.Artifacts) == 0 {
 		return nil, fmt.Errorf("modelserve: version %q has no window artifacts", mv.Version)
@@ -195,6 +196,9 @@ func (r *Registry) loadVersion(mv *ManifestVersion) (*loadedVersion, error) {
 				mv.Version, art.File, art.SHA256, got)
 		}
 		w, pipe, conf, err := decodeArtifact(data)
+		if err == nil {
+			err = pipe.CheckFeatureNames(r.ext.Names())
+		}
 		if err != nil {
 			return nil, fmt.Errorf("modelserve: version %q: %s: %w", mv.Version, art.File, err)
 		}

@@ -96,7 +96,7 @@ func newShardedPredictServer(t *testing.T) (*httptest.Server, *navsim.Dataset, *
 		t.Fatal(err)
 	}
 	pipe, ext := trainTestPipeline()
-	sc, _, err := statusq.OpenSharded(t.TempDir(), 4, ds.Avails, ds.RCCs, index.KindAVL,
+	sc, _, err := statusq.OpenSharded(t.TempDir(), 4, ds.Avails, ds.RCCs,
 		statusq.DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 
 	"domd/internal/domain"
 	"domd/internal/faultinject"
-	"domd/internal/index"
 	"domd/internal/navsim"
 	"domd/internal/statusq"
 	"domd/internal/wal"
@@ -27,7 +26,7 @@ func newReplShardedServer(t *testing.T, root string) (*httptest.Server, *navsim.
 		t.Fatal(err)
 	}
 	pipe, ext := trainTestPipeline()
-	sc, _, err := statusq.OpenSharded(root, 2, ds.Avails, ds.RCCs, index.KindAVL,
+	sc, _, err := statusq.OpenSharded(root, 2, ds.Avails, ds.RCCs,
 		statusq.DurableOptions{Replicas: 2, WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		t.Fatal(err)

@@ -217,10 +217,14 @@ type Server struct {
 }
 
 // New wires a trained pipeline and an avail catalog into an http.Handler.
-// Queries hit the catalog's engine cache, whose engines answer the Status
-// Queries; the query service itself never builds an engine, so its index
-// kind is only a label.
+// Queries hit the catalog's engine cache; the query service itself never
+// builds an engine. New panics when p was not trained on ext's features:
+// callers that load a pipeline check it first with
+// core.Pipeline.CheckFeatureNames, so a mismatch here is a wiring bug.
 func New(p *core.Pipeline, ext *features.Extractor, catalog Catalog, opts Options) *Server {
+	if err := p.CheckFeatureNames(ext.Names()); err != nil {
+		panic(fmt.Sprintf("server: %v", err))
+	}
 	par := opts.FleetParallelism
 	if par <= 0 {
 		par = DefaultFleetParallelism

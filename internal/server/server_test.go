@@ -60,7 +60,7 @@ var trainTestPipeline = sync.OnceValues(func() (*core.Pipeline, *features.Extrac
 // that never fsyncs.
 func openTier(t testing.TB, avails []domain.Avail, rccs []domain.RCC) *statusq.ShardedCatalog {
 	t.Helper()
-	sc, _, err := statusq.OpenSharded(t.TempDir(), 1, avails, rccs, index.KindAVL,
+	sc, _, err := statusq.OpenSharded(t.TempDir(), 1, avails, rccs,
 		statusq.DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,6 @@ import (
 
 	"domd/internal/domain"
 	"domd/internal/faultinject"
-	"domd/internal/index"
 	"domd/internal/navsim"
 	"domd/internal/statusq"
 	"domd/internal/wal"
@@ -28,7 +27,7 @@ func newShardedServer(t *testing.T, root string) (*httptest.Server, *navsim.Data
 		t.Fatal(err)
 	}
 	pipe, ext := trainTestPipeline()
-	sc, _, err := statusq.OpenSharded(root, 4, ds.Avails, ds.RCCs, index.KindAVL,
+	sc, _, err := statusq.OpenSharded(root, 4, ds.Avails, ds.RCCs,
 		statusq.DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +237,7 @@ func TestChaosShardedKillMidIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	pipe, ext := trainTestPipeline()
-	sc2, info, err := statusq.OpenSharded(root, 4, ds.Avails, ds.RCCs, index.KindAVL,
+	sc2, info, err := statusq.OpenSharded(root, 4, ds.Avails, ds.RCCs,
 		statusq.DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		t.Fatal(err)

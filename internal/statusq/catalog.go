@@ -9,7 +9,6 @@ import (
 
 	"domd/internal/domain"
 	"domd/internal/faultinject"
-	"domd/internal/index"
 	"domd/internal/obs"
 )
 
@@ -53,7 +52,6 @@ const FailDeltaApply = "statusq.engine.deltaapply"
 // keeps answering from that engine, flagged stale, instead of erroring —
 // and the failed slot is dropped so the next call retries the build.
 type Catalog struct {
-	kind   index.Kind
 	avails map[int]*domain.Avail // immutable after NewCatalog
 
 	mu       sync.RWMutex // guards rccs, engines, and lastGood
@@ -98,7 +96,7 @@ func (s *engineSlot) build(c *Catalog) {
 			mEngineBuildFailures.Inc()
 			return
 		}
-		s.eng, s.err = NewEngine(s.avail, s.rccs, c.kind)
+		s.eng, s.err = NewEngine(s.avail, s.rccs)
 		mEngineBuildSeconds.ObserveSince(sw)
 		if s.err != nil {
 			mEngineBuildFailures.Inc()
@@ -108,12 +106,8 @@ func (s *engineSlot) build(c *Catalog) {
 
 // NewCatalog indexes the avails table. RCCs referencing unknown avails are
 // rejected (referential integrity, as the NMD enforces).
-func NewCatalog(avails []domain.Avail, rccs []domain.RCC, kind index.Kind) (*Catalog, error) {
-	if _, err := index.New(kind); err != nil {
-		return nil, err
-	}
+func NewCatalog(avails []domain.Avail, rccs []domain.RCC) (*Catalog, error) {
 	c := &Catalog{
-		kind:     kind,
 		avails:   make(map[int]*domain.Avail, len(avails)),
 		rccs:     make(map[int][]domain.RCC),
 		engines:  make(map[int]*engineSlot),
@@ -270,15 +264,6 @@ func (c *Catalog) EngineAsOf(id int) (eng *Engine, asOf int64, stale bool, err e
 // aggregates across catalogs and is what GET /metrics serves); this
 // method remains the per-catalog view.
 func (c *Catalog) EngineBuilds() int64 { return c.builds.Load() }
-
-// Eval answers a Status Query for one avail at logical time ts.
-func (c *Catalog) Eval(id int, ts float64, q Query) (float64, error) {
-	e, err := c.Engine(id)
-	if err != nil {
-		return 0, err
-	}
-	return e.Eval(ts, q)
-}
 
 // DeltaApplies reports how many ingested RCCs this catalog folded into a
 // live engine in O(delta); DeltaFallbacks counts the ingests that

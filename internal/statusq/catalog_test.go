@@ -18,7 +18,7 @@ func catalogFixture(t *testing.T) (*Catalog, *navsim.Dataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
+	c, err := NewCatalog(ds.Avails, ds.RCCs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,31 +63,48 @@ func TestCatalogEngineCachedAndCorrect(t *testing.T) {
 	if e1 != e2 {
 		t.Error("engine should be cached")
 	}
-	// Eval through the catalog equals direct engine eval.
+	// The cached engine's RCCs answer as the catalog's history does.
 	q := Query{Status: domain.Created, Agg: Count}
-	got, err := c.Eval(id, 50, q)
+	got, err := evalVia(c.Engine, id, 50, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e1.Eval(50, q)
+	a, _ := c.Avail(id)
+	ix, err := NewIndexed(a, c.RCCs(id), index.KindAVL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ix.Eval(50, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Errorf("catalog eval %f != engine eval %f", got, want)
+		t.Errorf("engine eval %f != history eval %f", got, want)
 	}
 	if _, err := c.Engine(99999); err == nil {
 		t.Error("engine for unknown avail: want error")
 	}
-	if _, err := c.Eval(99999, 10, q); err == nil {
-		t.Error("eval for unknown avail: want error")
+}
+
+// evalVia answers one Status Query over the serving engine engine(id)
+// returns: it indexes the engine's RCC snapshot and evaluates there, so an
+// unknown avail fails in the lookup.
+func evalVia(engine func(int) (*Engine, error), id int, ts float64, q Query) (float64, error) {
+	e, err := engine(id)
+	if err != nil {
+		return 0, err
 	}
+	ix, err := NewIndexed(e.Avail(), e.RCCs(), index.KindAVL)
+	if err != nil {
+		return 0, err
+	}
+	return ix.Eval(ts, q)
 }
 
 func TestCatalogAddRCC(t *testing.T) {
 	c, ds := catalogFixture(t)
 	id := ds.Avails[0].ID
-	before, err := c.Eval(id, 100, Query{Status: domain.Created, Agg: Count})
+	before, err := evalVia(c.Engine, id, 100, Query{Status: domain.Created, Agg: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +117,7 @@ func TestCatalogAddRCC(t *testing.T) {
 	if err := c.AddRCC(add); err != nil {
 		t.Fatal(err)
 	}
-	after, err := c.Eval(id, 100, Query{Status: domain.Created, Agg: Count})
+	after, err := evalVia(c.Engine, id, 100, Query{Status: domain.Created, Agg: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,18 +138,15 @@ func TestCatalogValidation(t *testing.T) {
 		{ID: 1, Status: domain.StatusClosed, PlanStart: 0, PlanEnd: 100, ActStart: 0, ActEnd: 100},
 		{ID: 1, Status: domain.StatusClosed, PlanStart: 0, PlanEnd: 100, ActStart: 0, ActEnd: 100},
 	}
-	if _, err := NewCatalog(avails, nil, index.KindAVL); err == nil {
+	if _, err := NewCatalog(avails, nil); err == nil {
 		t.Error("duplicate avail ids: want error")
 	}
 	orphan := []domain.RCC{{ID: 1, AvailID: 42, Created: 0, Settled: 1}}
-	if _, err := NewCatalog(avails[:1], orphan, index.KindAVL); err == nil {
+	if _, err := NewCatalog(avails[:1], orphan); err == nil {
 		t.Error("orphan rcc: want error")
 	}
-	if _, err := NewCatalog(avails[:1], nil, index.Kind("zzz")); err == nil {
-		t.Error("bad index kind: want error")
-	}
 	bad := []domain.Avail{{ID: 1, PlanStart: 10, PlanEnd: 5}}
-	if _, err := NewCatalog(bad, nil, index.KindAVL); err == nil {
+	if _, err := NewCatalog(bad, nil); err == nil {
 		t.Error("invalid avail: want error")
 	}
 }
@@ -169,9 +183,9 @@ func TestCatalogEngineSingleFlight(t *testing.T) {
 	}
 }
 
-// TestCatalogConcurrentMix is the package-level -race gate: Engine, Eval,
-// RCCs, and AddRCC from many goroutines at once. The pre-fix Catalog fails
-// here with a concurrent-map-write panic.
+// TestCatalogConcurrentMix is the package-level -race gate: Engine (and a
+// Status Query over its RCCs), RCCs, and AddRCC from many goroutines at
+// once. The pre-fix Catalog fails here with a concurrent-map-write panic.
 func TestCatalogConcurrentMix(t *testing.T) {
 	c, ds := catalogFixture(t)
 	ids := c.AvailIDs()
@@ -185,7 +199,7 @@ func TestCatalogConcurrentMix(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				id := ids[(w+i)%len(ids)]
-				if _, err := c.Eval(id, float64(10+(i%9)*10), q); err != nil {
+				if _, err := evalVia(c.Engine, id, float64(10+(i%9)*10), q); err != nil {
 					t.Errorf("Eval(%d): %v", id, err)
 					return
 				}
@@ -304,9 +318,6 @@ func TestCatalogUnknownAvailSentinel(t *testing.T) {
 	}
 	if _, err := c.Engine(99999); !errors.Is(err, ErrUnknownAvail) {
 		t.Errorf("Engine unknown avail = %v, want ErrUnknownAvail", err)
-	}
-	if _, err := c.Eval(99999, 10, Query{Status: domain.Created, Agg: Count}); !errors.Is(err, ErrUnknownAvail) {
-		t.Errorf("Eval unknown avail = %v, want ErrUnknownAvail", err)
 	}
 	if _, _, _, err := c.EngineAsOf(99999); !errors.Is(err, ErrUnknownAvail) {
 		t.Errorf("EngineAsOf unknown avail = %v, want ErrUnknownAvail", err)

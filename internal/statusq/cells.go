@@ -2,7 +2,6 @@ package statusq
 
 import (
 	"math"
-	"sort"
 
 	"domd/internal/domain"
 	"domd/internal/swlin"
@@ -55,7 +54,9 @@ func (c CellStats) Merge(o CellStats) CellStats {
 
 // mergeFrom folds o into c in place — the one copy of the merge
 // arithmetic, shared by Merge and the margin fold. An empty c takes o
-// whole; an empty o leaves c as it is.
+// whole; an empty o leaves c as it is. The builtin max and min compile
+// inline; unlike math.Max and math.Min they answer NaN for a NaN beside
+// an infinity too.
 func (c *CellStats) mergeFrom(o *CellStats) {
 	if c.Count == 0 {
 		*c = *o
@@ -67,14 +68,14 @@ func (c *CellStats) mergeFrom(o *CellStats) {
 	c.Count += o.Count
 	c.SumAmount += o.SumAmount
 	c.SumSqAmount += o.SumSqAmount
-	c.MaxAmount = math.Max(c.MaxAmount, o.MaxAmount)
-	c.MinAmount = math.Min(c.MinAmount, o.MinAmount)
+	c.MaxAmount = max(c.MaxAmount, o.MaxAmount)
+	c.MinAmount = min(c.MinAmount, o.MinAmount)
 	c.SumDuration += o.SumDuration
-	c.MaxDuration = math.Max(c.MaxDuration, o.MaxDuration)
+	c.MaxDuration = max(c.MaxDuration, o.MaxDuration)
 }
 
 // Aggregate evaluates one aggregate from the cell. createdTotal (the
-// |Created(t*)| denominator, see Engine.CreatedCount) and ts feed Pct and
+// |Created(t*)| denominator, see Indexed.CreatedCount) and ts feed Pct and
 // Rate respectively. Empty cells evaluate to 0.
 func (c CellStats) Aggregate(agg Aggregate, createdTotal int, ts float64) float64 {
 	if c.Count == 0 {
@@ -166,27 +167,6 @@ type GroupKey struct {
 	Subsystem int // SWLIN first digit
 }
 
-// CellStatsAt computes per-(type × subsystem) cells for one status class at
-// logical time ts in a single pass over the qualifying RCCs.
-func (e *Engine) CellStatsAt(ts float64, status domain.RCCStatus) (map[GroupKey]CellStats, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	v := &e.view
-	set, err := v.statusSet(ts, status)
-	if err != nil {
-		return nil, err
-	}
-	cells := make(map[GroupKey]CellStats)
-	for _, p := range set {
-		r := &v.rccs[p]
-		k := GroupKey{Type: r.Type, Subsystem: swlin.Code(r.SWLIN).Subsystem()}
-		c := cells[k]
-		c.add(r.Amount, float64(r.Duration()))
-		cells[k] = c
-	}
-	return cells, nil
-}
-
 // NumSubsystems is the number of concrete SWLIN subsystem digits (0–9).
 const NumSubsystems = 10
 
@@ -276,49 +256,4 @@ func (gs *GridSet) Reset() { *gs = GridSet{} }
 // cellOf locates the concrete grid cell of an RCC.
 func cellOf(g *CellGrid, r *domain.RCC) *CellStats {
 	return &g[r.Type][swlin.Code(r.SWLIN).Subsystem()]
-}
-
-// sortByDatePos orders positions by an RCC date then position — the
-// canonical accumulation order shared with the event sweep, which applies
-// creation (resp. settlement) events in exactly this order. Sorting here is
-// what the scratch path pays per timestamp and the sweep does not.
-func sortByDatePos(set []int, date func(r *domain.RCC) domain.Day, rccs []domain.RCC) {
-	sort.Slice(set, func(i, j int) bool {
-		di, dj := date(&rccs[set[i]]), date(&rccs[set[j]])
-		if di != dj {
-			return di < dj
-		}
-		return set[i] < set[j]
-	})
-}
-
-// CellGridsAt fills gs with the dense per-(type × subsystem) cells of all
-// three status classes at logical time ts, from scratch. Accumulation
-// follows the canonical event order (date, then position), making the
-// result bitwise-identical to a CellSweep advanced to the same timestamp.
-func (e *Engine) CellGridsAt(ts float64, gs *GridSet) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	v := &e.view
-	gs.Reset()
-	created := func(r *domain.RCC) domain.Day { return r.Created }
-	settled := func(r *domain.RCC) domain.Day { return r.Settled }
-	for st := domain.RCCStatus(0); st < domain.NumRCCStatuses; st++ {
-		set, err := v.statusSet(ts, st)
-		if err != nil {
-			return err
-		}
-		key := created
-		if st == domain.SettledStatus {
-			key = settled
-		}
-		sortByDatePos(set, key, v.rccs)
-		g := gs.Grid(st)
-		for _, p := range set {
-			r := &v.rccs[p]
-			cellOf(g, r).add(r.Amount, float64(r.Duration()))
-		}
-		g.finalizeMargins()
-	}
-	return nil
 }

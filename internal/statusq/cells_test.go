@@ -84,6 +84,31 @@ func TestCellMergeIdentity(t *testing.T) {
 	if got := zero.Merge(c); got != c {
 		t.Error("empty merge must be identity")
 	}
+	// The max/min fold agrees with math.Max and math.Min on the two zeros
+	// and the infinities, bit for bit. Any NaN makes it NaN, which math.Max
+	// and math.Min also answer except beside +Inf (Max) or -Inf (Min).
+	same := func(got, want float64) bool {
+		if math.IsNaN(want) {
+			return math.IsNaN(got)
+		}
+		return math.Float64bits(got) == math.Float64bits(want)
+	}
+	special := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1}
+	for _, x := range special {
+		for _, y := range special {
+			wantMax, wantMin := math.Max(x, y), math.Min(x, y)
+			if math.IsNaN(x) || math.IsNaN(y) {
+				wantMax, wantMin = math.NaN(), math.NaN()
+			}
+			cx := CellStats{Count: 1, MaxAmount: x, MinAmount: x, MaxDuration: x}
+			cy := CellStats{Count: 1, MaxAmount: y, MinAmount: y, MaxDuration: y}
+			m := cx.Merge(cy)
+			if !same(m.MaxAmount, wantMax) || !same(m.MinAmount, wantMin) || !same(m.MaxDuration, wantMax) {
+				t.Errorf("merge(%v, %v): max %v min %v maxdur %v, want %v %v %v",
+					x, y, m.MaxAmount, m.MinAmount, m.MaxDuration, wantMax, wantMin, wantMax)
+			}
+		}
+	}
 }
 
 // TestCellStatsAtMatchesEval cross-checks the batched cell path against the
@@ -104,7 +129,7 @@ func TestCellStatsAtMatchesEval(t *testing.T) {
 			Amount:  rng.Float64() * 1e5,
 		})
 	}
-	e, err := NewEngine(a, rccs, index.KindAVL)
+	e, err := NewIndexed(a, rccs, index.KindAVL)
 	if err != nil {
 		t.Fatal(err)
 	}

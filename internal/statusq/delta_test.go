@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"domd/internal/domain"
@@ -12,11 +13,11 @@ import (
 	"domd/internal/wal"
 )
 
-// The delta differential suite proves the tentpole claim of the
-// incremental ingest path: an engine maintained by ApplyRCC across a
-// randomized ingest stream is bitwise-identical, under every query, to one
-// rebuilt from scratch over the same history — after every prefix of the
-// stream, and across a WAL-replay restore.
+// The delta differential suite proves the claim of the incremental ingest
+// path: an engine maintained by ApplyRCC across a randomized ingest stream
+// is bitwise-identical, in its event orders, its sweeps and every query
+// over its RCCs, to one rebuilt from scratch over the same history — after
+// every prefix of the stream, and across a WAL-replay restore.
 
 // randRCC draws a random RCC for avail a. Creation dates are drawn
 // uniformly, so the stream arrives out of creation order — the regime the
@@ -52,21 +53,57 @@ func randQuery(rng *rand.Rand) Query {
 	return q
 }
 
-// diffEngines asserts that two engines answer a randomized query battery
-// bitwise-identically.
-func diffEngines(t *testing.T, rng *rand.Rand, inc, scratch *Engine, tag string) {
+// diffEngines asserts that the delta-applied engine inc and scratch, a
+// rebuild over the same history, agree bit for bit: on their RCCs and
+// event orders, on the grids of sweeps each hands out, advanced to random
+// ascending logical times, and on a randomized Status Query battery over
+// an index (of design kind) of each engine's RCCs.
+func diffEngines(t *testing.T, rng *rand.Rand, inc, scratch *Engine, kind index.Kind, tag string) {
 	t.Helper()
 	if inc.NumRCCs() != scratch.NumRCCs() {
 		t.Fatalf("%s: NumRCCs %d != %d", tag, inc.NumRCCs(), scratch.NumRCCs())
 	}
+	if !slices.Equal(inc.RCCs(), scratch.RCCs()) {
+		t.Fatalf("%s: RCCs differ", tag)
+	}
+	if !equalInts(inc.creations, scratch.creations) || !equalInts(inc.settlements, scratch.settlements) {
+		t.Fatalf("%s: event orders differ", tag)
+	}
+	var at [4]float64
+	for i := range at {
+		at[i] = rng.Float64() * 120
+	}
+	slices.Sort(at[:])
+	gotSw, wantSw := inc.Sweep(), scratch.Sweep()
+	defer gotSw.Release()
+	defer wantSw.Release()
+	for _, ts := range at {
+		if err := gotSw.AdvanceTo(ts); err != nil {
+			t.Fatalf("%s: incremental sweep: %v", tag, err)
+		}
+		if err := wantSw.AdvanceTo(ts); err != nil {
+			t.Fatalf("%s: scratch sweep: %v", tag, err)
+		}
+		if *gotSw.Grids() != *wantSw.Grids() {
+			t.Fatalf("%s: sweep grids at ts=%g differ", tag, ts)
+		}
+	}
+	incIx, err := NewIndexed(inc.Avail(), inc.RCCs(), kind)
+	if err != nil {
+		t.Fatalf("%s: index incremental RCCs: %v", tag, err)
+	}
+	scratchIx, err := NewIndexed(scratch.Avail(), scratch.RCCs(), kind)
+	if err != nil {
+		t.Fatalf("%s: index scratch RCCs: %v", tag, err)
+	}
 	for i := 0; i < 4; i++ {
 		ts := rng.Float64() * 120
 		q := randQuery(rng)
-		got, err := inc.Eval(ts, q)
+		got, err := incIx.Eval(ts, q)
 		if err != nil {
 			t.Fatalf("%s: incremental Eval: %v", tag, err)
 		}
-		want, err := scratch.Eval(ts, q)
+		want, err := scratchIx.Eval(ts, q)
 		if err != nil {
 			t.Fatalf("%s: scratch Eval: %v", tag, err)
 		}
@@ -78,8 +115,8 @@ func diffEngines(t *testing.T, rng *rand.Rand, inc, scratch *Engine, tag string)
 
 // TestDeltaEngineDifferential streams 1000 randomized ingests into one
 // engine via ApplyRCC and, after every prefix, checks it against a
-// from-scratch NewEngine over the same extended history — for each time
-// index design the catalog can be configured with.
+// from-scratch NewEngine over the same extended history — running the
+// Status Query battery on each time-index design.
 func TestDeltaEngineDifferential(t *testing.T) {
 	n := 1000
 	if testing.Short() {
@@ -96,7 +133,7 @@ func TestDeltaEngineDifferential(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				base = append(base, randRCC(rng, a, i))
 			}
-			inc, err := NewEngine(a, base, kind)
+			inc, err := NewEngine(a, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,11 +144,11 @@ func TestDeltaEngineDifferential(t *testing.T) {
 					t.Fatalf("ApplyRCC #%d: %v", i, err)
 				}
 				history = append(history, r)
-				scratch, err := NewEngine(a, history, kind)
+				scratch, err := NewEngine(a, history)
 				if err != nil {
 					t.Fatal(err)
 				}
-				diffEngines(t, rng, inc, scratch, fmt.Sprintf("prefix %d", i+1))
+				diffEngines(t, rng, inc, scratch, kind, fmt.Sprintf("prefix %d", i+1))
 			}
 		})
 	}
@@ -129,7 +166,7 @@ func TestDeltaEngineEventOrders(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		base = append(base, randRCC(rng, a, i))
 	}
-	inc, err := NewEngine(a, append([]domain.RCC(nil), base...), index.KindAVL)
+	inc, err := NewEngine(a, append([]domain.RCC(nil), base...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,14 +182,14 @@ func TestDeltaEngineEventOrders(t *testing.T) {
 			t.Fatalf("ApplyRCC #%d: %v", i, err)
 		}
 		history = append(history, r)
-		scratch, err := NewEngine(a, history, index.KindAVL)
+		scratch, err := NewEngine(a, history)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !equalInts(inc.view.creations, scratch.view.creations) {
+		if !equalInts(inc.creations, scratch.creations) {
 			t.Fatalf("prefix %d: creation order diverges from a rebuild", i+1)
 		}
-		if !equalInts(inc.view.settlements, scratch.view.settlements) {
+		if !equalInts(inc.settlements, scratch.settlements) {
 			t.Fatalf("prefix %d: settlement order diverges from a rebuild", i+1)
 		}
 		if rng.Intn(3) == 0 {
@@ -240,11 +277,11 @@ func TestDeltaCatalogWALReplayDifferential(t *testing.T) {
 		if eng != warm {
 			t.Fatalf("ingest #%d: engine was rebuilt, want in-place delta apply", i)
 		}
-		scratch, err := NewEngine(avail, history, index.KindAVL)
+		scratch, err := NewEngine(avail, history)
 		if err != nil {
 			t.Fatal(err)
 		}
-		diffEngines(t, rng, eng, scratch, fmt.Sprintf("prefix %d", i+1))
+		diffEngines(t, rng, eng, scratch, index.KindAVL, fmt.Sprintf("prefix %d", i+1))
 	}
 	if got := dc.Catalog.DeltaApplies(); got != int64(n) {
 		t.Errorf("DeltaApplies = %d, want %d (every ingest on the warm engine)", got, n)
@@ -271,10 +308,10 @@ func TestDeltaCatalogWALReplayDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := NewEngine(avail, history, index.KindAVL)
+	scratch, err := NewEngine(avail, history)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffEngines(t, rng, restored, scratch, "post-replay")
-	diffEngines(t, rng, warm, scratch, "pre-close delta engine vs post-replay history")
+	diffEngines(t, rng, restored, scratch, index.KindAVL, "post-replay")
+	diffEngines(t, rng, warm, scratch, index.KindAVL, "pre-close delta engine vs post-replay history")
 }

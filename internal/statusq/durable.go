@@ -146,8 +146,17 @@ type DurableCatalog struct {
 // creating the log if absent. Replayed duplicates (by idempotency key)
 // and entries orphaned by base-table edits are skipped and counted in
 // RestoreInfo.
+//
+// kind is ignored: serving engines hold no time index. The parameter stays
+// only because the domdbench tracer links this signature; the benchmark
+// change that moves the tracer onto OpenSharded (ROADMAP item 2) drops it.
 func OpenDurable(dir string, avails []domain.Avail, rccs []domain.RCC, kind index.Kind, opts DurableOptions) (*DurableCatalog, *RestoreInfo, error) {
-	cat, err := NewCatalog(avails, rccs, kind)
+	return openDurable(dir, avails, rccs, opts)
+}
+
+// openDurable is OpenDurable without the ignored index kind.
+func openDurable(dir string, avails []domain.Avail, rccs []domain.RCC, opts DurableOptions) (*DurableCatalog, *RestoreInfo, error) {
+	cat, err := NewCatalog(avails, rccs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -317,7 +326,7 @@ func (d *DurableCatalog) LastCompactError() error {
 // Ingest validates, durably logs, and applies one RCC. The contract:
 //
 //   - A nil error means the record is on the WAL (per the fsync policy)
-//     and visible to subsequent Engine/Eval calls — acknowledged.
+//     and visible to subsequent Engine calls — acknowledged.
 //   - dup=true means the idempotency key was already applied; the call
 //     is a no-op acknowledgment of the earlier ingest.
 //   - A non-nil error means the record must NOT be considered ingested;

@@ -44,16 +44,17 @@ func deltaRCC(t *testing.T, c *Catalog, availID, n int) domain.RCC {
 	}
 }
 
-// evalSurface is the query surface evalFingerprint sweeps — satisfied
-// by *Catalog, *DurableCatalog, and *ShardedCatalog alike.
+// evalSurface is the engine lookup evalFingerprint reads — satisfied by
+// *Catalog, *DurableCatalog, and *ShardedCatalog alike.
 type evalSurface interface {
 	AvailIDs() []int
-	Eval(id int, ts float64, q Query) (float64, error)
+	Engine(id int) (*Engine, error)
 }
 
-// evalFingerprint evaluates a grid of Status Queries over every avail and
-// returns the raw float bits, so two catalogs can be compared for
-// bitwise-identical answers.
+// evalFingerprint returns the raw float bits of every avail's serving
+// state at a few logical times, so two catalogs can be compared for
+// bitwise-identical answers: the engine's own sweep grids, and a grid of
+// Status Queries over an index of the engine's RCCs.
 func evalFingerprint(t *testing.T, c evalSurface) []uint64 {
 	t.Helper()
 	var out []uint64
@@ -63,13 +64,43 @@ func evalFingerprint(t *testing.T, c evalSurface) []uint64 {
 		{Status: domain.SettledStatus, Agg: AvgDuration},
 	}
 	for _, id := range c.AvailIDs() {
-		for _, q := range queries {
-			for _, ts := range []float64{10, 50, 90} {
-				v, err := c.Eval(id, ts, q)
+		e, err := c.Engine(id)
+		if err != nil {
+			t.Fatalf("Engine(%d): %v", id, err)
+		}
+		ix, err := NewIndexed(e.Avail(), e.RCCs(), index.KindAVL)
+		if err != nil {
+			t.Fatalf("index avail %d: %v", id, err)
+		}
+		sw := e.Sweep()
+		for _, ts := range []float64{10, 50, 90} {
+			if err := sw.AdvanceTo(ts); err != nil {
+				t.Fatalf("sweep avail %d to %.0f: %v", id, ts, err)
+			}
+			out = appendGridBits(out, sw.Grids())
+			for _, q := range queries {
+				v, err := ix.Eval(ts, q)
 				if err != nil {
 					t.Fatalf("Eval(%d, %.0f): %v", id, ts, err)
 				}
 				out = append(out, math.Float64bits(v))
+			}
+		}
+		sw.Release()
+	}
+	return out
+}
+
+// appendGridBits appends every cell of gs to out as raw bits.
+func appendGridBits(out []uint64, gs *GridSet) []uint64 {
+	for st := range gs {
+		for ti := range gs[st] {
+			for si := range gs[st][ti] {
+				c := &gs[st][ti][si]
+				out = append(out, uint64(c.Count),
+					math.Float64bits(c.SumAmount), math.Float64bits(c.SumSqAmount),
+					math.Float64bits(c.MaxAmount), math.Float64bits(c.MinAmount),
+					math.Float64bits(c.SumDuration), math.Float64bits(c.MaxDuration))
 			}
 		}
 	}
@@ -142,7 +173,7 @@ func TestDurableCrashBetweenAppendAndApply(t *testing.T) {
 	if _, err := d.Ingest("before", deltaRCC(t, d.Catalog, id, 0)); err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := d.Eval(id, 100, Query{Status: domain.Created, Agg: Count})
+	baseline, err := evalVia(d.Engine, id, 100, Query{Status: domain.Created, Agg: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +191,7 @@ func TestDurableCrashBetweenAppendAndApply(t *testing.T) {
 	faultinject.Reset()
 	// The dying process never applied it (and, having not returned, never
 	// acknowledged it either).
-	after, err := d.Eval(id, 100, Query{Status: domain.Created, Agg: Count})
+	after, err := evalVia(d.Engine, id, 100, Query{Status: domain.Created, Agg: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +208,7 @@ func TestDurableCrashBetweenAppendAndApply(t *testing.T) {
 	if info.Restored != 2 {
 		t.Fatalf("restored %d records, want 2 (incl. the crash-window one)", info.Restored)
 	}
-	restored, err := d2.Eval(id, 100, Query{Status: domain.Created, Agg: Count})
+	restored, err := evalVia(d2.Engine, id, 100, Query{Status: domain.Created, Agg: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +312,7 @@ func TestDurableWALFaultNotAcknowledged(t *testing.T) {
 	dir := t.TempDir()
 	d, _, ds := durableFixture(t, dir, DurableOptions{})
 	id := d.AvailIDs()[0]
-	baseline, err := d.Eval(id, 100, Query{Status: domain.Created, Agg: Count})
+	baseline, err := evalVia(d.Engine, id, 100, Query{Status: domain.Created, Agg: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +321,7 @@ func TestDurableWALFaultNotAcknowledged(t *testing.T) {
 	if _, err := d.Ingest("k", deltaRCC(t, d.Catalog, id, 0)); !errors.Is(err, errDisk) {
 		t.Fatalf("ingest under disk fault = %v", err)
 	}
-	after, err := d.Eval(id, 100, Query{Status: domain.Created, Agg: Count})
+	after, err := evalVia(d.Engine, id, 100, Query{Status: domain.Created, Agg: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +402,7 @@ func TestDurableReadyAndClose(t *testing.T) {
 		t.Fatalf("ingest after close = %v", err)
 	}
 	// Queries still serve from memory after Close (drain semantics).
-	if _, err := d.Eval(d.AvailIDs()[0], 50, Query{Status: domain.Created, Agg: Count}); err != nil {
+	if _, err := evalVia(d.Engine, d.AvailIDs()[0], 50, Query{Status: domain.Created, Agg: Count}); err != nil {
 		t.Fatalf("query after close: %v", err)
 	}
 }
@@ -407,7 +438,7 @@ func TestDurableConcurrentIngest(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				if _, err := d.Eval(ids[(w+i)%len(ids)], 50, Query{Status: domain.Created, Agg: Count}); err != nil {
+				if _, err := evalVia(d.Engine, ids[(w+i)%len(ids)], 50, Query{Status: domain.Created, Agg: Count}); err != nil {
 					t.Errorf("eval: %v", err)
 					return
 				}
@@ -481,7 +512,7 @@ func TestDurableLegacyJSONRootReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
+	ref, err := NewCatalog(ds.Avails, ds.RCCs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 // A Status Query (paper Fig. 3): at 30% of planned duration, how many
 // Growth RCCs are active, and what do the settled ones total in dollars?
-func ExampleEngine_Eval() {
+func ExampleIndexed_Eval() {
 	avail := &domain.Avail{
 		ID: 1, Status: domain.StatusClosed,
 		PlanStart: 0, PlanEnd: 100, ActStart: 0, ActEnd: 120,
@@ -20,7 +20,7 @@ func ExampleEngine_Eval() {
 		{ID: 2, AvailID: 1, Type: domain.Growth, SWLIN: 43422001, Created: 20, Settled: 90, Amount: 34520},
 		{ID: 3, AvailID: 1, Type: domain.NewWork, SWLIN: 91190001, Created: 5, Settled: 25, Amount: 56724},
 	}
-	eng, err := statusq.NewEngine(avail, rccs, index.KindAVL)
+	eng, err := statusq.NewIndexed(avail, rccs, index.KindAVL)
 	if err != nil {
 		panic(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"domd/internal/faultinject"
-	"domd/internal/index"
 	"domd/internal/wal"
 )
 
@@ -85,7 +84,7 @@ func TestChaosReplKillPrimaryMidIngest(t *testing.T) {
 	if err := os.RemoveAll(replicaDir(sc, victim, 0)); err != nil {
 		t.Fatal(err)
 	}
-	sc2, info, err := OpenSharded(root, 2, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{Replicas: 3})
+	sc2, info, err := OpenSharded(root, 2, ds.Avails, ds.RCCs, DurableOptions{Replicas: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +219,7 @@ func TestChaosReplLayoutGuards(t *testing.T) {
 	if err := sc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenSharded(root, 2, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{Replicas: 3}); err == nil {
+	if _, _, err := OpenSharded(root, 2, ds.Avails, ds.RCCs, DurableOptions{Replicas: 3}); err == nil {
 		t.Fatal("unreplicated root reopened with -repl 3")
 	}
 
@@ -229,10 +228,10 @@ func TestChaosReplLayoutGuards(t *testing.T) {
 	if err := sc2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := OpenSharded(root2, 2, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{}); err == nil {
+	if _, _, err := OpenSharded(root2, 2, ds.Avails, ds.RCCs, DurableOptions{}); err == nil {
 		t.Fatal("replicated root reopened unreplicated")
 	}
-	if _, _, err := OpenSharded(root2, 2, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{Replicas: 2}); err == nil {
+	if _, _, err := OpenSharded(root2, 2, ds.Avails, ds.RCCs, DurableOptions{Replicas: 2}); err == nil {
 		t.Fatal("3-replica root reopened with -repl 2")
 	}
 }
@@ -244,7 +243,7 @@ func TestChaosReplLayoutGuards(t *testing.T) {
 func TestDeltaReplicatedEquivalence(t *testing.T) {
 	root := t.TempDir()
 	sc, _, ds := shardedFixture(t, root, 2, DurableOptions{Replicas: 3})
-	single, err := NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
+	single, err := NewCatalog(ds.Avails, ds.RCCs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +266,7 @@ func TestDeltaReplicatedEquivalence(t *testing.T) {
 	if err := sc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sc2, _, err := OpenSharded(root, 2, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{Replicas: 3})
+	sc2, _, err := OpenSharded(root, 2, ds.Avails, ds.RCCs, DurableOptions{Replicas: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"domd/internal/domain"
-	"domd/internal/index"
 	"domd/internal/obs"
 	"domd/internal/wal"
 )
@@ -190,7 +189,7 @@ type ShardedCatalog struct {
 // Every shard gets its own copy of opts (WAL fsync policy, compaction
 // cadence, dedup budget). One shard takes the base tables as they are;
 // only N > 1 partitions them into per-shard copies.
-func OpenSharded(root string, shards int, avails []domain.Avail, rccs []domain.RCC, kind index.Kind, opts DurableOptions) (*ShardedCatalog, *ShardedRestoreInfo, error) {
+func OpenSharded(root string, shards int, avails []domain.Avail, rccs []domain.RCC, opts DurableOptions) (*ShardedCatalog, *ShardedRestoreInfo, error) {
 	if shards < 1 {
 		return nil, nil, fmt.Errorf("statusq: shard count %d < 1", shards)
 	}
@@ -230,7 +229,7 @@ func OpenSharded(root string, shards int, avails []domain.Avail, rccs []domain.R
 	info := &ShardedRestoreInfo{Shards: make([]ShardRestore, shards)}
 	for i := 0; i < shards; i++ {
 		dir := shardDir(root, i)
-		d, ri, err := OpenDurable(dir, shardAvails[i], shardRCCs[i], kind, opts)
+		d, ri, err := openDurable(dir, shardAvails[i], shardRCCs[i], opts)
 		if err != nil {
 			for j := 0; j < i; j++ {
 				closeBestEffort(sc.shards[j].log)
@@ -372,11 +371,6 @@ func (s *ShardedCatalog) EngineAsOf(id int) (eng *Engine, asOf int64, stale bool
 		mStaleServes.Inc()
 	}
 	return eng, asOf, stale, err
-}
-
-// Eval routes one Status Query evaluation to the owning shard.
-func (s *ShardedCatalog) Eval(id int, ts float64, q Query) (float64, error) {
-	return s.shardFor(id).Eval(id, ts, q)
 }
 
 const (

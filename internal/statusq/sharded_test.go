@@ -23,7 +23,7 @@ func shardedFixture(t *testing.T, root string, shards int, opts DurableOptions) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, info, err := OpenSharded(root, shards, ds.Avails, ds.RCCs, index.KindAVL, opts)
+	sc, info, err := OpenSharded(root, shards, ds.Avails, ds.RCCs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestShardedTopologyPinned(t *testing.T) {
 	if err := sc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := OpenSharded(root, 3, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{})
+	_, _, err := OpenSharded(root, 3, ds.Avails, ds.RCCs, DurableOptions{})
 	if err == nil {
 		t.Fatal("reopening a 4-shard root with 3 shards succeeded; want refusal")
 	}
@@ -81,7 +81,7 @@ func TestShardedTopologyPinned(t *testing.T) {
 		t.Fatalf("topology mismatch error %q does not name re-sharding", err)
 	}
 	// Same shard count reattaches fine.
-	sc2, _, err := OpenSharded(root, 4, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{})
+	sc2, _, err := OpenSharded(root, 4, ds.Avails, ds.RCCs, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestShardedMergedIDs(t *testing.T) {
 	sc, info, ds := shardedFixture(t, t.TempDir(), 4, DurableOptions{})
 	defer sc.Close()
 
-	single, err := NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
+	single, err := NewCatalog(ds.Avails, ds.RCCs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestDurableShardedRestoreEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sc2, info, err := OpenSharded(root, 4, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{})
+	sc2, info, err := OpenSharded(root, 4, ds.Avails, ds.RCCs, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestDurableShardedRestoreEquivalence(t *testing.T) {
 func TestDeltaShardedEquivalence(t *testing.T) {
 	sc, _, ds := shardedFixture(t, t.TempDir(), 4, DurableOptions{})
 	defer sc.Close()
-	single, err := NewCatalog(ds.Avails, ds.RCCs, index.KindAVL)
+	single, err := NewCatalog(ds.Avails, ds.RCCs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestShardedSteadyStateIngest(t *testing.T) {
 				if dup, err := sc.Ingest(fmt.Sprintf("steady-%d", i), r); err != nil || dup {
 					t.Fatalf("ingest on avail %d: dup=%v err=%v", id, dup, err)
 				}
-				if _, err := sc.Eval(id, 60, q); err != nil {
+				if _, err := evalVia(sc.Engine, id, 60, q); err != nil {
 					t.Fatalf("eval avail %d after ingest: %v", id, err)
 				}
 			}
@@ -375,7 +375,7 @@ func TestShardedRefusesSingleLogRoot(t *testing.T) {
 				t.Fatalf("single-catalog root holds %v, want only %s", sortedKeys(before), file)
 			}
 
-			_, _, err = OpenSharded(root, 1, ds.Avails, ds.RCCs, index.KindAVL, opts)
+			_, _, err = OpenSharded(root, 1, ds.Avails, ds.RCCs, opts)
 			shard0 := filepath.Join(root, "shard-0000")
 			if err == nil || !strings.Contains(err.Error(), "single-catalog WAL") || !strings.Contains(err.Error(), shard0) {
 				t.Fatalf("OpenSharded over a single-catalog root: err = %v, want the migration into %s", err, shard0)
@@ -398,7 +398,7 @@ func TestShardedRefusesSingleLogRoot(t *testing.T) {
 			if err := os.Rename(filepath.Join(root, file), filepath.Join(shard0, file)); err != nil {
 				t.Fatal(err)
 			}
-			sc, info, err := OpenSharded(root, 1, ds.Avails, ds.RCCs, index.KindAVL, opts)
+			sc, info, err := OpenSharded(root, 1, ds.Avails, ds.RCCs, opts)
 			if err != nil {
 				t.Fatalf("reopen after migration: %v", err)
 			}

@@ -4,22 +4,29 @@
 // status class (active / settled / created / new), retrieve the qualifying
 // RCCs and compute aggregates over their attributes.
 //
-// The engine composes three structures, as Algorithm 1 does:
+// Two engines split the work by what reads it. Indexed answers ad-hoc
+// Status Queries (§4.1–4.2) and composes three structures, as Algorithm 1
+// does:
 //
 //   - a type group-by tree (the RCC-Type-Tree 𝒯: one bucket per RCC type),
 //   - a SWLIN digit trie (𝒮𝒯, from package swlin),
 //   - a pluggable logical-time index ℛ (package index) over the RCC
 //     (created, settled) intervals.
 //
+// It is immutable once built. The §5 experiments use it as the
+// from-scratch baseline, and tests use it as the reference the
+// incremental path is held to.
+//
 // Incremental computation (§4.3) is one structure, CellSweep: advancing
 // from one logical timestamp to the next touches only the
 // creation/settlement events inside the new window instead of re-running
 // the query from scratch, and it maintains the full seven-statistic
 // CellStats lattice feeding the ~1500-feature transformation, on a dense
-// CellGrid with ALL margins. Training and serving both read it. An Engine
-// keeps the sweep's two canonical event orders sorted across
-// ApplyRCC, so Engine.Sweep hands serving a fresh CellSweep with no
-// validation and no sort.
+// CellGrid with ALL margins. Training and serving both read it. The
+// serving Engine holds only what the sweep reads, the validated RCCs and
+// the sweep's two canonical event orders, and keeps the orders sorted
+// across ApplyRCC, so Engine.Sweep hands serving a fresh CellSweep with
+// no validation and no sort.
 //
 // Complexity of the CellSweep over a K-point timestamp grid on n RCCs, with
 // e_j events and a_j live active RCCs in window j:
@@ -48,15 +55,11 @@ package statusq
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"domd/internal/domain"
-	"domd/internal/index"
-	"domd/internal/swlin"
 )
 
 // Aggregate names an aggregation function applied to the retrieved RCC set.
@@ -110,31 +113,21 @@ type Query struct {
 	Agg Aggregate
 }
 
-// Engine answers Status Queries for one avail.
+// Engine is one avail's serving state: its validated RCCs and the two
+// canonical event orders a CellSweep walks, kept sorted across ApplyRCC so
+// Sweep hands serving a fresh sweep with no validation and no sort. Every
+// served answer reads the engine through Sweep; ad-hoc Status Queries run
+// on an Indexed built over RCCs.
 //
-// Queries are safe for concurrent use; ApplyRCC takes the write side of
-// the same lock, so a catalog can fold freshly ingested RCCs into a live
-// engine while queries are in flight.
+// All methods are safe for concurrent use: ApplyRCC takes the write side
+// of the lock the readers share, so a catalog can fold freshly ingested
+// RCCs into a live engine while sweeps are taken.
 type Engine struct {
 	avail *domain.Avail
-	mu    sync.RWMutex // guards view
-	view  engineView
-}
-
-// engineView is the engine's indexed state: the RCC slice plus the three
-// structures of Algorithm 1. Its methods never lock — Engine's exported
-// entry points take e.mu once and delegate, so helper calls never nest
-// read locks.
-type engineView struct {
-	avail *domain.Avail
+	mu    sync.RWMutex // guards rccs, creations and settlements
 	rccs  []domain.RCC
-	// typeGroups maps RCCType -> member positions (into rccs).
-	typeGroups [domain.NumRCCTypes][]int
-	swlinTree  *swlin.Tree
-	timeIdx    index.TimeIndex
 	// creations/settlements are the canonical (date, position) event
-	// orders a CellSweep walks (see eventOrders), kept sorted across
-	// ApplyRCC so Sweep hands them out without re-sorting.
+	// orders a CellSweep walks (see eventOrders).
 	creations, settlements []int
 	// ordersShared records that a sweep taken since the last ApplyRCC
 	// reads the current order slices. ApplyRCC then inserts into fresh
@@ -142,42 +135,41 @@ type engineView struct {
 	ordersShared atomic.Bool
 }
 
-// NewEngine indexes the RCCs of avail a with the chosen time-index design.
-// Every RCC must belong to a.
-func NewEngine(a *domain.Avail, rccs []domain.RCC, kind index.Kind) (*Engine, error) {
-	if a == nil {
-		return nil, fmt.Errorf("statusq: nil avail")
-	}
-	if a.PlannedDuration() <= 0 {
-		return nil, fmt.Errorf("statusq: avail %d has non-positive planned duration", a.ID)
-	}
-	e := &Engine{avail: a, view: engineView{avail: a, rccs: rccs, swlinTree: swlin.NewTree()}}
-	idx, err := index.New(kind)
-	if err != nil {
+// NewEngine validates the RCCs of avail a and sorts their event orders.
+// Every RCC must belong to a. The engine reads rccs without copying them,
+// so the caller must not mutate them in place afterwards.
+func NewEngine(a *domain.Avail, rccs []domain.RCC) (*Engine, error) {
+	if err := validateRCCs(a, rccs); err != nil {
 		return nil, err
 	}
-	v := &e.view
-	v.timeIdx = idx
+	creations, settlements := eventOrders(rccs)
+	return &Engine{avail: a, rccs: rccs, creations: creations, settlements: settlements}, nil
+}
+
+// validateRCCs checks what every structure over one avail's RCCs needs:
+// a non-nil avail with a positive planned duration, and valid RCCs that
+// all belong to it.
+func validateRCCs(a *domain.Avail, rccs []domain.RCC) error {
+	if a == nil {
+		return fmt.Errorf("statusq: nil avail")
+	}
+	if a.PlannedDuration() <= 0 {
+		return fmt.Errorf("statusq: avail %d has non-positive planned duration", a.ID)
+	}
 	for pos := range rccs {
-		r := &rccs[pos]
-		if r.AvailID != a.ID {
-			return nil, fmt.Errorf("statusq: rcc %d belongs to avail %d, engine is for %d", r.ID, r.AvailID, a.ID)
-		}
-		if err := r.Validate(); err != nil {
-			return nil, err
-		}
-		v.typeGroups[r.Type] = append(v.typeGroups[r.Type], pos)
-		if err := v.swlinTree.Insert(swlin.Code(r.SWLIN), pos); err != nil {
-			return nil, err
-		}
-		if err := v.timeIdx.Insert(index.Interval{
-			Start: int64(r.Created), End: int64(r.Settled), ID: pos,
-		}); err != nil {
-			return nil, err
+		if err := validateRCC(a, &rccs[pos]); err != nil {
+			return err
 		}
 	}
-	v.creations, v.settlements = eventOrders(rccs)
-	return e, nil
+	return nil
+}
+
+// validateRCC checks that r is valid and belongs to avail a.
+func validateRCC(a *domain.Avail, r *domain.RCC) error {
+	if r.AvailID != a.ID {
+		return fmt.Errorf("statusq: rcc %d belongs to avail %d, not %d", r.ID, r.AvailID, a.ID)
+	}
+	return r.Validate()
 }
 
 // Avail returns the engine's avail.
@@ -192,57 +184,50 @@ func (e *Engine) LogicalTime(at domain.Day) (float64, error) {
 	return e.avail.LogicalTime(at)
 }
 
-// NumRCCs reports the indexed RCC count.
+// NumRCCs reports the engine's RCC count.
 func (e *Engine) NumRCCs() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.view.rccs)
+	return len(e.rccs)
 }
 
-// ApplyRCC folds one freshly ingested RCC into the engine's existing
-// state in O(delta): an append into the type group and SWLIN trie (both
-// store members in position order, and the new RCC takes the largest
-// position), an append into the lazy-sorting time index, whose next
-// deferred re-sort is an O(n) append-and-merge rather than a full sort,
-// and a sorted insert into each of the two event orders Sweep hands out
-// (an O(n) shift, or an O(n) copy when a sweep still reads the old ones).
+// RCCs returns the engine's current RCCs in position order. The slice is
+// a snapshot: a later ApplyRCC appends past its end and never writes to
+// it. Do not mutate it.
+func (e *Engine) RCCs() []domain.RCC {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	n := len(e.rccs)
+	return e.rccs[:n:n]
+}
+
+// ApplyRCC folds one freshly ingested RCC into the engine in O(n): it
+// validates r, appends it (r takes the largest position) and inserts it
+// into each of the two event orders Sweep hands out, an O(n) shift, or an
+// O(n) copy when a sweep still reads the old orders.
 //
-// The result is bitwise-identical to rebuilding the engine from scratch
-// over the extended RCC slice: every query path folds aggregates in
-// ascending-position order, which appending preserves. Safe to call
-// concurrently with queries. On error the engine may be partially
-// updated and must be discarded by the caller.
+// The result is bitwise-identical to NewEngine over the extended RCC
+// slice, so every sweep it hands out is too. On error the engine is
+// unchanged.
 func (e *Engine) ApplyRCC(r domain.RCC) error {
-	if r.AvailID != e.avail.ID {
-		return fmt.Errorf("statusq: rcc %d belongs to avail %d, engine is for %d", r.ID, r.AvailID, e.avail.ID)
-	}
-	if err := r.Validate(); err != nil {
+	if err := validateRCC(e.avail, &r); err != nil {
 		return err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	v := &e.view
-	pos := len(v.rccs)
-	if err := v.swlinTree.Insert(swlin.Code(r.SWLIN), pos); err != nil {
-		return err
-	}
-	if err := v.timeIdx.Insert(index.Interval{
-		Start: int64(r.Created), End: int64(r.Settled), ID: pos,
-	}); err != nil {
-		return err
-	}
-	v.rccs = append(v.rccs, r)
-	v.typeGroups[r.Type] = append(v.typeGroups[r.Type], pos)
-	if v.ordersShared.Swap(false) {
+	pos := len(e.rccs)
+	e.rccs = append(e.rccs, r)
+	if e.ordersShared.Swap(false) {
 		// Clipping the capacity makes insertEventSorted's append move the
 		// orders to a fresh array, leaving the sweeps' copies untouched.
-		v.creations = slices.Clip(v.creations)
-		v.settlements = slices.Clip(v.settlements)
+		e.creations = slices.Clip(e.creations)
+		e.settlements = slices.Clip(e.settlements)
 	}
-	v.creations = insertEventSorted(v.creations, pos,
-		func(pos int) int64 { return int64(v.rccs[pos].Created) }, int64(r.Created))
-	v.settlements = insertEventSorted(v.settlements, pos,
-		func(pos int) int64 { return int64(v.rccs[pos].Settled) }, int64(r.Settled))
+	rccs := e.rccs
+	e.creations = insertEventSorted(e.creations, pos,
+		func(pos int) int64 { return int64(rccs[pos].Created) }, int64(r.Created))
+	e.settlements = insertEventSorted(e.settlements, pos,
+		func(pos int) int64 { return int64(rccs[pos].Settled) }, int64(r.Settled))
 	return nil
 }
 
@@ -258,208 +243,12 @@ func (e *Engine) ApplyRCC(r domain.RCC) error {
 func (e *Engine) Sweep() *CellSweep {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	v := &e.view
-	n := len(v.rccs)
-	v.ordersShared.Store(true)
+	n := len(e.rccs)
+	e.ordersShared.Store(true)
 	s, _ := sweepPool.Get().(*CellSweep)
 	if s == nil {
 		s = new(CellSweep)
 	}
-	s.init(e.avail, v.rccs[:n:n], v.creations[:n:n], v.settlements[:n:n])
+	s.init(e.avail, e.rccs[:n:n], e.creations[:n:n], e.settlements[:n:n])
 	return s
-}
-
-// statusSet retrieves the positions in the given temporal class at logical
-// time ts (Eqs. 3–5).
-func (v *engineView) statusSet(ts float64, status domain.RCCStatus) ([]int, error) {
-	day := int64(v.avail.PhysicalTime(ts))
-	switch status {
-	case domain.Active:
-		return v.timeIdx.ActiveAt(day), nil
-	case domain.SettledStatus:
-		return v.timeIdx.SettledBy(day), nil
-	case domain.Created:
-		return v.timeIdx.CreatedBy(day), nil
-	default:
-		return nil, fmt.Errorf("statusq: unknown status %v", status)
-	}
-}
-
-// Retrieve runs the retrieval part of Algorithm StatusQ: the temporal class
-// at ts intersected with the group-by subtrees. The returned positions index
-// into the engine's RCC slice, in ascending order.
-//
-// Both sides of the intersection are sorted position lists — the group-by
-// trees store members in insertion (= position) order and the temporal set
-// is sorted once here — so the intersection is a linear merge rather than a
-// hash-set probe followed by an output sort.
-func (e *Engine) Retrieve(ts float64, q Query) ([]int, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.view.retrieve(ts, q)
-}
-
-// retrieve is Retrieve without the lock; callers hold e.mu (either side).
-func (v *engineView) retrieve(ts float64, q Query) ([]int, error) {
-	timeSet, err := v.statusSet(ts, q.Status)
-	if err != nil {
-		return nil, err
-	}
-	if len(timeSet) == 0 {
-		return nil, nil
-	}
-	// The time index returns fresh slices in index-internal order (the AVL
-	// traverses by date); sort by position once for the merge.
-	sort.Ints(timeSet)
-	// Group-By(𝒯, 𝒮𝒯): the candidate subtree of Algorithm 1.
-	var candidates []int
-	switch {
-	case q.Type == nil && q.SWLINPrefix == nil:
-		return timeSet, nil
-	case q.SWLINPrefix == nil:
-		candidates = v.typeGroups[*q.Type]
-	default:
-		candidates = v.swlinTree.Group(q.SWLINPrefix)
-	}
-	return v.intersectMerge(candidates, timeSet, q.Type), nil
-}
-
-// intersectMerge intersects two ascending position lists by linear merge,
-// applying the optional type filter (needed when candidates come from the
-// SWLIN trie, which mixes types).
-func (v *engineView) intersectMerge(candidates, timeSet []int, typ *domain.RCCType) []int {
-	var out []int
-	i, j := 0, 0
-	for i < len(candidates) && j < len(timeSet) {
-		switch {
-		case candidates[i] < timeSet[j]:
-			i++
-		case candidates[i] > timeSet[j]:
-			j++
-		default:
-			p := candidates[i]
-			if typ == nil || v.rccs[p].Type == *typ {
-				out = append(out, p)
-			}
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// intersectMap is the superseded hash-set intersection (membership map plus
-// output sort). It is retained as the reference implementation the merge
-// path is differentially tested against.
-func (v *engineView) intersectMap(candidates, timeSet []int, typ *domain.RCCType) []int {
-	member := make(map[int]bool, len(timeSet))
-	for _, p := range timeSet {
-		member[p] = true
-	}
-	var out []int
-	for _, p := range candidates {
-		if !member[p] {
-			continue
-		}
-		if typ != nil && v.rccs[p].Type != *typ {
-			continue
-		}
-		out = append(out, p)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// CreatedCount returns |Created(t*)|, the Pct denominator. Using the
-// RCCs visible by t* (rather than the avail's all-time total) keeps the
-// features causal: information from RCCs not yet created never leaks into
-// earlier logical timestamps.
-func (e *Engine) CreatedCount(ts float64) int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.view.createdCount(ts)
-}
-
-// createdCount is CreatedCount without the lock; callers hold e.mu.
-func (v *engineView) createdCount(ts float64) int {
-	day := int64(v.avail.PhysicalTime(ts))
-	return v.timeIdx.CountActiveAt(day) + v.timeIdx.CountSettledBy(day)
-}
-
-// Eval runs the full Status Query: retrieval plus aggregation. Empty result
-// sets evaluate to 0 for every aggregate.
-func (e *Engine) Eval(ts float64, q Query) (float64, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	set, err := e.view.retrieve(ts, q)
-	if err != nil {
-		return 0, err
-	}
-	return e.view.aggregate(ts, q, set), nil
-}
-
-func (v *engineView) aggregate(ts float64, q Query, set []int) float64 {
-	n := float64(len(set))
-	if len(set) == 0 {
-		return 0
-	}
-	switch q.Agg {
-	case Count:
-		return n
-	case Pct:
-		created := v.createdCount(ts)
-		if created == 0 {
-			return 0
-		}
-		return n / float64(created)
-	case Rate:
-		if ts <= 0 {
-			return n
-		}
-		return n / ts
-	}
-	var sumA, maxA, minA, sumSqA float64
-	var sumD, maxD float64
-	minA = math.Inf(1)
-	for _, p := range set {
-		r := &v.rccs[p]
-		sumA += r.Amount
-		sumSqA += r.Amount * r.Amount
-		if r.Amount > maxA {
-			maxA = r.Amount
-		}
-		if r.Amount < minA {
-			minA = r.Amount
-		}
-		d := float64(r.Duration())
-		sumD += d
-		if d > maxD {
-			maxD = d
-		}
-	}
-	switch q.Agg {
-	case SumAmount:
-		return sumA
-	case AvgAmount:
-		return sumA / n
-	case MaxAmount:
-		return maxA
-	case MinAmount:
-		return minA
-	case StdAmount:
-		mean := sumA / n
-		v := sumSqA/n - mean*mean
-		if v < 0 {
-			v = 0
-		}
-		return math.Sqrt(v)
-	case SumDuration:
-		return sumD
-	case AvgDuration:
-		return sumD / n
-	case MaxDuration:
-		return maxD
-	default:
-		return 0
-	}
 }

@@ -42,9 +42,9 @@ func fixtureRCCs(t *testing.T) []domain.RCC {
 	}
 }
 
-func engine(t *testing.T, kind index.Kind) *Engine {
+func engine(t *testing.T, kind index.Kind) *Indexed {
 	t.Helper()
-	e, err := NewEngine(fixtureAvail(), fixtureRCCs(t), kind)
+	e, err := NewIndexed(fixtureAvail(), fixtureRCCs(t), kind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,25 +168,44 @@ func TestRateAtZeroFallsBackToCount(t *testing.T) {
 }
 
 func TestEngineValidation(t *testing.T) {
-	if _, err := NewEngine(nil, nil, index.KindAVL); err == nil {
-		t.Error("nil avail: want error")
-	}
-	flat := &domain.Avail{ID: 1, PlanStart: 5, PlanEnd: 5}
-	if _, err := NewEngine(flat, nil, index.KindAVL); err == nil {
-		t.Error("zero plan: want error")
-	}
 	wrong := fixtureRCCs(t)
 	wrong[0].AvailID = 99
-	if _, err := NewEngine(fixtureAvail(), wrong, index.KindAVL); err == nil {
-		t.Error("foreign rcc: want error")
-	}
 	bad := fixtureRCCs(t)
 	bad[1].Settled = bad[1].Created - 1
-	if _, err := NewEngine(fixtureAvail(), bad, index.KindAVL); err == nil {
-		t.Error("invalid rcc: want error")
+	for _, c := range []struct {
+		name string
+		a    *domain.Avail
+		rccs []domain.RCC
+	}{
+		{"nil avail", nil, nil},
+		{"zero plan", &domain.Avail{ID: 1, PlanStart: 5, PlanEnd: 5}, nil},
+		{"foreign rcc", fixtureAvail(), wrong},
+		{"invalid rcc", fixtureAvail(), bad},
+	} {
+		if _, err := NewEngine(c.a, c.rccs); err == nil {
+			t.Errorf("NewEngine, %s: want error", c.name)
+		}
+		if _, err := NewIndexed(c.a, c.rccs, index.KindAVL); err == nil {
+			t.Errorf("NewIndexed, %s: want error", c.name)
+		}
 	}
-	if _, err := NewEngine(fixtureAvail(), nil, index.Kind("nope")); err == nil {
+	if _, err := NewIndexed(fixtureAvail(), nil, index.Kind("nope")); err == nil {
 		t.Error("bad index kind: want error")
+	}
+	// ApplyRCC refuses what NewEngine refuses and leaves the engine as it was.
+	e, err := NewEngine(fixtureAvail(), fixtureRCCs(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ApplyRCC(wrong[0]); err == nil {
+		t.Error("ApplyRCC foreign rcc: want error")
+	}
+	if err := e.ApplyRCC(bad[1]); err == nil {
+		t.Error("ApplyRCC invalid rcc: want error")
+	}
+	if e.NumRCCs() != 4 || len(e.creations) != 4 || len(e.settlements) != 4 {
+		t.Errorf("refused ApplyRCC changed the engine: %d rccs, %d/%d events",
+			e.NumRCCs(), len(e.creations), len(e.settlements))
 	}
 }
 
@@ -213,9 +232,9 @@ func TestAllIndexKindsAgree(t *testing.T) {
 			Amount:  float64(rng.Intn(100000)),
 		})
 	}
-	engines := map[index.Kind]*Engine{}
+	engines := map[index.Kind]*Indexed{}
 	for _, kind := range index.Kinds() {
-		e, err := NewEngine(a, rccs, kind)
+		e, err := NewIndexed(a, rccs, kind)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,4 +287,23 @@ func equalInts(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// TestNewEngineAllocsConstant pins what a serving engine holds: its RCCs
+// and two event orders, a fixed number of allocations whatever the RCC
+// count. A per-RCC structure (an index node, a trie entry) would make the
+// count grow with n.
+func TestNewEngineAllocsConstant(t *testing.T) {
+	allocs := func(n int) float64 {
+		a, rccs, _ := benchIngestFixture(n)
+		return testing.AllocsPerRun(10, func() {
+			if _, err := NewEngine(a, rccs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(260), allocs(4000)
+	if large > small {
+		t.Errorf("NewEngine allocations grow with n: %v at 260 RCCs, %v at 4000", small, large)
+	}
 }

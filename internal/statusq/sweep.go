@@ -35,7 +35,7 @@ import (
 //     statistics (rather than only min/max) from the list costs the same
 //     O(a_j) and keeps every cell a pure fold over an ordered observation
 //     sequence, which is what makes the sweep bitwise-reproducible against
-//     the scratch path Engine.CellGridsAt.
+//     the scratch path Indexed.CellGridsAt.
 //   - Margin finalization is O(1): the grid has a fixed 4 × 11 shape.
 //
 // The structure only moves forward; Reset rewinds to t* = -inf. A CellSweep
@@ -62,34 +62,17 @@ type CellSweep struct {
 	grids GridSet
 }
 
-// NewCellSweep prepares the full-statistics event sweep for one avail.
+// NewCellSweep prepares the full-statistics event sweep for one avail. The
+// sweep reads rccs without copying them, so the caller must not mutate
+// them in place afterwards.
 func NewCellSweep(a *domain.Avail, rccs []domain.RCC) (*CellSweep, error) {
-	if a == nil {
-		return nil, fmt.Errorf("statusq: nil avail")
-	}
-	if a.PlannedDuration() <= 0 {
-		return nil, fmt.Errorf("statusq: avail %d has non-positive planned duration", a.ID)
-	}
-	for pos := range rccs {
-		if rccs[pos].AvailID != a.ID {
-			return nil, fmt.Errorf("statusq: rcc %d belongs to avail %d, sweep is for %d",
-				rccs[pos].ID, rccs[pos].AvailID, a.ID)
-		}
-		if err := rccs[pos].Validate(); err != nil {
-			return nil, err
-		}
+	if err := validateRCCs(a, rccs); err != nil {
+		return nil, err
 	}
 	creations, settlements := eventOrders(rccs)
-	return newCellSweep(a, rccs, creations, settlements), nil
-}
-
-// newCellSweep builds a rewound sweep over already-validated RCCs and their
-// canonical event orders. The sweep reads rccs and the orders without
-// copying them, so the caller must never mutate them in place afterwards.
-func newCellSweep(a *domain.Avail, rccs []domain.RCC, creations, settlements []int) *CellSweep {
 	s := new(CellSweep)
 	s.init(a, rccs, creations, settlements)
-	return s
+	return s, nil
 }
 
 // sweepPool recycles the sweeps Engine.Sweep hands out and Release

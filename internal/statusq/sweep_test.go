@@ -3,6 +3,7 @@ package statusq
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestCellSweepMatchesScratchBitwise(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := NewEngine(a, rccs, index.KindAVL)
+		eng, err := NewIndexed(a, rccs, index.KindAVL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +216,7 @@ func TestIncrementalMatchesDirect(t *testing.T) {
 			Amount:  10 + float64(rng.Intn(50000)),
 		})
 	}
-	e, err := NewEngine(a, rccs, index.KindAVL)
+	e, err := NewIndexed(a, rccs, index.KindAVL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,13 +303,35 @@ func TestCellSweepValidation(t *testing.T) {
 	}
 }
 
+// intersectMap is the hash-set intersection (membership map plus output
+// sort) that Indexed.intersectMerge replaced: the oracle the merge is held
+// to. It keeps the candidates in timeSet, of type typ when typ is set.
+func intersectMap(rccs []domain.RCC, candidates, timeSet []int, typ *domain.RCCType) []int {
+	member := make(map[int]bool, len(timeSet))
+	for _, p := range timeSet {
+		member[p] = true
+	}
+	var out []int
+	for _, p := range candidates {
+		if !member[p] {
+			continue
+		}
+		if typ != nil && rccs[p].Type != *typ {
+			continue
+		}
+		out = append(out, p)
+	}
+	sort.Ints(out)
+	return out
+}
+
 // TestRetrieveMergeMatchesMap differentially tests the linear
-// merge-intersection retrieval against the superseded hash-set path on
+// merge-intersection retrieval against the hash-set oracle intersectMap on
 // randomized data, across status classes and group-by selections.
 func TestRetrieveMergeMatchesMap(t *testing.T) {
 	for _, seed := range []int64{10, 11, 12} {
 		a, rccs := randomAvailRCCs(seed, 250)
-		eng, err := NewEngine(a, rccs, index.KindAVL)
+		eng, err := NewIndexed(a, rccs, index.KindAVL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +351,7 @@ func TestRetrieveMergeMatchesMap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			timeSet, err := eng.view.statusSet(ts, q.Status)
+			timeSet, err := eng.statusSet(ts, q.Status)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -337,11 +360,11 @@ func TestRetrieveMergeMatchesMap(t *testing.T) {
 			case q.Type == nil && q.SWLINPrefix == nil:
 				candidates = timeSet
 			case q.SWLINPrefix == nil:
-				candidates = eng.view.typeGroups[*q.Type]
+				candidates = eng.typeGroups[*q.Type]
 			default:
-				candidates = eng.view.swlinTree.Group(q.SWLINPrefix)
+				candidates = eng.swlinTree.Group(q.SWLINPrefix)
 			}
-			want := eng.view.intersectMap(candidates, timeSet, q.Type)
+			want := intersectMap(eng.rccs, candidates, timeSet, q.Type)
 			if len(got) != len(want) {
 				t.Fatalf("seed %d trial %d: merge %v != map %v (q=%+v ts=%g)", seed, trial, got, want, q, ts)
 			}
@@ -357,12 +380,12 @@ func TestRetrieveMergeMatchesMap(t *testing.T) {
 // TestConcurrentSweepDuringApply is the -race gate for Engine.Sweep: sweeps
 // are taken and advanced across the grid while ApplyRCC folds an
 // out-of-order stream into the same engine. Each sweep must stay a
-// consistent snapshot — its grids equal CellGridsAt on a fresh engine over
+// consistent snapshot — its grids equal CellGridsAt on an index engine over
 // exactly the RCC prefix it captured.
 func TestConcurrentSweepDuringApply(t *testing.T) {
 	a, rccs := randomAvailRCCs(11, 600)
 	const base = 100
-	eng, err := NewEngine(a, append([]domain.RCC(nil), rccs[:base]...), index.KindAVL)
+	eng, err := NewEngine(a, append([]domain.RCC(nil), rccs[:base]...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +426,7 @@ func TestConcurrentSweepDuringApply(t *testing.T) {
 					got[k] = *sw.Grids()
 				}
 				n := sw.NumRCCs()
-				scratch, err := NewEngine(a, rccs[:n:n], index.KindAVL)
+				scratch, err := NewIndexed(a, rccs[:n:n], index.KindAVL)
 				if err != nil {
 					t.Errorf("rebuild over %d rccs: %v", n, err)
 					return
@@ -431,14 +454,14 @@ func TestConcurrentSweepDuringApply(t *testing.T) {
 // pool, and once directly). Every pass must match the scratch grid fill
 // bitwise.
 func TestRecycledSweepMatchesScratch(t *testing.T) {
-	check := func(sw *CellSweep, eng *Engine, label string) {
+	check := func(sw *CellSweep, ix *Indexed, label string) {
 		t.Helper()
 		var scratch GridSet
 		for ts := 0.0; ts <= 100; ts += 2.5 {
 			if err := sw.AdvanceTo(ts); err != nil {
 				t.Fatal(err)
 			}
-			if err := eng.CellGridsAt(ts, &scratch); err != nil {
+			if err := ix.CellGridsAt(ts, &scratch); err != nil {
 				t.Fatal(err)
 			}
 			if *sw.Grids() != scratch {
@@ -449,16 +472,19 @@ func TestRecycledSweepMatchesScratch(t *testing.T) {
 	var dirty *CellSweep
 	for i, n := range []int{300, 20, 0, 150, 400} {
 		a, rccs := randomAvailRCCs(int64(10+i), n)
-		eng, err := NewEngine(a, rccs, index.KindAVL)
+		eng, err := NewEngine(a, rccs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := NewIndexed(a, rccs, index.KindAVL)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sw := eng.Sweep()
-		check(sw, eng, "pooled")
+		check(sw, ix, "pooled")
 		if dirty != nil {
-			v := &eng.view
-			dirty.init(eng.avail, v.rccs, v.creations, v.settlements)
-			check(dirty, eng, "reinitialized")
+			dirty.init(eng.avail, eng.rccs, eng.creations, eng.settlements)
+			check(dirty, ix, "reinitialized")
 		}
 		dirty = sw
 		sw.Release()

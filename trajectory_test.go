@@ -139,7 +139,7 @@ func servedEngines(t *testing.T, fx *trajFixture) map[string]*statusq.Engine {
 				continue
 			}
 		}
-		eng, err := statusq.NewEngine(a, byAvail[a.ID], index.KindAVL)
+		eng, err := statusq.NewEngine(a, byAvail[a.ID])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func servedEngines(t *testing.T, fx *trajFixture) map[string]*statusq.Engine {
 	rccs := append([]domain.RCC(nil), byAvail[extend.ID]...)
 	rand.New(rand.NewSource(5)).Shuffle(len(rccs), func(i, j int) { rccs[i], rccs[j] = rccs[j], rccs[i] })
 	third := len(rccs) / 3
-	eng, err := statusq.NewEngine(extend, append([]domain.RCC(nil), rccs[:third]...), index.KindAVL)
+	eng, err := statusq.NewEngine(extend, append([]domain.RCC(nil), rccs[:third]...))
 	if err != nil {
 		t.Fatal(err)
 	}
