@@ -30,19 +30,20 @@ race:
 	$(GO) test -race ./...
 
 # stress repeats the concurrent-serving suite (parallel /query + /fleet +
-# AddRCC over httptest, the /predict-under-hot-swap gate
-# TestConcurrentPredictHotSwap, plus the catalog and index concurrency
-# gates) under the race detector.
+# ingest over httptest, the /predict-under-hot-swap gate
+# TestConcurrentPredictHotSwap, plus the catalog, sweep and index
+# concurrency gates, and TestQueryUsesCachedEngine, which pins that
+# queries build no engine) under the race detector.
 stress:
 	$(GO) test -race -count $(STRESS_COUNT) -timeout $(STRESS_TIMEOUT) \
-		-run 'Concurrent|SingleFlight|CachedEngine' \
+		-run 'Concurrent|CachedEngine' \
 		./internal/server/ ./internal/statusq/ ./internal/index/
 
 # chaos runs the fault-injection and crash-recovery suites under the race
 # detector: WAL torn-tail/replay recovery, kill-mid-ingest restart proofs
 # (single-catalog and per-shard against the 4-shard router), injected
-# disk and engine-build faults with cross-shard error isolation, load
-# shedding, and panic recovery (see DESIGN.md "Durability & fault
+# disk faults, a shard failed by them with cross-shard error isolation,
+# load shedding, and panic recovery (see DESIGN.md "Durability & fault
 # model").
 chaos:
 	$(GO) test -race -timeout $(STRESS_TIMEOUT) \
@@ -128,8 +129,9 @@ check:
 	$(GO) build ./... && $(GO) vet ./... && $(MAKE) fmt && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) fuzz && $(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchtime 1x ./internal/server/ && $(GO) test -run '^$$' -bench 'GBTPredict' -benchtime 1x ./internal/ml/gbt/ && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
 
 # bench runs the Go micro-benchmarks (including the statusq
-# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3 and the serving-engine
-# build NewEngine at 260, 1000 and 4000 RCCs, the in-process
+# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3, the serving-engine
+# build NewEngine at 260, 1000 and 4000 RCCs and NewCatalog, every engine
+# of the domdbench fleet built up front, the in-process
 # GET /fleet and POST /query/batch pair, and the compiled GBT tree kernel
 # at depths 4 and 8), then domdbench, the
 # serving benchmark declared in BENCHMARK.json, on both of its workloads:
@@ -137,7 +139,7 @@ check:
 # domdbench/README.md). The last line of each run is its JSON result.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
-	$(GO) test -run '^$$' -bench 'ApplyRCC|RebuildAfterIngest|NewEngine' -benchmem ./internal/statusq/
+	$(GO) test -run '^$$' -bench 'ApplyRCC|RebuildAfterIngest|NewEngine|NewCatalog' -benchmem ./internal/statusq/
 	$(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench 'GBTPredict' -benchmem ./internal/ml/gbt/
 	bash domdbench/run.sh --workload fleet-scan --seed 1 --seconds 21 --trace 0

@@ -11,7 +11,10 @@ package domain
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
+
+	"domd/internal/swlin"
 )
 
 // Day is a calendar date expressed as a day number since the epoch
@@ -218,10 +221,23 @@ type RCC struct {
 // Duration returns the RCC's open interval length in days.
 func (r *RCC) Duration() int { return int(r.Settled - r.Created) }
 
-// Validate checks internal consistency of the RCC record.
+// Validate checks internal consistency of the RCC record: a type of G, NW
+// or NG, an 8-digit SWLIN code, settlement not before creation, and a
+// finite non-negative amount. Every Status Query structure indexes its
+// cells by type and SWLIN subsystem and folds amounts into min/max, so
+// these are exactly the records it can fold.
 func (r *RCC) Validate() error {
+	if r.Type < 0 || r.Type >= NumRCCTypes {
+		return fmt.Errorf("domain: rcc %d: unknown type %d", r.ID, int(r.Type))
+	}
+	if !swlin.Code(r.SWLIN).Valid() {
+		return fmt.Errorf("domain: rcc %d: SWLIN %d is not an 8-digit code", r.ID, r.SWLIN)
+	}
 	if r.Settled < r.Created {
 		return fmt.Errorf("domain: rcc %d: settled %v before created %v", r.ID, r.Settled, r.Created)
+	}
+	if math.IsNaN(r.Amount) || math.IsInf(r.Amount, 0) {
+		return fmt.Errorf("domain: rcc %d: non-finite amount %v", r.ID, r.Amount)
 	}
 	if r.Amount < 0 {
 		return fmt.Errorf("domain: rcc %d: negative amount %f", r.ID, r.Amount)

@@ -1,6 +1,7 @@
 package domain
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -282,6 +283,38 @@ func TestRCCDurationAndValidate(t *testing.T) {
 	neg := &RCC{ID: 3, Created: 0, Settled: 1, Amount: -5}
 	if err := neg.Validate(); err == nil {
 		t.Error("want error for negative amount")
+	}
+}
+
+// TestRCCValidateRejectsUnfoldable pins what Validate refuses beyond the
+// date order: every record it accepts is one the Status Query structures
+// can fold (type and SWLIN subsystem index their cells, amounts feed
+// min/max), so one bad record cannot panic a sweep or poison a cell.
+func TestRCCValidateRejectsUnfoldable(t *testing.T) {
+	ok := RCC{ID: 1, Type: NewGrowth, SWLIN: 99_999_999, Created: 0, Settled: 1, Amount: 1}
+	cases := []struct {
+		name string
+		edit func(*RCC)
+		want bool // valid
+	}{
+		{"valid", func(*RCC) {}, true},
+		{"zero SWLIN and amount", func(r *RCC) { r.SWLIN, r.Amount = 0, 0 }, true},
+		{"type below G", func(r *RCC) { r.Type = -1 }, false},
+		{"type past NG", func(r *RCC) { r.Type = NumRCCTypes }, false},
+		{"type 7", func(r *RCC) { r.Type = 7 }, false},
+		{"SWLIN past 8 digits", func(r *RCC) { r.SWLIN = 100_000_000 }, false},
+		{"negative SWLIN", func(r *RCC) { r.SWLIN = -1 }, false},
+		{"SWLIN with negative subsystem", func(r *RCC) { r.SWLIN = -10_000_000 }, false},
+		{"NaN amount", func(r *RCC) { r.Amount = math.NaN() }, false},
+		{"+Inf amount", func(r *RCC) { r.Amount = math.Inf(1) }, false},
+		{"-Inf amount", func(r *RCC) { r.Amount = math.Inf(-1) }, false},
+	}
+	for _, c := range cases {
+		r := ok
+		c.edit(&r)
+		if err := r.Validate(); (err == nil) != c.want {
+			t.Errorf("%s: Validate() = %v, want valid=%v", c.name, err, c.want)
+		}
 	}
 }
 

@@ -27,7 +27,7 @@
 // advancing one incremental statusq.CellSweep per avail across the
 // timestamp grid (§4.3) instead of recomputing each timestamp from scratch.
 // Serving reads its grids the same way, through a Row: one forward sweep
-// over the avail's cached engine, memoized by grid point for one request
+// over the avail's serving engine, memoized by grid point for one request
 // into pooled vectors the request gives back when it is done.
 // Vector and DynamicVector are the single-point scratch reference both
 // swept paths are tested against bit for bit.
@@ -150,16 +150,22 @@ func (e *Extractor) Specs() []Spec { return e.specs }
 
 // StaticVector encodes the 8 static features of an avail.
 func StaticVector(a *domain.Avail) []float64 {
-	return []float64{
-		float64(a.ShipClass),
-		float64(a.RMC),
-		a.ShipAge,
-		float64(a.PlannedDuration()),
-		a.PlannedCost,
-		float64(a.PriorAvails),
-		float64(a.DockType),
-		a.HomeportDist,
-	}
+	v := make([]float64, NumStatic)
+	staticInto(v, a)
+	return v
+}
+
+// staticInto writes the static features of a into dst[:NumStatic]: the
+// one encoding StaticVector, a Row and both tensor builds share.
+func staticInto(dst []float64, a *domain.Avail) {
+	dst[0] = float64(a.ShipClass)
+	dst[1] = float64(a.RMC)
+	dst[2] = a.ShipAge
+	dst[3] = float64(a.PlannedDuration())
+	dst[4] = a.PlannedCost
+	dst[5] = float64(a.PriorAvails)
+	dst[6] = float64(a.DockType)
+	dst[7] = a.HomeportDist
 }
 
 // evalGrids evaluates every generated feature from a finalized grid set
@@ -231,9 +237,10 @@ func (e *Extractor) Vector(eng *statusq.Engine, ts float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, 0, NumStatic+len(dyn))
-	out = append(out, StaticVector(eng.Avail())...)
-	return append(out, dyn...), nil
+	out := make([]float64, NumStatic+len(dyn))
+	staticInto(out, eng.Avail())
+	copy(out[NumStatic:], dyn)
+	return out, nil
 }
 
 // Row is one avail's full feature vectors (static then dynamic, the Names
@@ -288,7 +295,6 @@ func (r *Row) Vectors(grid []float64) ([][]float64, error) {
 	if r.memo == nil {
 		r.memo = make([]rowPoint, 0, len(grid))
 	}
-	var static []float64
 	for k, ts := range grid {
 		if vec := r.lookup(ts); vec != nil {
 			out[k] = vec
@@ -300,12 +306,9 @@ func (r *Row) Vectors(grid []float64) ([][]float64, error) {
 		case ts < r.last:
 			r.sw.Reset()
 		}
-		if static == nil {
-			static = StaticVector(r.eng.Avail())
-		}
 		buf := r.ext.pooledVector()
 		vec := *buf
-		copy(vec, static)
+		staticInto(vec, r.eng.Avail())
 		if err := r.ext.DynamicVectorInto(vec[NumStatic:], r.sw, ts); err != nil {
 			vecPool.Put(buf)
 			return nil, fmt.Errorf("features: avail %d @%g: %w", r.eng.Avail().ID, ts, err)
@@ -499,10 +502,9 @@ func BuildTensorOpt(ext *Extractor, avails []domain.Avail, rccsByAvail map[int][
 				// One backing block per row: K feature vectors laid out
 				// contiguously, sliced per timestamp.
 				block := make([]float64, len(ts)*numFeatures)
-				static := StaticVector(a)
 				for k, tstar := range ts {
 					vec := block[k*numFeatures : (k+1)*numFeatures : (k+1)*numFeatures]
-					copy(vec, static)
+					staticInto(vec, a)
 					if err := ext.DynamicVectorInto(vec[NumStatic:], sw, tstar); err != nil {
 						fail(fmt.Errorf("features: avail %d @%g: %w", a.ID, tstar, err))
 						break
@@ -556,10 +558,9 @@ func BuildTensorScratch(ext *Extractor, avails []domain.Avail, rccsByAvail map[i
 			return nil, fmt.Errorf("features: avail %d: %w", a.ID, err)
 		}
 		t.Avails = append(t.Avails, *a)
-		static := StaticVector(a)
 		for k, tstar := range ts {
 			vec := make([]float64, NumStatic+ext.NumDynamic())
-			copy(vec, static)
+			staticInto(vec, a)
 			if err := ext.DynamicVectorScratch(vec[NumStatic:], ix, tstar); err != nil {
 				return nil, fmt.Errorf("features: avail %d @%g: %w", a.ID, tstar, err)
 			}

@@ -47,9 +47,8 @@ func (iv Interval) Validate() error {
 // with deferred work on the read path (the lazy re-sorts of NaiveIndex and
 // SortedIndex) synchronize it internally. The mutating methods (Insert,
 // Delete, BulkLoad) require exclusive access: callers must not run them
-// concurrently with each other or with queries. statusq.Catalog relies on
-// this split — engines are immutable once built and shared across request
-// goroutines, while mutation happens only by swapping in a new engine.
+// concurrently with each other or with queries. statusq.Indexed relies on
+// this split: it is immutable once built and shared across goroutines.
 type TimeIndex interface {
 	// Insert adds an interval. Duplicate ids are the caller's concern.
 	Insert(iv Interval) error

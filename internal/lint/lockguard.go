@@ -9,10 +9,10 @@ import (
 )
 
 // Lockguard enforces comment-declared mutex guards, the convention
-// statusq.Catalog documents as
+// statusq.Engine documents as
 //
-//	mu      sync.RWMutex // guards rccs and engines
-//	rccs    map[int][]domain.RCC
+//	mu    sync.RWMutex // guards rccs, creations and settlements
+//	rccs  []domain.RCC
 //
 // (equivalently, a guarded field may carry `// guarded by mu`). Every
 // function that reads or writes a guarded field must contain a Lock or

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"domd/internal/faultinject"
@@ -80,11 +81,12 @@ func TestChaosKillMidIngest(t *testing.T) {
 }
 
 // TestChaosKillMidDeltaApply is the kill-mid-ingest scenario aimed at the
-// O(delta) path: the armed hook panics inside Catalog.AddRCC after the WAL
-// append but before the history append and the in-place engine fold. The
-// panic must unwind without mutating any in-memory state (the warm engine
-// keeps serving fresh answers), and a restart must replay the killed record
-// — no acknowledged loss, at-least-once for the unacknowledged one.
+// in-place engine fold: after one acknowledged ingest folds into the live
+// engine, the armed hook panics in the window between the WAL append and
+// that fold. The panic must unwind without mutating any in-memory state
+// (the same engine keeps serving fresh answers at the same asOf), and a
+// restart must replay the killed record: no acknowledged loss,
+// at-least-once for the unacknowledged one.
 func TestChaosKillMidDeltaApply(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
@@ -92,9 +94,18 @@ func TestChaosKillMidDeltaApply(t *testing.T) {
 	a := ongoingAvail(t, ds)
 	base := len(ds.RCCsByAvail()[a.ID])
 	url := fmt.Sprintf("%s/query?avail=%d&date=%s", srv.URL, a.ID, a.PhysicalTime(60))
+	engine := func() *statusq.Engine {
+		t.Helper()
+		eng, _, _, err := dc.EngineAsOf(a.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	live := engine()
 
-	// Warm the engine, then one acknowledged ingest that folds into it in
-	// place: still one build, asOf advanced, answer fresh.
+	// One acknowledged ingest that folds into the live engine in place:
+	// same engine, asOf advanced, answer fresh.
 	var view struct {
 		Stale bool  `json:"stale"`
 		AsOf  int64 `json:"asOf"`
@@ -103,19 +114,16 @@ func TestChaosKillMidDeltaApply(t *testing.T) {
 	if status, _, _ := postJSON(t, srv.URL+"/rccs", rccBody(970001, a), nil); status != http.StatusCreated {
 		t.Fatalf("warm ingest = %d, want 201", status)
 	}
-	if n := dc.Catalog.DeltaApplies(); n != 1 {
-		t.Fatalf("warm ingest did not delta-apply: applies = %d, want 1", n)
-	}
 	get(t, url, http.StatusOK, &view)
 	if view.Stale || view.AsOf != int64(base+1) {
 		t.Fatalf("post-ingest answer stale=%v asOf=%d, want false/%d", view.Stale, view.AsOf, base+1)
 	}
-	if n := dc.Catalog.EngineBuilds(); n != 1 {
-		t.Fatalf("delta-applied ingest triggered a rebuild: builds = %d, want 1", n)
+	if engine() != live || live.NumRCCs() != base+1 {
+		t.Fatalf("ingest replaced the engine or missed it: %d RCCs, want the same engine with %d", engine().NumRCCs(), base+1)
 	}
 
 	// The kill: durable on the log, never applied, never acknowledged.
-	faultinject.Arm(statusq.FailDeltaApply, func() error { panic("chaos: kill -9 mid delta apply") })
+	faultinject.Arm(statusq.FailDurableApply, func() error { panic("chaos: kill -9 mid delta apply") })
 	status, _, _ := postJSON(t, srv.URL+"/rccs", rccBody(970002, a), nil)
 	if status != http.StatusInternalServerError {
 		t.Fatalf("killed ingest = %d, want 500", status)
@@ -123,7 +131,7 @@ func TestChaosKillMidDeltaApply(t *testing.T) {
 	faultinject.Reset()
 
 	// The panic unwound before any in-memory mutation: the killed record is
-	// invisible and the same warm engine keeps answering fresh.
+	// invisible and the same engine keeps answering fresh.
 	get(t, srv.URL+"/healthz", http.StatusOK, nil)
 	if n := dc.IngestedCount(); n != 1 {
 		t.Fatalf("unacknowledged RCC became visible: count = %d, want 1", n)
@@ -131,6 +139,9 @@ func TestChaosKillMidDeltaApply(t *testing.T) {
 	get(t, url, http.StatusOK, &view)
 	if view.Stale || view.AsOf != int64(base+1) {
 		t.Fatalf("post-kill answer stale=%v asOf=%d, want false/%d", view.Stale, view.AsOf, base+1)
+	}
+	if engine() != live || live.NumRCCs() != base+1 {
+		t.Fatalf("killed ingest touched the engine: %d RCCs, want the same engine with %d", engine().NumRCCs(), base+1)
 	}
 
 	// Restart: the acked record and the killed one both reached the log, so
@@ -188,49 +199,6 @@ func TestChaosDiskFaultSheds(t *testing.T) {
 	}
 }
 
-// TestChaosEngineBuildFaultServesStale: when the engine rebuild after an
-// ingest fails, /query keeps answering 200 from the last good engine with
-// "stale": true, and recovers (fresh answer, bumped asOf) once the fault
-// clears.
-func TestChaosEngineBuildFaultServesStale(t *testing.T) {
-	defer faultinject.Reset()
-	srv, ds, _ := newDurableServer(t, t.TempDir(), Options{})
-	a := ongoingAvail(t, ds)
-	base := len(ds.RCCsByAvail()[a.ID])
-	url := fmt.Sprintf("%s/query?avail=%d&date=%s", srv.URL, a.ID, a.PhysicalTime(60))
-
-	var view struct {
-		Stale bool    `json:"stale"`
-		AsOf  int64   `json:"asOf"`
-		Final float64 `json:"estimated_delay_days"`
-	}
-	get(t, url, http.StatusOK, &view)
-	if view.Stale || view.AsOf != int64(base) {
-		t.Fatalf("baseline stale=%v asOf=%d, want false/%d", view.Stale, view.AsOf, base)
-	}
-
-	// The armed delta failpoint forces the ingest down the invalidation
-	// path (instead of folding into the live engine in place); the second
-	// fault then makes the rebuild fail on the next query.
-	faultinject.EnableTimes(statusq.FailDeltaApply, errors.New("chaos: force rebuild path"), 1)
-	status, _, _ := postJSON(t, srv.URL+"/rccs", rccBody(950001, a), nil)
-	if status != http.StatusCreated {
-		t.Fatalf("ingest = %d", status)
-	}
-	faultinject.Enable(statusq.FailEngineBuild, errors.New("chaos: engine build down"))
-	get(t, url, http.StatusOK, &view)
-	if !view.Stale || view.AsOf != int64(base) {
-		t.Fatalf("degraded answer stale=%v asOf=%d, want true/%d", view.Stale, view.AsOf, base)
-	}
-
-	// Fault cleared: the next query rebuilds and the answer is fresh.
-	faultinject.Reset()
-	get(t, url, http.StatusOK, &view)
-	if view.Stale || view.AsOf != int64(base+1) {
-		t.Fatalf("recovered answer stale=%v asOf=%d, want false/%d", view.Stale, view.AsOf, base+1)
-	}
-}
-
 // TestChaosLoadShedding: with one in-flight slot occupied, the limiter
 // sheds the next request with 503 + Retry-After while probes bypass the
 // limiter, and normal service resumes once the slot frees.
@@ -245,18 +213,18 @@ func TestChaosLoadShedding(t *testing.T) {
 	defer srv.Close()
 	a := ongoingAvail(t, ds)
 
-	// Park one request inside the engine build: the armed hook blocks
-	// until released, holding the single in-flight slot.
+	// Park one ingest between its WAL append and its apply: the armed
+	// hook blocks until released, holding the single in-flight slot.
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	faultinject.Arm(statusq.FailEngineBuild, func() error {
+	faultinject.Arm(statusq.FailDurableApply, func() error {
 		close(entered)
 		<-release
 		return nil
 	})
 	done := make(chan int, 1)
 	go func() {
-		resp, err := http.Get(fmt.Sprintf("%s/query?avail=%d&date=%s", srv.URL, a.ID, a.PhysicalTime(60)))
+		resp, err := http.Post(srv.URL+"/rccs", "application/json", strings.NewReader(rccBody(955001, a)))
 		if err != nil {
 			done <- -1
 			return
@@ -283,8 +251,8 @@ func TestChaosLoadShedding(t *testing.T) {
 	get(t, srv.URL+"/readyz", http.StatusOK, nil)
 
 	close(release)
-	if code := <-done; code != http.StatusOK {
-		t.Fatalf("parked request = %d, want 200", code)
+	if code := <-done; code != http.StatusCreated {
+		t.Fatalf("parked ingest = %d, want 201", code)
 	}
 	// Capacity restored.
 	get(t, srv.URL+"/avails", http.StatusOK, nil)

@@ -46,10 +46,10 @@ func delta(before, after map[string]float64, key string) float64 {
 }
 
 // TestMetricsEndToEnd is the acceptance check for the observability
-// layer: run real traffic — queries (fresh, cached, degraded under an
-// injected engine-build fault, recovered), a fleet sweep, durable
-// ingests (ack, duplicate, mid-apply panic), and a shed request — then
-// assert the scraped counters moved accordingly. All metrics are
+// layer: run real traffic — queries (fresh, and stale on a shard driven
+// to failed by WAL faults), a fleet sweep, durable ingests (ack,
+// duplicate, mid-apply panic), and a shed request — then assert the
+// scraped counters moved accordingly. All metrics are
 // process-global, so everything is asserted as a before/after delta.
 func TestMetricsEndToEnd(t *testing.T) {
 	defer faultinject.Reset()
@@ -74,12 +74,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	before := scrapeMetrics(t, srv.URL)
 
-	// Two fresh queries: the first builds the engine, the second hits the
-	// single-flight cache.
+	// Two queries, both answered by the engine the catalog built at open.
 	get(t, queryURL, http.StatusOK, nil)
 	get(t, queryURL, http.StatusOK, nil)
 
-	// Two acknowledged ingests plus a duplicate replay of the first.
+	// Three acknowledged ingests plus a duplicate replay of the first;
+	// each acknowledged one folds into the live engine in place.
 	body := rccBody(950101, a)
 	if status, _, _ := postJSON(t, srv.URL+"/rccs", body, nil); status != http.StatusCreated {
 		t.Fatalf("ingest = %d, want 201", status)
@@ -87,32 +87,19 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if status, _, _ := postJSON(t, srv.URL+"/rccs", body, nil); status != http.StatusOK {
 		t.Fatalf("duplicate ingest = %d, want 200", status)
 	}
-	if status, _, _ := postJSON(t, srv.URL+"/rccs", rccBody(950102, a), nil); status != http.StatusCreated {
-		t.Fatalf("second ingest = %d, want 201", status)
+	for _, id := range []int{950102, 950110} {
+		if status, _, _ := postJSON(t, srv.URL+"/rccs", rccBody(id, a), nil); status != http.StatusCreated {
+			t.Fatalf("ingest %d = %d, want 201", id, status)
+		}
 	}
-
-	// A third ingest forced down the invalidation path (the armed delta
-	// failpoint suppresses the in-place apply); the injected build fault
-	// then makes the rebuild fail, so this query is served stale from the
-	// last good engine (still 200).
-	faultinject.EnableTimes(statusq.FailDeltaApply, errors.New("chaos: force rebuild path"), 1)
-	if status, _, _ := postJSON(t, srv.URL+"/rccs", rccBody(950110, a), nil); status != http.StatusCreated {
-		t.Fatalf("third ingest = %d, want 201", status)
-	}
-	faultinject.Enable(statusq.FailEngineBuild, errors.New("chaos: engine build down"))
 	var view struct {
 		Stale bool `json:"stale"`
 	}
-	get(t, queryURL, http.StatusOK, &view)
-	if !view.Stale {
-		t.Fatal("query under engine-build fault was not served stale")
-	}
-	faultinject.Reset()
-
-	// Recovery rebuild, then a fleet sweep over every ongoing avail.
-	get(t, queryURL, http.StatusOK, &view)
-	if view.Stale {
-		t.Fatal("query after fault cleared still stale")
+	for i := 0; i < 2; i++ {
+		get(t, queryURL, http.StatusOK, &view)
+		if view.Stale {
+			t.Fatal("query on a healthy catalog was served stale")
+		}
 	}
 	get(t, fmt.Sprintf("%s/fleet?date=%s", srv.URL, a.PhysicalTime(60)), http.StatusOK, nil)
 
@@ -133,22 +120,23 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	faultinject.Reset()
 
-	// A shed request: park one request inside an engine build on a
-	// MaxInFlight:1 server so the next non-probe request gets 503. The
-	// shed server needs its own catalog — the shared one already has a
-	// cached engine, so its queries would never enter a build to park in.
-	shedSrv := httptest.NewServer(New(pipe, ext, openTier(t, ds.Avails, ds.RCCs), Options{MaxInFlight: 1}))
+	// A shed request: park one ingest between its WAL append and its
+	// apply on a MaxInFlight:1 server so the next non-probe request gets
+	// 503. The shed server runs its own one-shard tier, opened after the
+	// first scrape, so its engine builds land in the deltas too.
+	tier := openTier(t, ds.Avails, ds.RCCs)
+	shedSrv := httptest.NewServer(New(pipe, ext, tier, Options{MaxInFlight: 1}))
 	defer shedSrv.Close()
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	faultinject.Arm(statusq.FailEngineBuild, func() error {
+	faultinject.Arm(statusq.FailDurableApply, func() error {
 		close(entered)
 		<-release
 		return nil
 	})
 	parked := make(chan error, 1)
 	go func() {
-		resp, err := http.Get(fmt.Sprintf("%s/query?avail=%d&date=%s", shedSrv.URL, a.ID, a.PhysicalTime(60)))
+		resp, err := http.Post(shedSrv.URL+"/rccs", "application/json", strings.NewReader(rccBody(950120, a)))
 		if err == nil {
 			resp.Body.Close()
 		}
@@ -169,13 +157,30 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	faultinject.Reset()
 
+	// A stale serve: persistent WAL append faults drive the shed tier's
+	// one shard to failed, and its reads are then served marked stale.
+	faultinject.Enable(wal.FailAppendWrite, errors.New("metrics: wal disk full"))
+	for i := 0; i < statusq.FailAfterFailures; i++ {
+		if status, _, _ := postJSON(t, shedSrv.URL+"/rccs", rccBody(950130+i, a), nil); status != http.StatusServiceUnavailable {
+			t.Fatalf("faulted ingest %d = %d, want 503", i, status)
+		}
+	}
+	faultinject.Reset()
+	if h := tier.HealthOf(0); h != statusq.ShardFailed {
+		t.Fatalf("shard health after %d faulted ingests = %v, want failed", statusq.FailAfterFailures, h)
+	}
+	get(t, fmt.Sprintf("%s/query?avail=%d&date=%s", shedSrv.URL, a.ID, a.PhysicalTime(60)), http.StatusOK, &view)
+	if !view.Stale {
+		t.Fatal("query on a failed shard was not served stale")
+	}
+
 	after := scrapeMetrics(t, srv.URL)
 
 	// Per-route request counts. The /query route saw 4 successful GETs.
 	wantAtLeast := map[string]float64{
 		`domd_http_requests_total{route="/query",method="GET",code="200"}`:  4,
 		`domd_http_requests_total{route="/fleet",method="GET",code="200"}`:  1,
-		`domd_http_requests_total{route="/rccs",method="POST",code="201"}`:  2,
+		`domd_http_requests_total{route="/rccs",method="POST",code="201"}`:  3,
 		`domd_http_requests_total{route="/rccs",method="POST",code="200"}`:  1,
 		`domd_http_requests_total{route="/rccs",method="POST",code="500"}`:  1,
 		`domd_http_requests_total{route="/avails",method="GET",code="503"}`: 1,
@@ -187,33 +192,24 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`domd_http_shed_total`:   1,
 		`domd_http_panics_total`: 1,
 
-		// Engine lifecycle: initial build + recovery build succeeded, the
-		// injected fault counted one failure and one stale serve, and the
-		// back-to-back queries produced at least one cache hit.
-		`domd_engine_builds_total`:                 2,
-		`domd_engine_build_failures_total`:         1,
-		`domd_engine_stale_serves_total`:           1,
-		`domd_engine_cache_hits_total`:             1,
-		`domd_engine_build_duration_seconds_count`: 2,
+		// Engines: the shed tier built one per avail at open, one query
+		// on its failed shard was served stale, and the three acknowledged
+		// ingests on the main catalog folded into its live engine.
+		`domd_engine_builds_total`:        float64(len(ds.Avails)),
+		`domd_engine_stale_serves_total`:  1,
+		`domd_engine_delta_applies_total`: 3,
 
-		// The first two ingests folded into the live cached engine in
-		// place; the third was forced down the invalidation path by the
-		// armed delta failpoint.
-		`domd_engine_delta_applies_total`:                       2,
-		`domd_engine_delta_fallbacks_total{reason="failpoint"}`: 1,
-
-		// Ingestion: two acks, one duplicate, one failure (the injected
-		// mid-apply panic after the record was already on the log).
-		`domd_ingest_acks_total`:       2,
+		// Ingestion: three acks on the main catalog, one duplicate.
+		`domd_ingest_acks_total`:       3,
 		`domd_ingest_duplicates_total`: 1,
 
-		// WAL: three appends reached the log (two acks + the panicked
-		// apply), each fsynced under SyncAlways; each ack compacted under
-		// CompactEvery:1.
-		`domd_wal_appends_total`:               3,
-		`domd_wal_syncs_total`:                 3,
-		`domd_wal_sync_duration_seconds_count`: 3,
-		`domd_wal_compactions_total`:           2,
+		// WAL on the main catalog: four appends reached the log (three
+		// acks + the panicked apply), each fsynced under SyncAlways; each
+		// ack compacted under CompactEvery:1.
+		`domd_wal_appends_total`:               4,
+		`domd_wal_syncs_total`:                 4,
+		`domd_wal_sync_duration_seconds_count`: 4,
+		`domd_wal_compactions_total`:           3,
 	}
 	for key, want := range wantAtLeast {
 		if got := delta(before, after, key); got < want {

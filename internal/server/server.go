@@ -51,10 +51,10 @@
 //
 // Every /query response and /fleet row carries "stale" and "asOf": asOf
 // is the revision of the answering engine, counted as the number of RCCs
-// of that avail folded into it, and "stale": true marks an answer served
-// from the last good engine because the current rebuild failed (or an
-// ingest landed mid-query). Clients that must not act on degraded data
-// check "stale"; everyone else gets availability instead of a 5xx.
+// of that avail folded into it, and "stale": true marks an answer from a
+// shard in the failed health state, which holds every acknowledged RCC
+// but can acknowledge no new one. Clients that must not act on degraded
+// data check "stale"; everyone else gets availability instead of a 5xx.
 //
 // # Middleware and observability
 //
@@ -64,8 +64,8 @@
 // with 503 + Retry-After once Options.MaxInFlight requests are in
 // flight. /healthz, /readyz, and /metrics bypass shedding so probes and
 // scrapes stay accurate under overload. The handler is safe for
-// concurrent use: queries are answered from the catalog's cached
-// per-avail engines (single-flight built).
+// concurrent use: queries are answered from the catalog's per-avail
+// engines, all built when the catalog opens.
 //
 // # One read path
 //
@@ -217,7 +217,7 @@ type Server struct {
 }
 
 // New wires a trained pipeline and an avail catalog into an http.Handler.
-// Queries hit the catalog's engine cache; the query service itself never
+// Queries read the catalog's engines; the query service itself never
 // builds an engine. New panics when p was not trained on ext's features:
 // callers that load a pipeline check it first with
 // core.Pipeline.CheckFeatureNames, so a mismatch here is a wiring bug.
@@ -608,9 +608,7 @@ type driverView struct {
 // queryView is the /query response. Stale and AsOf are the degraded-mode
 // markers documented in the package comment: AsOf is the answering
 // engine's revision (RCCs of this avail folded in), Stale reports that
-// the engine predates the newest acknowledged history — either the
-// rebuild failed and the last good engine answered, or an ingest raced
-// this query.
+// the avail's shard has failed and acknowledges no new RCCs.
 type queryView struct {
 	AvailID     int            `json:"avail_id"`
 	At          string         `json:"at"`
@@ -770,7 +768,7 @@ type batchRow struct {
 
 // handleQueryBatch answers many DoMD queries in one request. The point is
 // amortization on warm paths: each distinct avail in the batch resolves
-// its engine (and any rebuild it triggers) once and answers all its dates
+// its engine once and answers all its dates
 // from one feature row, and the avails fan out with the same bounded
 // parallelism and per-row error isolation as /fleet. Status contract: 400
 // malformed body or empty batch, 413 oversized body, 422 more than

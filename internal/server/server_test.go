@@ -418,8 +418,8 @@ func batchBody(a domain.Avail, n int) string {
 }
 
 // TestQueryBatch pins the batch contract: answers arrive in request order
-// and bitwise-match the single-query endpoint, the engine lookup is
-// amortized to one build per distinct avail, and a bad row (unknown avail,
+// and bitwise-match the single-query endpoint, the batch builds no
+// engine (the catalog built them at open), and a bad row (unknown avail,
 // bad date, pre-start date) fails alone without failing the batch.
 func TestQueryBatch(t *testing.T) {
 	srv, ds, _ := newTestServer(t)
@@ -487,10 +487,9 @@ func TestQueryBatch(t *testing.T) {
 			t.Errorf("row %d did not fail: %+v", i, rows[i])
 		}
 	}
-	// Amortization: three queries against avail a resolved its cached
-	// engine once; only avail b cost a build.
-	if got := engineBuilds(t, srv.URL); got != builds+1 {
-		t.Errorf("batch performed %v engine builds, want 1 (avail %d only)", got-builds, b.ID)
+	// The rows read the engines built at open; none is built per request.
+	if got := engineBuilds(t, srv.URL); got != builds {
+		t.Errorf("batch performed %v engine builds, want 0", got-builds)
 	}
 }
 

@@ -121,19 +121,21 @@ func TestShardedFleetMergeDeterminism(t *testing.T) {
 	}
 }
 
-// TestChaosShardedFleetShardIsolation drives one shard into engine-build
-// failure and proves the blast radius stays inside it: the victim avail
-// is served stale from its shard's last-good engine with a truthful
-// asOf, every other shard's avails stay fresh, and no avail is dropped
-// or reordered. Clearing the fault restores fresh answers that include
-// the ingested record.
+// TestChaosShardedFleetShardIsolation drives one shard to the failed
+// health state with WAL append faults and proves the blast radius stays
+// inside it: the victim shard's avails are served stale with a truthful
+// asOf (the victim's includes its one acknowledged ingest), every other
+// shard's avails stay fresh, and no avail is dropped or reordered. Once
+// the fault clears, a probe ingest recovers the shard and the fleet is
+// fresh again, including the records ingested since.
 func TestChaosShardedFleetShardIsolation(t *testing.T) {
 	defer faultinject.Reset()
 	srv, ds, sc := newShardedServer(t, t.TempDir())
 	victim, other := crossShardOngoing(t, ds, sc)
+	victimShard := sc.ShardOf(victim.ID)
 	date := fleetDate(ds)
 
-	// Warm every shard's engines and record the victim's fresh asOf.
+	// Record every row's fresh asOf.
 	warm := fetchFleet(t, srv.URL, date)
 	baseAsOf := map[int]int64{}
 	for _, row := range warm {
@@ -146,14 +148,21 @@ func TestChaosShardedFleetShardIsolation(t *testing.T) {
 		baseAsOf[row.AvailID] = row.Result.AsOf
 	}
 
-	// Force the victim's next ingest to invalidate its engine (delta
-	// fold refused once), then make every rebuild fail: the victim's
-	// shard now cannot produce a fresh engine for that avail.
-	faultinject.EnableTimes(statusq.FailDeltaApply, errors.New("chaos: delta refused"), 1)
+	// One acknowledged ingest on the victim, then persistent append
+	// faults: its shard fails after FailAfterFailures refused ingests.
 	if status, _, out := postJSON(t, srv.URL+"/rccs", rccBody(980001, victim), nil); status != http.StatusCreated {
 		t.Fatalf("victim ingest = %d %v, want 201", status, out)
 	}
-	faultinject.Enable(statusq.FailEngineBuild, errors.New("chaos: shard build down"))
+	baseAsOf[victim.ID]++
+	faultinject.Enable(wal.FailAppendWrite, errors.New("chaos: shard disk down"))
+	for i := 0; i < statusq.FailAfterFailures; i++ {
+		if status, _, _ := postJSON(t, srv.URL+"/rccs", rccBody(980010+i, victim), nil); status != http.StatusServiceUnavailable {
+			t.Fatalf("faulted victim ingest %d = %d, want 503", i, status)
+		}
+	}
+	if h := sc.HealthOf(victimShard); h != statusq.ShardFailed {
+		t.Fatalf("victim shard health = %v, want failed", h)
+	}
 
 	degraded := fetchFleet(t, srv.URL, date)
 	if len(degraded) != len(warm) {
@@ -166,39 +175,40 @@ func TestChaosShardedFleetShardIsolation(t *testing.T) {
 		if row.Result == nil {
 			t.Fatalf("degraded fleet row %d has no result: %s", row.AvailID, row.Error)
 		}
-		if row.AvailID == victim.ID {
-			if !row.Result.Stale {
-				t.Fatalf("victim avail %d served stale=false under a build fault", row.AvailID)
-			}
-			if row.Result.AsOf != baseAsOf[row.AvailID] {
-				t.Fatalf("victim stale asOf = %d, want pre-ingest %d", row.Result.AsOf, baseAsOf[row.AvailID])
-			}
-			continue
-		}
-		// Every avail on every other shard — and the victim's shard
-		// siblings with settled engines — stays fresh.
-		if row.Result.Stale {
-			t.Fatalf("avail %d (shard %d) served stale; only the victim (shard %d) should degrade",
-				row.AvailID, sc.ShardOf(row.AvailID), sc.ShardOf(victim.ID))
-		}
 		if row.Result.AsOf != baseAsOf[row.AvailID] {
-			t.Fatalf("avail %d asOf drifted to %d under another shard's fault", row.AvailID, row.Result.AsOf)
+			t.Fatalf("avail %d asOf = %d, want %d: only acknowledged records count", row.AvailID, row.Result.AsOf, baseAsOf[row.AvailID])
+		}
+		// The failed shard's avails go stale; every avail on every other
+		// shard stays fresh.
+		if onVictim := sc.ShardOf(row.AvailID) == victimShard; row.Result.Stale != onVictim {
+			t.Fatalf("avail %d (shard %d) stale=%v; only the failed shard %d should degrade",
+				row.AvailID, sc.ShardOf(row.AvailID), row.Result.Stale, victimShard)
 		}
 	}
-	if sc.ShardOf(other.ID) == sc.ShardOf(victim.ID) {
+	if sc.ShardOf(other.ID) == victimShard {
 		t.Fatalf("test fixture broken: %d and %d on one shard", other.ID, victim.ID)
 	}
 
-	// Fault cleared: the victim rebuilds over the extended history and
-	// the fleet is fully fresh again, now including the ingested record.
+	// Fault cleared: the open breaker admits a probe ingest, whose ack
+	// restores the shard; the fleet is fully fresh again, now including
+	// the probe's record.
 	faultinject.Reset()
-	recovered := fetchFleet(t, srv.URL, date)
-	for _, row := range recovered {
+	recovered := false
+	for i := 0; i < 64 && !recovered; i++ {
+		if status, _, _ := postJSON(t, srv.URL+"/rccs", rccBody(981001+i, victim), nil); status == http.StatusCreated {
+			recovered = true
+		}
+	}
+	if !recovered {
+		t.Fatal("victim shard never recovered after the fault cleared")
+	}
+	baseAsOf[victim.ID]++
+	for _, row := range fetchFleet(t, srv.URL, date) {
 		if row.Result == nil || row.Result.Stale {
 			t.Fatalf("post-recovery row %d stale or missing", row.AvailID)
 		}
-		if row.AvailID == victim.ID && row.Result.AsOf != baseAsOf[row.AvailID]+1 {
-			t.Fatalf("recovered victim asOf = %d, want %d (ingested record folded in)", row.Result.AsOf, baseAsOf[row.AvailID]+1)
+		if row.Result.AsOf != baseAsOf[row.AvailID] {
+			t.Fatalf("recovered avail %d asOf = %d, want %d (acknowledged records folded in)", row.AvailID, row.Result.AsOf, baseAsOf[row.AvailID])
 		}
 	}
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // TestQueryUsesCachedEngine pins the serving-path fix: repeated /query
-// requests for the same avail must hit the catalog's cached engine instead
-// of re-indexing the RCC history per request (the old QueryService.Query
-// behavior). The engine-build counter (domd_engine_builds_total) is the
-// observable.
+// requests for the same avail must read the engine the catalog built at
+// open instead of re-indexing the RCC history per request (the old
+// QueryService.Query behavior). The engine-build counter
+// (domd_engine_builds_total) is the observable.
 func TestQueryUsesCachedEngine(t *testing.T) {
 	srv, ds, _ := newTestServer(t)
 	var target *domain.Avail
@@ -29,8 +29,8 @@ func TestQueryUsesCachedEngine(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		get(t, url, http.StatusOK, nil)
 	}
-	if builds := engineBuilds(t, srv.URL) - before; builds != 1 {
-		t.Errorf("12 queries to one avail built %v engines, want 1 (cached)", builds)
+	if builds := engineBuilds(t, srv.URL) - before; builds != 0 {
+		t.Errorf("12 queries to one avail built %v engines, want 0 (built at open)", builds)
 	}
 }
 
@@ -38,9 +38,9 @@ func TestQueryUsesCachedEngine(t *testing.T) {
 // a mix of /query, /fleet, /avails, and catalog.Ingest goroutines hammering
 // one server. On the pre-fix code this panics (concurrent map writes in
 // Catalog) or trips the race detector (lazy index re-sorts, unguarded
-// engine cache); it must run clean now. It also bounds engine builds:
-// single-flight construction means at most one build per (avail ×
-// invalidation), never one per request.
+// engine state); it must run clean now. It also pins the engine
+// lifecycle: engines are built at open, so the mix builds none, and every
+// ingest folds into its avail's live engine in place.
 func TestConcurrentServingStress(t *testing.T) {
 	srv, ds, catalog := newTestServer(t)
 	var ongoing []*domain.Avail
@@ -65,7 +65,7 @@ func TestConcurrentServingStress(t *testing.T) {
 		failures atomic.Int64
 	)
 	rccID.Store(10_000_000) // above every generated RCC id
-	baseline := engineBuilds(t, srv.URL)
+	baseline := scrapeMetrics(t, srv.URL)
 
 	fetch := func(url string, want int) {
 		resp, err := client.Get(url)
@@ -81,7 +81,7 @@ func TestConcurrentServingStress(t *testing.T) {
 		}
 	}
 
-	// Query workers: every request a cache hit or a single-flight rebuild.
+	// Query workers: every request reads an engine built at open.
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -112,7 +112,7 @@ func TestConcurrentServingStress(t *testing.T) {
 			fetch(srv.URL+"/avails", http.StatusOK)
 		}
 	}()
-	// Ingestion workers: stream RCCs in, invalidating cached engines.
+	// Ingestion workers: stream RCCs into the live engines.
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -142,16 +142,13 @@ func TestConcurrentServingStress(t *testing.T) {
 		t.Fatalf("%d requests failed under concurrency", failures.Load())
 	}
 	if adds.Load() == 0 {
-		t.Fatal("no RCCs ingested; the stress mix did not exercise invalidation")
+		t.Fatal("no RCCs ingested; the stress mix did not exercise the in-place fold")
 	}
-	// Builds are bounded by first-use plus invalidations — if queries built
-	// engines per request this would be on the order of total requests.
-	builds := engineBuilds(t, srv.URL) - baseline
-	limit := float64(len(ongoing) + int(adds.Load()))
-	if builds > limit {
-		t.Errorf("engine builds = %v, want <= %v (single-flight + invalidation bound)", builds, limit)
+	after := scrapeMetrics(t, srv.URL)
+	if builds := delta(baseline, after, "domd_engine_builds_total"); builds != 0 {
+		t.Errorf("engine builds = %v, want 0 (engines are built at open)", builds)
 	}
-	if builds == 0 {
-		t.Error("no engines built; the stress mix did not exercise the cache")
+	if applies := delta(baseline, after, "domd_engine_delta_applies_total"); applies != float64(adds.Load()) {
+		t.Errorf("delta applies = %v, want %d (one per ingest)", applies, adds.Load())
 	}
 }

@@ -6,13 +6,13 @@ import (
 	"testing"
 
 	"domd/internal/domain"
+	"domd/internal/navsim"
 )
 
-// The ingest benchmarks compare the two ways a serving process can absorb a
-// freshly ingested RCC and then answer a warm-avail query: folding it into
-// the live engine (Engine.ApplyRCC, the incremental path Catalog.AddRCC
-// takes by default) versus rebuilding the engine over the extended history
-// (the invalidate-and-rebuild fallback). Sizes start at the README
+// The ingest benchmarks compare the two ways a serving process could absorb
+// a freshly ingested RCC and then answer a warm-avail query: folding it
+// into the live engine (Engine.ApplyRCC, the one path a catalog takes)
+// versus rebuilding the engine over the extended history. Sizes start at the README
 // scalability fixture's ≥1k RCCs per avail, where the rebuild cost
 // dominates post-ingest query latency.
 
@@ -66,8 +66,8 @@ func BenchmarkApplyRCC(b *testing.B) {
 	}
 }
 
-// BenchmarkRebuildAfterIngest times the fallback path the incremental
-// design replaces: append to the history, rebuild the engine from scratch,
+// BenchmarkRebuildAfterIngest times the path the incremental design
+// replaces: append to the history, rebuild the engine from scratch,
 // answer the same query.
 func BenchmarkRebuildAfterIngest(b *testing.B) {
 	for _, n := range []int{1000, 4000} {
@@ -89,8 +89,8 @@ func BenchmarkRebuildAfterIngest(b *testing.B) {
 }
 
 // BenchmarkNewEngine times one serving-engine build, what a catalog pays
-// on an avail's first lookup and after every fallback ingest: validation
-// and the two event-order sorts. n = 260 is a fleet-scan-sized history.
+// per avail when it opens: validation and the two event-order sorts.
+// n = 260 is a fleet-scan-sized history.
 func BenchmarkNewEngine(b *testing.B) {
 	for _, n := range []int{260, 1000, 4000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -104,4 +104,23 @@ func BenchmarkNewEngine(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkNewCatalog times opening a catalog at the domdbench fleet's
+// scale (navsim seed 1: 187 closed avails of ~283 RCCs and the
+// fleet-scan workload's 48 ongoing ones): grouping the RCCs by avail and
+// building every avail's engine up front.
+func BenchmarkNewCatalog(b *testing.B) {
+	ds, err := navsim.Generate(navsim.Config{NumClosed: 187, NumOngoing: 48, MeanRCCsPerAvail: 283, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewCatalog(ds.Avails, ds.RCCs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(ds.RCCs)), "rccs")
 }

@@ -2,12 +2,12 @@ package statusq
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"domd/internal/domain"
-	"domd/internal/faultinject"
 	"domd/internal/index"
 	"domd/internal/navsim"
 )
@@ -52,25 +52,25 @@ func TestCatalogLookupAndIDs(t *testing.T) {
 func TestCatalogEngineCachedAndCorrect(t *testing.T) {
 	c, ds := catalogFixture(t)
 	id := ds.Avails[0].ID
-	e1, err := c.Engine(id)
+	e1, err := engineOf(c, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := c.Engine(id)
+	e2, err := engineOf(c, id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e1 != e2 {
 		t.Error("engine should be cached")
 	}
-	// The cached engine's RCCs answer as the catalog's history does.
+	// The engine built at open answers as the avail's RCC table does.
 	q := Query{Status: domain.Created, Agg: Count}
-	got, err := evalVia(c.Engine, id, 50, q)
+	got, err := evalVia(c, id, 50, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := c.Avail(id)
-	ix, err := NewIndexed(a, c.RCCs(id), index.KindAVL)
+	ix, err := NewIndexed(a, ds.RCCsByAvail()[id], index.KindAVL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,16 +81,28 @@ func TestCatalogEngineCachedAndCorrect(t *testing.T) {
 	if got != want {
 		t.Errorf("engine eval %f != history eval %f", got, want)
 	}
-	if _, err := c.Engine(99999); err == nil {
+	if _, err := engineOf(c, 99999); err == nil {
 		t.Error("engine for unknown avail: want error")
 	}
 }
 
-// evalVia answers one Status Query over the serving engine engine(id)
-// returns: it indexes the engine's RCC snapshot and evaluates there, so an
-// unknown avail fails in the lookup.
-func evalVia(engine func(int) (*Engine, error), id int, ts float64, q Query) (float64, error) {
-	e, err := engine(id)
+// engineLookup is the one engine lookup every catalog serves, satisfied
+// by *Catalog, *DurableCatalog and *ShardedCatalog alike.
+type engineLookup interface {
+	EngineAsOf(id int) (eng *Engine, asOf int64, stale bool, err error)
+}
+
+// engineOf returns the avail's engine without its provenance.
+func engineOf(c engineLookup, id int) (*Engine, error) {
+	eng, _, _, err := c.EngineAsOf(id)
+	return eng, err
+}
+
+// evalVia answers one Status Query over the avail's serving engine: it
+// indexes the engine's RCC snapshot and evaluates there, so an unknown
+// avail fails in the lookup.
+func evalVia(c engineLookup, id int, ts float64, q Query) (float64, error) {
+	e, err := engineOf(c, id)
 	if err != nil {
 		return 0, err
 	}
@@ -104,7 +116,7 @@ func evalVia(engine func(int) (*Engine, error), id int, ts float64, q Query) (fl
 func TestCatalogAddRCC(t *testing.T) {
 	c, ds := catalogFixture(t)
 	id := ds.Avails[0].ID
-	before, err := evalVia(c.Engine, id, 100, Query{Status: domain.Created, Agg: Count})
+	before, err := evalVia(c, id, 100, Query{Status: domain.Created, Agg: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,21 +126,21 @@ func TestCatalogAddRCC(t *testing.T) {
 		SWLIN:   43411001,
 		Created: a.ActStart + 1, Settled: a.ActStart + 30, Amount: 5000,
 	}
-	if err := c.AddRCC(add); err != nil {
+	if err := c.addRCC(add); err != nil {
 		t.Fatal(err)
 	}
-	after, err := evalVia(c.Engine, id, 100, Query{Status: domain.Created, Agg: Count})
+	after, err := evalVia(c, id, 100, Query{Status: domain.Created, Agg: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after != before+1 {
-		t.Errorf("count after AddRCC = %f, want %f", after, before+1)
+		t.Errorf("count after addRCC = %f, want %f", after, before+1)
 	}
 	// Errors.
-	if err := c.AddRCC(domain.RCC{ID: 2, AvailID: 99999, Created: 0, Settled: 1}); err == nil {
+	if err := c.addRCC(domain.RCC{ID: 2, AvailID: 99999, Created: 0, Settled: 1}); err == nil {
 		t.Error("unknown avail: want error")
 	}
-	if err := c.AddRCC(domain.RCC{ID: 3, AvailID: id, Created: 10, Settled: 5}); err == nil {
+	if err := c.addRCC(domain.RCC{ID: 3, AvailID: id, Created: 10, Settled: 5}); err == nil {
 		t.Error("invalid rcc: want error")
 	}
 }
@@ -149,46 +161,27 @@ func TestCatalogValidation(t *testing.T) {
 	if _, err := NewCatalog(bad, nil); err == nil {
 		t.Error("invalid avail: want error")
 	}
-}
-
-func TestCatalogEngineSingleFlight(t *testing.T) {
-	c, ds := catalogFixture(t)
-	id := ds.Avails[0].ID
-	const n = 32
-	engines := make([]*Engine, n)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-start
-			e, err := c.Engine(id)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			engines[i] = e
-		}(i)
+	// Engines are built at open, so a base RCC the sweep cannot fold
+	// fails the table, named in the error, instead of the first query.
+	badRCC := []domain.RCC{
+		{ID: 1, AvailID: 1, Created: 0, Settled: 1},
+		{ID: 77, AvailID: 1, Type: 7, Created: 0, Settled: 1},
 	}
-	close(start)
-	wg.Wait()
-	if got := c.EngineBuilds(); got != 1 {
-		t.Errorf("%d concurrent first queries built %d engines, want 1", n, got)
-	}
-	for i := 1; i < n; i++ {
-		if engines[i] != engines[0] {
-			t.Fatal("concurrent callers got different engines")
-		}
+	_, err := NewCatalog(avails[:1], badRCC)
+	if err == nil || !strings.Contains(err.Error(), "rcc 77") {
+		t.Errorf("invalid base rcc: err = %v, want one naming rcc 77", err)
 	}
 }
 
-// TestCatalogConcurrentMix is the package-level -race gate: Engine (and a
-// Status Query over its RCCs), RCCs, and AddRCC from many goroutines at
-// once. The pre-fix Catalog fails here with a concurrent-map-write panic.
+// TestCatalogConcurrentMix is the package-level -race gate: engine lookups
+// (and a Status Query over the engine's RCCs) and addRCC from many
+// goroutines at once. Readers touch only the first half of the avails, so
+// the writers also fold into engines no read has touched yet; afterwards
+// every engine holds its base RCCs plus exactly the RCCs folded into it.
 func TestCatalogConcurrentMix(t *testing.T) {
 	c, ds := catalogFixture(t)
 	ids := c.AvailIDs()
+	read := len(ids) / 2
 	q := Query{Status: domain.Created, Agg: Count}
 	var wg sync.WaitGroup
 	var nextID atomic.Int64
@@ -198,16 +191,16 @@ func TestCatalogConcurrentMix(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				id := ids[(w+i)%len(ids)]
-				if _, err := evalVia(c.Engine, id, float64(10+(i%9)*10), q); err != nil {
+				id := ids[(w+i)%read]
+				if _, err := evalVia(c, id, float64(10+(i%9)*10), q); err != nil {
 					t.Errorf("Eval(%d): %v", id, err)
 					return
 				}
-				_ = c.RCCs(id)
 			}
 		}(w)
 	}
-	for w := 0; w < 2; w++ {
+	added := make([][]int, 2)
+	for w := range added {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -219,92 +212,70 @@ func TestCatalogConcurrentMix(t *testing.T) {
 					SWLIN:   43411001,
 					Created: a.ActStart + 1, Settled: a.ActStart + 20, Amount: 100,
 				}
-				if err := c.AddRCC(r); err != nil {
-					t.Errorf("AddRCC(%d): %v", id, err)
+				if err := c.addRCC(r); err != nil {
+					t.Errorf("addRCC(%d): %v", id, err)
 					return
 				}
+				added[w] = append(added[w], id)
 			}
 		}(w)
 	}
 	wg.Wait()
-	_ = ds
+	want := map[int]int{}
+	for id, rccs := range ds.RCCsByAvail() {
+		want[id] = len(rccs)
+	}
+	for _, ws := range added {
+		for _, id := range ws {
+			want[id]++
+		}
+	}
+	for _, id := range ids {
+		e, err := engineOf(c, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.NumRCCs() != want[id] {
+			t.Errorf("avail %d engine holds %d RCCs, want %d", id, e.NumRCCs(), want[id])
+		}
+	}
 }
 
 // TestCatalogAddRCCDeltaApplies pins the read-your-writes guarantee under
-// the incremental ingest path: an Engine call that starts after AddRCC
-// returns sees the new RCC, and the cached engine was folded in place
-// (same engine, no rebuild) rather than invalidated.
+// the incremental ingest path: a lookup that starts after addRCC returns
+// sees the new RCC, and the engine was folded in place (same engine, no
+// build) rather than replaced.
 func TestCatalogAddRCCDeltaApplies(t *testing.T) {
 	c, ds := catalogFixture(t)
 	id := ds.Avails[0].ID
-	e1, err := c.Engine(id)
+	e1, asOf1, _, err := c.EngineAsOf(id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds := c.EngineBuilds()
+	builds, applies := mEngineBuilds.Value(), mDeltaApplies.Value()
 	a, _ := c.Avail(id)
 	add := domain.RCC{
 		ID: 9_000_000, AvailID: id, Type: domain.Growth, SWLIN: 43411001,
 		Created: a.ActStart + 1, Settled: a.ActStart + 30, Amount: 1,
 	}
-	if err := c.AddRCC(add); err != nil {
+	if err := c.addRCC(add); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := c.Engine(id)
+	e2, asOf2, stale, err := c.EngineAsOf(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e1 != e2 {
-		t.Fatal("AddRCC rebuilt the engine instead of delta-applying in place")
+		t.Fatal("addRCC replaced the engine instead of folding in place")
 	}
-	if want := len(ds.RCCsByAvail()[id]) + 1; e2.NumRCCs() != want {
-		t.Errorf("engine has %d RCCs, want %d", e2.NumRCCs(), want)
+	if want := len(ds.RCCsByAvail()[id]) + 1; e2.NumRCCs() != want || asOf2 != int64(want) || asOf2 != asOf1+1 || stale {
+		t.Errorf("engine has %d RCCs, asOf %d (was %d), stale %v; want %d, fresh", e2.NumRCCs(), asOf2, asOf1, stale, want)
 	}
-	if got := c.DeltaApplies(); got != 1 {
-		t.Errorf("DeltaApplies = %d, want 1", got)
+	if got := mDeltaApplies.Value() - applies; got != 1 {
+		t.Errorf("delta applies = %d, want 1", got)
 	}
-	if got := c.EngineBuilds(); got != builds {
-		t.Errorf("EngineBuilds = %d, want %d (no rebuild)", got, builds)
-	}
-}
-
-// TestCatalogAddRCCInvalidatesWithoutDelta pins the fallback: when the
-// in-place fold is refused (here by the armed FailDeltaApply failpoint;
-// likewise for any ineligible slot) AddRCC invalidates the cached engine
-// and the next Engine call rebuilds over the extended history — the
-// pre-incremental behaviour.
-func TestCatalogAddRCCInvalidatesWithoutDelta(t *testing.T) {
-	defer faultinject.Reset()
-	c, ds := catalogFixture(t)
-	id := ds.Avails[0].ID
-	e1, err := c.Engine(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := c.Avail(id)
-	add := domain.RCC{
-		ID: 9_000_000, AvailID: id, Type: domain.Growth, SWLIN: 43411001,
-		Created: a.ActStart + 1, Settled: a.ActStart + 30, Amount: 1,
-	}
-	faultinject.EnableTimes(FailDeltaApply, errors.New("force rebuild path"), 1)
-	if err := c.AddRCC(add); err != nil {
-		t.Fatal(err)
-	}
-	e2, err := c.Engine(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e1 == e2 {
-		t.Fatal("AddRCC did not invalidate the cached engine")
-	}
-	if e2.NumRCCs() != e1.NumRCCs()+1 {
-		t.Errorf("rebuilt engine has %d RCCs, want %d", e2.NumRCCs(), e1.NumRCCs()+1)
-	}
-	if got := c.DeltaFallbacks(); got != 1 {
-		t.Errorf("DeltaFallbacks = %d, want 1", got)
-	}
-	if got := c.DeltaApplies(); got != 0 {
-		t.Errorf("DeltaApplies = %d, want 0 (the fold was refused)", got)
+	if got := mEngineBuilds.Value() - builds; got != 0 {
+		t.Errorf("engine builds = %d, want 0 (no rebuild)", got)
 	}
 }
 
@@ -313,88 +284,10 @@ func TestCatalogAddRCCInvalidatesWithoutDelta(t *testing.T) {
 // callers (the server's 404 mapping) can test with errors.Is.
 func TestCatalogUnknownAvailSentinel(t *testing.T) {
 	c, _ := catalogFixture(t)
-	if err := c.AddRCC(domain.RCC{ID: 1, AvailID: 99999, Created: 0, Settled: 1}); !errors.Is(err, ErrUnknownAvail) {
-		t.Errorf("AddRCC unknown avail = %v, want ErrUnknownAvail", err)
-	}
-	if _, err := c.Engine(99999); !errors.Is(err, ErrUnknownAvail) {
-		t.Errorf("Engine unknown avail = %v, want ErrUnknownAvail", err)
+	if err := c.addRCC(domain.RCC{ID: 1, AvailID: 99999, Created: 0, Settled: 1}); !errors.Is(err, ErrUnknownAvail) {
+		t.Errorf("addRCC unknown avail = %v, want ErrUnknownAvail", err)
 	}
 	if _, _, _, err := c.EngineAsOf(99999); !errors.Is(err, ErrUnknownAvail) {
 		t.Errorf("EngineAsOf unknown avail = %v, want ErrUnknownAvail", err)
-	}
-}
-
-// TestCatalogEngineBuildFaultServesLastGood drives the degraded-serving
-// contract: with the engine build failing, EngineAsOf answers from the
-// last successfully built engine marked stale; once the fault clears,
-// the next call rebuilds fresh.
-func TestCatalogEngineBuildFaultServesLastGood(t *testing.T) {
-	defer faultinject.Reset()
-	c, ds := catalogFixture(t)
-	id := ds.Avails[0].ID
-
-	good, asOf, stale, err := c.EngineAsOf(id)
-	if err != nil || stale {
-		t.Fatalf("healthy EngineAsOf: stale=%v err=%v", stale, err)
-	}
-	if asOf != int64(good.NumRCCs()) {
-		t.Fatalf("asOf = %d, want history length %d", asOf, good.NumRCCs())
-	}
-
-	// Force the ingest down the invalidation path (the armed failpoint
-	// suppresses the in-place delta apply), then make every rebuild fail.
-	a, _ := c.Avail(id)
-	add := domain.RCC{
-		ID: 7_000_000, AvailID: id, Type: domain.Growth, SWLIN: 43411001,
-		Created: a.ActStart + 1, Settled: a.ActStart + 30, Amount: 1,
-	}
-	faultinject.EnableTimes(FailDeltaApply, errors.New("force rebuild path"), 1)
-	if err := c.AddRCC(add); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("injected build failure")
-	faultinject.Enable(FailEngineBuild, boom)
-
-	if _, err := c.Engine(id); !errors.Is(err, boom) {
-		t.Fatalf("strict Engine under fault = %v, want the build error", err)
-	}
-	eng, asOf2, stale2, err := c.EngineAsOf(id)
-	if err != nil {
-		t.Fatalf("EngineAsOf under fault = %v, want stale fallback", err)
-	}
-	if !stale2 || eng != good || asOf2 != asOf {
-		t.Fatalf("fallback = (%p stale=%v asOf=%d), want last good (%p stale=true asOf=%d)",
-			eng, stale2, asOf2, good, asOf)
-	}
-
-	// Fault clears: the failed slot was dropped, so the rebuild runs and
-	// folds in the appended RCC.
-	faultinject.Reset()
-	fresh, asOf3, stale3, err := c.EngineAsOf(id)
-	if err != nil || stale3 {
-		t.Fatalf("post-fault EngineAsOf: stale=%v err=%v", stale3, err)
-	}
-	if fresh == good || asOf3 != asOf+1 {
-		t.Fatalf("post-fault engine not rebuilt: asOf=%d want %d", asOf3, asOf+1)
-	}
-	if fresh.NumRCCs() != good.NumRCCs()+1 {
-		t.Fatalf("rebuilt engine has %d RCCs, want %d", fresh.NumRCCs(), good.NumRCCs()+1)
-	}
-}
-
-// TestCatalogEngineBuildFaultNoLastGood: with no prior good engine the
-// build error must propagate — degraded mode cannot invent answers.
-func TestCatalogEngineBuildFaultNoLastGood(t *testing.T) {
-	defer faultinject.Reset()
-	c, ds := catalogFixture(t)
-	id := ds.Avails[1].ID
-	boom := errors.New("injected build failure")
-	faultinject.EnableTimes(FailEngineBuild, boom, 1)
-	if _, _, _, err := c.EngineAsOf(id); !errors.Is(err, boom) {
-		t.Fatalf("EngineAsOf with no last-good = %v, want build error", err)
-	}
-	// The failed slot must not be pinned: the next call retries and succeeds.
-	if _, _, stale, err := c.EngineAsOf(id); err != nil || stale {
-		t.Fatalf("retry after transient fault: stale=%v err=%v", stale, err)
 	}
 }

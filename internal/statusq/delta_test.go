@@ -225,10 +225,10 @@ func TestDeltaEngineEventOrders(t *testing.T) {
 }
 
 // TestDeltaCatalogWALReplayDifferential is the serving-tier half of the
-// differential: a DurableCatalog ingests a randomized 1000-RCC stream into
-// a warm engine (so every ingest takes the O(delta) path), the engine is
-// checked against a from-scratch build after every prefix, and after a
-// close/reopen the WAL-replayed catalog must agree with both.
+// differential: a DurableCatalog folds a randomized 1000-RCC stream into
+// the engine it built at open, the engine is checked against a
+// from-scratch build after every prefix, and after a close/reopen the
+// WAL-restored catalog must agree with both.
 func TestDeltaCatalogWALReplayDifferential(t *testing.T) {
 	n := 1000
 	if testing.Short() {
@@ -254,12 +254,11 @@ func TestDeltaCatalogWALReplayDifferential(t *testing.T) {
 	id := avail.ID
 	history := append([]domain.RCC(nil), ds.RCCsByAvail()[id]...)
 
-	// Warm the engine so the stream hits the delta path, not rebuilds.
-	warm, err := dc.Catalog.Engine(id)
+	warm, err := engineOf(dc, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buildsBefore := dc.Catalog.EngineBuilds()
+	builds, applies := mEngineBuilds.Value(), mDeltaApplies.Value()
 
 	for i := 0; i < n; i++ {
 		r := randRCC(rng, avail, 20_000+i)
@@ -283,19 +282,20 @@ func TestDeltaCatalogWALReplayDifferential(t *testing.T) {
 		}
 		diffEngines(t, rng, eng, scratch, index.KindAVL, fmt.Sprintf("prefix %d", i+1))
 	}
-	if got := dc.Catalog.DeltaApplies(); got != int64(n) {
-		t.Errorf("DeltaApplies = %d, want %d (every ingest on the warm engine)", got, n)
+	if got := mDeltaApplies.Value() - applies; got != int64(n) {
+		t.Errorf("delta applies = %d, want %d (every ingest folded in place)", got, n)
 	}
-	if got := dc.Catalog.EngineBuilds(); got != buildsBefore {
-		t.Errorf("EngineBuilds = %d, want %d (no rebuild during the stream)", got, buildsBefore)
+	if got := mEngineBuilds.Value() - builds; got != 0 {
+		t.Errorf("engine builds = %d, want 0 (no rebuild during the stream)", got)
 	}
 	if err := dc.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Reopen: the WAL replay restores every acked ingest; the rebuilt
-	// engine must agree bitwise with a from-scratch engine over the full
-	// history (and therefore with the delta-applied engine checked above).
+	// Reopen: the WAL replay restores every acked ingest into the RCCs
+	// the engine is built over; it must agree bitwise with a from-scratch
+	// engine over the full history (and therefore with the delta-applied
+	// engine checked above).
 	dc2, info, err := OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +304,7 @@ func TestDeltaCatalogWALReplayDifferential(t *testing.T) {
 	if info.Restored != n {
 		t.Fatalf("replay restored %d RCCs, want %d", info.Restored, n)
 	}
-	restored, err := dc2.Catalog.Engine(id)
+	restored, err := engineOf(dc2, id)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,7 +49,7 @@ func deltaRCC(t *testing.T, c *Catalog, availID, n int) domain.RCC {
 // *Catalog, *DurableCatalog, and *ShardedCatalog alike.
 type evalSurface interface {
 	AvailIDs() []int
-	Engine(id int) (*Engine, error)
+	engineLookup
 }
 
 // evalFingerprint returns the raw float bits of every avail's serving
@@ -64,9 +65,9 @@ func evalFingerprint(t *testing.T, c evalSurface) []uint64 {
 		{Status: domain.SettledStatus, Agg: AvgDuration},
 	}
 	for _, id := range c.AvailIDs() {
-		e, err := c.Engine(id)
+		e, err := engineOf(c, id)
 		if err != nil {
-			t.Fatalf("Engine(%d): %v", id, err)
+			t.Fatalf("EngineAsOf(%d): %v", id, err)
 		}
 		ix, err := NewIndexed(e.Avail(), e.RCCs(), index.KindAVL)
 		if err != nil {
@@ -173,7 +174,7 @@ func TestDurableCrashBetweenAppendAndApply(t *testing.T) {
 	if _, err := d.Ingest("before", deltaRCC(t, d.Catalog, id, 0)); err != nil {
 		t.Fatal(err)
 	}
-	baseline, err := evalVia(d.Engine, id, 100, Query{Status: domain.Created, Agg: Count})
+	baseline, err := evalVia(d, id, 100, Query{Status: domain.Created, Agg: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +192,7 @@ func TestDurableCrashBetweenAppendAndApply(t *testing.T) {
 	faultinject.Reset()
 	// The dying process never applied it (and, having not returned, never
 	// acknowledged it either).
-	after, err := evalVia(d.Engine, id, 100, Query{Status: domain.Created, Agg: Count})
+	after, err := evalVia(d, id, 100, Query{Status: domain.Created, Agg: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestDurableCrashBetweenAppendAndApply(t *testing.T) {
 	if info.Restored != 2 {
 		t.Fatalf("restored %d records, want 2 (incl. the crash-window one)", info.Restored)
 	}
-	restored, err := evalVia(d2.Engine, id, 100, Query{Status: domain.Created, Agg: Count})
+	restored, err := evalVia(d2, id, 100, Query{Status: domain.Created, Agg: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestDurableWALFaultNotAcknowledged(t *testing.T) {
 	dir := t.TempDir()
 	d, _, ds := durableFixture(t, dir, DurableOptions{})
 	id := d.AvailIDs()[0]
-	baseline, err := evalVia(d.Engine, id, 100, Query{Status: domain.Created, Agg: Count})
+	baseline, err := evalVia(d, id, 100, Query{Status: domain.Created, Agg: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestDurableWALFaultNotAcknowledged(t *testing.T) {
 	if _, err := d.Ingest("k", deltaRCC(t, d.Catalog, id, 0)); !errors.Is(err, errDisk) {
 		t.Fatalf("ingest under disk fault = %v", err)
 	}
-	after, err := evalVia(d.Engine, id, 100, Query{Status: domain.Created, Agg: Count})
+	after, err := evalVia(d, id, 100, Query{Status: domain.Created, Agg: Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,14 +377,6 @@ func TestDurableAutoCompaction(t *testing.T) {
 	}
 }
 
-func TestDurableDirectAddRCCRefused(t *testing.T) {
-	d, _, _ := durableFixture(t, t.TempDir(), DurableOptions{})
-	defer d.Close()
-	if err := d.AddRCC(deltaRCC(t, d.Catalog, d.AvailIDs()[0], 0)); err == nil {
-		t.Fatal("direct AddRCC on a durable catalog must fail")
-	}
-}
-
 func TestDurableReadyAndClose(t *testing.T) {
 	d, _, _ := durableFixture(t, t.TempDir(), DurableOptions{})
 	if err := d.Ready(); err != nil {
@@ -402,7 +395,7 @@ func TestDurableReadyAndClose(t *testing.T) {
 		t.Fatalf("ingest after close = %v", err)
 	}
 	// Queries still serve from memory after Close (drain semantics).
-	if _, err := evalVia(d.Engine, d.AvailIDs()[0], 50, Query{Status: domain.Created, Agg: Count}); err != nil {
+	if _, err := evalVia(d, d.AvailIDs()[0], 50, Query{Status: domain.Created, Agg: Count}); err != nil {
 		t.Fatalf("query after close: %v", err)
 	}
 }
@@ -438,7 +431,7 @@ func TestDurableConcurrentIngest(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				if _, err := evalVia(d.Engine, ids[(w+i)%len(ids)], 50, Query{Status: domain.Created, Agg: Count}); err != nil {
+				if _, err := evalVia(d, ids[(w+i)%len(ids)], 50, Query{Status: domain.Created, Agg: Count}); err != nil {
 					t.Errorf("eval: %v", err)
 					return
 				}
@@ -520,7 +513,7 @@ func TestDurableLegacyJSONRootReplays(t *testing.T) {
 	var entries []walEntry
 	for n := 0; n < 9; n++ {
 		e := walEntry{Key: fmt.Sprintf("k%d", n), RCC: deltaRCC(t, ref, ids[n%len(ids)], n)}
-		if err := ref.AddRCC(e.RCC); err != nil {
+		if err := ref.addRCC(e.RCC); err != nil {
 			t.Fatal(err)
 		}
 		entries = append(entries, e)
@@ -594,5 +587,72 @@ func TestDurableLegacyJSONRootReplays(t *testing.T) {
 	}
 	if !sameEntries(got, entries) {
 		t.Fatalf("compacted snapshot = %+v, want %+v", got, entries)
+	}
+}
+
+// TestDurableReplaySkipsUnfoldableRecords replays a log holding records
+// the decoder accepts but no engine can fold — a type-7 RCC, a NaN
+// amount, a SWLIN code past eight digits — beside an orphan, a duplicate
+// key and two good records. Each bad record is counted Skipped and never
+// applied, the good ones are restored, and the avail's engine sweeps.
+func TestDurableReplaySkipsUnfoldableRecords(t *testing.T) {
+	dir := t.TempDir()
+	ds, err := navsim.Generate(navsim.Config{NumClosed: 15, NumOngoing: 3, MeanRCCsPerAvail: 20, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewCatalog(ds.Avails, ds.RCCs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := ref.AvailIDs()[0]
+	good := func(n int) domain.RCC { return deltaRCC(t, ref, id, n) }
+	bad := func(n int, edit func(*domain.RCC)) domain.RCC {
+		r := good(n)
+		edit(&r)
+		return r
+	}
+	entries := []walEntry{
+		{Key: "g0", RCC: good(0)},
+		{Key: "type7", RCC: bad(1, func(r *domain.RCC) { r.Type = 7 })},
+		{Key: "nan", RCC: bad(2, func(r *domain.RCC) { r.Amount = math.NaN() })},
+		{Key: "swlin", RCC: bad(3, func(r *domain.RCC) { r.SWLIN = 1_000_000_000 })},
+		{Key: "orphan", RCC: bad(4, func(r *domain.RCC) { r.AvailID = 999_999 })},
+		{Key: "g0", RCC: good(0)},
+		{Key: "g5", RCC: good(5)},
+	}
+	l, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if _, err := l.Append(encodeWALEntry(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, info, err := OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if info.Restored != 2 || info.Duplicates != 1 || info.Skipped != 4 {
+		t.Fatalf("restore info = %+v, want 2 restored, 1 duplicate, 4 skipped", info)
+	}
+	eng, asOf, _, err := d.EngineAsOf(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append(append([]domain.RCC(nil), ds.RCCsByAvail()[id]...), good(0), good(5))
+	if asOf != int64(len(want)) || !slices.Equal(eng.RCCs(), want) {
+		t.Fatalf("engine holds %d RCCs (asOf %d), want the base plus the two good records (%d)", eng.NumRCCs(), asOf, len(want))
+	}
+	sw := eng.Sweep()
+	defer sw.Release()
+	if err := sw.AdvanceTo(100); err != nil {
+		t.Fatal(err)
 	}
 }

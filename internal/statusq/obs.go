@@ -4,23 +4,14 @@ import "domd/internal/obs"
 
 // Serving-path metrics, registered process-wide in obs.Default and
 // exposed on GET /metrics (catalog: docs/OPERATIONS.md). Counters here
-// aggregate across every Catalog in the process; the per-catalog
-// EngineBuilds method remains the fine-grained view tests assert on.
+// aggregate across every Catalog in the process.
 var (
 	mEngineBuilds = obs.NewCounter("domd_engine_builds_total",
-		"Status Query engine constructions (cache misses and post-ingest rebuilds).")
-	mEngineBuildFailures = obs.NewCounter("domd_engine_build_failures_total",
-		"Engine constructions that failed (bad history or injected fault).")
-	mEngineBuildSeconds = obs.NewHistogram("domd_engine_build_duration_seconds",
-		"Engine construction latency in seconds.", obs.DefBuckets)
-	mEngineCacheHits = obs.NewCounter("domd_engine_cache_hits_total",
-		"Engine lookups answered from the catalog's cache without building.")
+		"Status Query engines built, one per avail when a catalog opens.")
 	mStaleServes = obs.NewCounter("domd_engine_stale_serves_total",
-		"Degraded answers served from a stale engine (failed rebuild or racing ingest).")
+		"Answers served marked stale because their shard is in the failed health state.")
 	mDeltaApplies = obs.NewCounter("domd_engine_delta_applies_total",
-		"Ingested RCCs folded into a live cached engine in O(delta) instead of invalidating it.")
-	mDeltaFallbacks = obs.NewCounterVec("domd_engine_delta_fallbacks_total",
-		"Ingests that invalidated the cached engine instead of delta-applying, by reason.", "reason")
+		"Ingested RCCs folded into their avail's live engine in place.")
 
 	mIngestAcks = obs.NewCounter("domd_ingest_acks_total",
 		"RCC ingests durably logged, applied, and acknowledged.")

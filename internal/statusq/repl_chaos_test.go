@@ -247,7 +247,6 @@ func TestDeltaReplicatedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evalFingerprint(t, sc) // warm engines so ingests take the delta path
 	ids := sc.AvailIDs()
 	for i := 0; i < 40; i++ {
 		id := ids[i%len(ids)]
@@ -255,8 +254,8 @@ func TestDeltaReplicatedEquivalence(t *testing.T) {
 		if dup, err := sc.Ingest(fmt.Sprintf("rk%d", i), r); err != nil || dup {
 			t.Fatalf("replicated ingest %d: dup=%v err=%v", i, dup, err)
 		}
-		if err := single.AddRCC(r); err != nil {
-			t.Fatalf("single AddRCC %d: %v", i, err)
+		if err := single.addRCC(r); err != nil {
+			t.Fatalf("single addRCC %d: %v", i, err)
 		}
 	}
 	got, want := evalFingerprint(t, sc), evalFingerprint(t, single)

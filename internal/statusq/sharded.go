@@ -144,7 +144,7 @@ func (s *ShardedRestoreInfo) Totals() RestoreInfo {
 // ShardedCatalog partitions a DurableCatalog into N ≥ 1 shards keyed
 // by avail id via consistent hashing; it is the one catalog `domd
 // serve` builds, with one shard by default. Each shard owns its own
-// WAL directory, engine cache, idempotency-key index, and compaction
+// WAL directory, engines, idempotency-key index, and compaction
 // cycle, so ingest acknowledgments on different shards never serialize
 // on a shared lock or a shared fsync. The router implements the same query
 // surface as *Catalog and the server's Ingester contract, so the
@@ -153,9 +153,9 @@ func (s *ShardedRestoreInfo) Totals() RestoreInfo {
 // deterministically ordered (ascending) sweep.
 //
 // Per-shard semantics are exactly the single-catalog semantics:
-// log-before-ack, exactly-once under idempotency keys, stale/asOf
-// provenance from the shard's own engine cache. Cross-shard, a failing
-// shard degrades only its own avails — the others keep serving fresh.
+// log-before-ack, exactly-once under idempotency keys, asOf provenance
+// from the shard's own engines. Cross-shard, a failing shard degrades
+// only its own avails — the others keep serving fresh.
 type ShardedCatalog struct {
 	ring   *shardRing
 	shards []*DurableCatalog
@@ -350,23 +350,16 @@ func (s *ShardedCatalog) mergedIDs(get func(*DurableCatalog) []int) []int {
 	return ids
 }
 
-// Engine routes to the owning shard's engine cache.
-func (s *ShardedCatalog) Engine(id int) (*Engine, error) {
-	s.lookups[s.ring.shardOf(id)].Inc()
-	return s.shardFor(id).Engine(id)
-}
-
-// EngineAsOf routes to the owning shard, preserving the single-catalog
-// stale/asOf provenance contract per shard — with one router-level
-// addition: answers from a shard in the failed health state are forced
-// stale=true, because a shard that cannot durably accept writes is by
-// definition serving a frozen view (the circuit breaker's
-// stale-serving mode).
+// EngineAsOf routes to the owning shard's catalog and keeps its asOf,
+// with one router-level addition: answers from a shard in the failed
+// health state are forced stale=true, because a shard that cannot
+// durably accept writes is by definition serving a frozen view (the
+// circuit breaker's stale-serving mode).
 func (s *ShardedCatalog) EngineAsOf(id int) (eng *Engine, asOf int64, stale bool, err error) {
 	shard := s.ring.shardOf(id)
 	s.lookups[shard].Inc()
 	eng, asOf, stale, err = s.shards[shard].EngineAsOf(id)
-	if err == nil && !stale && s.HealthOf(shard) == ShardFailed {
+	if err == nil && s.HealthOf(shard) == ShardFailed {
 		stale = true
 		mStaleServes.Inc()
 	}

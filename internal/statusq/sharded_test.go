@@ -30,15 +30,6 @@ func shardedFixture(t *testing.T, root string, shards int, opts DurableOptions) 
 	return sc, info, ds
 }
 
-// shardSum sums one per-catalog counter over every shard of a tier.
-func shardSum(sc *ShardedCatalog, count func(*Catalog) int64) int64 {
-	var n int64
-	for _, sh := range sc.shards {
-		n += count(sh.Catalog)
-	}
-	return n
-}
-
 // TestShardedRoutingStable pins the consistent-hash contract: the
 // id→shard mapping is a pure function of the shard count, identical
 // across ring instances (and therefore across restarts), and spreads a
@@ -183,22 +174,22 @@ func TestDeltaShardedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm every engine so the sharded side exercises the O(delta) fold
-	// rather than first-touch rebuilds.
-	evalFingerprint(t, sc)
 	ids := sc.AvailIDs()
+	var applies int64
 	for i := 0; i < 40; i++ {
 		id := ids[i%len(ids)]
 		r := deltaRCC(t, single, id, i)
+		before := mDeltaApplies.Value()
 		if dup, err := sc.Ingest(fmt.Sprintf("dk%d", i), r); err != nil || dup {
 			t.Fatalf("sharded ingest %d: dup=%v err=%v", i, dup, err)
 		}
-		if err := single.AddRCC(r); err != nil {
-			t.Fatalf("single AddRCC %d: %v", i, err)
+		applies += mDeltaApplies.Value() - before
+		if err := single.addRCC(r); err != nil {
+			t.Fatalf("single addRCC %d: %v", i, err)
 		}
 	}
-	if shardSum(sc, (*Catalog).DeltaApplies) == 0 {
-		t.Fatal("sharded stream never took the delta-apply path")
+	if applies != 40 {
+		t.Fatalf("sharded stream folded %d of 40 ingests in place", applies)
 	}
 	got, want := evalFingerprint(t, sc), evalFingerprint(t, single)
 	if !sameFingerprint(got, want) {
@@ -246,10 +237,9 @@ func TestShardedIngestSemantics(t *testing.T) {
 }
 
 // TestShardedSteadyStateIngest pins the steady state of a 1- and a
-// 2-shard tier under fsync-per-ack: once every ongoing engine is warm,
-// each acknowledged ingest is folded in place on its owning shard — one
-// delta apply per ack, no fallback, no rebuild — and the extended
-// history answers queries.
+// 2-shard tier under fsync-per-ack: each acknowledged ingest is folded in
+// place on its owning shard — one delta apply per ack, no engine build —
+// and the extended history answers queries.
 func TestShardedSteadyStateIngest(t *testing.T) {
 	for _, n := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
@@ -259,30 +249,22 @@ func TestShardedSteadyStateIngest(t *testing.T) {
 			if len(ongoing) == 0 {
 				t.Fatal("fixture fleet has no ongoing avails")
 			}
-			for _, id := range ongoing {
-				if _, err := sc.Engine(id); err != nil {
-					t.Fatalf("warm engine %d: %v", id, err)
-				}
-			}
-			builds := shardSum(sc, (*Catalog).EngineBuilds)
+			builds, applies := mEngineBuilds.Value(), mDeltaApplies.Value()
 			q := Query{Status: domain.Active, Agg: SumAmount}
 			for i, id := range ongoing {
 				r := deltaRCC(t, sc.shards[sc.ShardOf(id)].Catalog, id, i)
 				if dup, err := sc.Ingest(fmt.Sprintf("steady-%d", i), r); err != nil || dup {
 					t.Fatalf("ingest on avail %d: dup=%v err=%v", id, dup, err)
 				}
-				if _, err := evalVia(sc.Engine, id, 60, q); err != nil {
+				if _, err := evalVia(sc, id, 60, q); err != nil {
 					t.Fatalf("eval avail %d after ingest: %v", id, err)
 				}
 			}
-			if got, want := shardSum(sc, (*Catalog).DeltaApplies), int64(len(ongoing)); got != want {
-				t.Errorf("DeltaApplies = %d, want %d (one per ack)", got, want)
+			if got, want := mDeltaApplies.Value()-applies, int64(len(ongoing)); got != want {
+				t.Errorf("delta applies = %d, want %d (one per ack)", got, want)
 			}
-			if got := shardSum(sc, (*Catalog).DeltaFallbacks); got != 0 {
-				t.Errorf("DeltaFallbacks = %d, want 0", got)
-			}
-			if got := shardSum(sc, (*Catalog).EngineBuilds); got != builds {
-				t.Errorf("EngineBuilds = %d, want %d (no rebuild after warm-up)", got, builds)
+			if got := mEngineBuilds.Value() - builds; got != 0 {
+				t.Errorf("engine builds = %d, want 0 (engines are built at open)", got)
 			}
 			if got := sc.IngestedCount(); got != len(ongoing) {
 				t.Errorf("IngestedCount = %d, want %d", got, len(ongoing))

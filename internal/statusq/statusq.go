@@ -44,9 +44,9 @@
 //
 // # Observability
 //
-// The serving-side types (Catalog, DurableCatalog) are instrumented
-// through internal/obs: engine build counts/latency/failures, cache
-// hits, degraded-mode stale serves, and ingestion acks/duplicates/
+// The serving-side types (Catalog, DurableCatalog, ShardedCatalog) are
+// instrumented through internal/obs: engine builds, in-place folds,
+// stale serves from a failed shard, and ingestion acks/duplicates/
 // failures/restores are exported as domd_engine_* and domd_ingest_*
 // metrics on GET /metrics (catalog: docs/OPERATIONS.md). Durations use
 // obs stopwatches because the walltime lint invariant bans time.Now

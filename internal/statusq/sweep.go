@@ -106,18 +106,45 @@ func (s *CellSweep) Release() {
 // build their orders here, so an engine-held order is exactly the one a
 // fresh sweep would sort.
 func eventOrders(rccs []domain.RCC) (creations, settlements []int) {
-	creations = make([]int, len(rccs))
-	for pos := range creations {
-		creations[pos] = pos
-	}
-	settlements = slices.Clone(creations)
-	slices.SortFunc(creations, func(a, b int) int {
-		return cmp.Or(cmp.Compare(rccs[a].Created, rccs[b].Created), cmp.Compare(a, b))
-	})
-	slices.SortFunc(settlements, func(a, b int) int {
-		return cmp.Or(cmp.Compare(rccs[a].Settled, rccs[b].Settled), cmp.Compare(a, b))
-	})
+	keys := make([]uint64, len(rccs))
+	creations = sortEvents(rccs, func(r *domain.RCC) domain.Day { return r.Created }, keys)
+	settlements = sortEvents(rccs, func(r *domain.RCC) domain.Day { return r.Settled }, keys)
 	return creations, settlements
+}
+
+// sortEvents returns the positions of rccs sorted by (date, position),
+// using keys (len(rccs)) as scratch. When the dates span less than 2^32
+// days, as any real avail's do, it sorts (date offset, position) pairs
+// packed into one uint64 each, whose natural order is exactly that order:
+// several times faster than comparing through the RCCs.
+func sortEvents(rccs []domain.RCC, date func(*domain.RCC) domain.Day, keys []uint64) []int {
+	out := make([]int, len(rccs))
+	if len(rccs) == 0 {
+		return out
+	}
+	lo, hi := date(&rccs[0]), date(&rccs[0])
+	for pos := range rccs {
+		d := date(&rccs[pos])
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	// An overflowing hi-lo wraps negative, which fails the test too.
+	if uint64(hi-lo) >= 1<<32 || len(rccs) >= 1<<32 {
+		for pos := range out {
+			out[pos] = pos
+		}
+		slices.SortFunc(out, func(a, b int) int {
+			return cmp.Or(cmp.Compare(date(&rccs[a]), date(&rccs[b])), cmp.Compare(a, b))
+		})
+		return out
+	}
+	for pos := range rccs {
+		keys[pos] = uint64(date(&rccs[pos])-lo)<<32 | uint64(pos)
+	}
+	slices.Sort(keys)
+	for i, key := range keys {
+		out[i] = int(key & (1<<32 - 1))
+	}
+	return out
 }
 
 // Avail returns the sweep's avail.

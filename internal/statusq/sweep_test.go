@@ -493,3 +493,37 @@ func TestRecycledSweepMatchesScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestEventOrdersMatchComparatorSort holds eventOrders' packed-key sort to
+// a comparator sort by (date, position), on histories with many tied
+// dates and on ones whose dates span too far to pack (the fallback).
+func TestEventOrdersMatchComparatorSort(t *testing.T) {
+	ref := func(rccs []domain.RCC, date func(r domain.RCC) domain.Day) []int {
+		out := make([]int, len(rccs))
+		for pos := range out {
+			out[pos] = pos
+		}
+		sort.SliceStable(out, func(i, j int) bool { return date(rccs[out[i]]) < date(rccs[out[j]]) })
+		return out
+	}
+	rng := rand.New(rand.NewSource(83))
+	for _, span := range []int64{1, 40, 1 << 20, 1 << 32, 1<<32 + 1, 1 << 33, math.MaxInt64} {
+		for _, n := range []int{0, 1, 2, 300} {
+			rccs := make([]domain.RCC, n)
+			for i := range rccs {
+				c := domain.Day(rng.Int63n(span))
+				if span == math.MaxInt64 && i%2 == 1 {
+					c = -c - 1 // reach toward math.MinInt64 too
+				}
+				rccs[i] = domain.RCC{ID: i, Created: c, Settled: c + domain.Day(rng.Intn(3))}
+			}
+			creations, settlements := eventOrders(rccs)
+			if want := ref(rccs, func(r domain.RCC) domain.Day { return r.Created }); !equalInts(creations, want) {
+				t.Fatalf("span %d, n %d: creation order %v, want %v", span, n, creations, want)
+			}
+			if want := ref(rccs, func(r domain.RCC) domain.Day { return r.Settled }); !equalInts(settlements, want) {
+				t.Fatalf("span %d, n %d: settlement order %v, want %v", span, n, settlements, want)
+			}
+		}
+	}
+}

@@ -124,17 +124,42 @@ func fuzzEntry(key string, id, availID, typ, swlin, created, settled int64, amou
 	}}
 }
 
+// checkFolds asserts the invariant between the WAL decoder and the
+// engines replay feeds: a decoded record either fails Validate, so replay
+// skips it, or folds into an engine whose sweep advances without a panic.
+func checkFolds(t *testing.T, e walEntry) {
+	t.Helper()
+	if e.RCC.Validate() != nil {
+		return
+	}
+	a := &domain.Avail{ID: e.RCC.AvailID, Status: domain.StatusOngoing, PlanStart: 0, PlanEnd: 100, ActStart: 0}
+	eng, err := NewEngine(a, []domain.RCC{e.RCC})
+	if err != nil {
+		t.Fatalf("NewEngine refused valid record %+v: %v", e.RCC, err)
+	}
+	sw := eng.Sweep()
+	defer sw.Release()
+	if err := sw.AdvanceTo(100); err != nil {
+		t.Fatalf("sweep over valid record %+v: %v", e.RCC, err)
+	}
+}
+
 // FuzzWALRecord fuzzes the record decoders with raw bytes (never panic;
-// whatever is accepted survives a re-encode) and the record codec with
-// structured fields (decode(encode(x)) == x, and the record stays one
-// space- and newline-free frame).
+// whatever is accepted survives a re-encode, and fails Validate or folds
+// into an engine) and the record codec with structured fields
+// (decode(encode(x)) == x, the record stays one space- and newline-free
+// frame, and x too fails Validate or folds).
 func FuzzWALRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, key string, id, availID, typ, swlin, created, settled int64, amount uint64) {
 		if e, err := decodeWALEntry(raw); err == nil {
 			checkReencode(t, []walEntry{e})
+			checkFolds(t, e)
 		}
 		if entries, err := decodeWALPayload(raw); err == nil {
 			checkReencode(t, entries)
+			for _, e := range entries {
+				checkFolds(t, e)
+			}
 		}
 
 		x := fuzzEntry(key, id, availID, typ, swlin, created, settled, amount)
@@ -149,6 +174,7 @@ func FuzzWALRecord(f *testing.F) {
 		if !sameEntries([]walEntry{got}, []walEntry{x}) {
 			t.Fatalf("decode(encode(%+v)) = %+v", x, got)
 		}
+		checkFolds(t, x)
 	})
 }
 

@@ -108,6 +108,9 @@ func TestReadRCCRejectsBadData(t *testing.T) {
 		{"bad swlin", head + "1,1,G,44-11-001,2020-01-01,2020-02-01,100\n"},
 		{"settled before created", head + "1,1,G,434-11-001,2020-03-01,2020-02-01,100\n"},
 		{"negative amount", head + "1,1,G,434-11-001,2020-01-01,2020-02-01,-5\n"},
+		{"NaN amount", head + "1,1,G,434-11-001,2020-01-01,2020-02-01,NaN\n"},
+		{"Inf amount", head + "1,1,G,434-11-001,2020-01-01,2020-02-01,Inf\n"},
+		{"-Inf amount", head + "1,1,G,434-11-001,2020-01-01,2020-02-01,-Inf\n"},
 	}
 	for _, c := range cases {
 		if _, err := ReadRCCs(strings.NewReader(c.csv)); err == nil {
