@@ -51,9 +51,10 @@ chaos:
 		./internal/wal/ ./internal/statusq/ ./internal/server/ ./internal/faultinject/
 
 # chaos-repl runs the replication-specific chaos suite under the race
-# detector: quorum append/ack ordering, follower faults with bounded
-# catch-up, quorum-loss refusal (no ack ever escapes), primary failover
-# replayed through the dedup index, reopen repair of torn, diverged, and
+# detector: quorum append/ack ordering, follower faults with catch-up
+# from the primary's log however far behind, quorum-loss refusal (no ack
+# ever escapes), primary failover replayed through the dedup index,
+# reopen repair of torn, diverged, and
 # lost replica tails, kill-primary-mid-WAL crash recovery at the sharded
 # tier, the health-ladder/breaker path at the HTTP tier (all replicas
 # down serves stale while /readyz reports failed), and the
@@ -98,9 +99,11 @@ differential:
 
 # fuzz runs each native fuzz target for FUZZTIME: the WAL record and
 # snapshot decoders must never panic, and whatever they accept must
-# survive a re-encode (seed corpora live in testdata/fuzz); the HTTP read
-# and ingest surface (GET /query, /predict, /fleet, POST /query/batch,
-# /predict, /rccs) must never answer a 5xx, and a 200 batch answer has one
+# survive a re-encode (seed corpora live in testdata/fuzz); any byte
+# string opened as a WAL log is cut to exactly its valid prefix, replays
+# the same entries a second time, and reads back unchanged through
+# Log.RecordsAfter; the HTTP read and ingest surface (GET /query,
+# /predict, /fleet, POST /query/batch, /predict, /rccs) must never answer a 5xx, and a 200 batch answer has one
 # row per query; every SWLIN code Parse accepts round-trips through
 # String, and Subsystem agrees with Digit(0) and Prefix(1); every GBT model
 # artifact UnmarshalJSON accepts compiles without panicking and predicts
@@ -109,6 +112,7 @@ differential:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/statusq/
 	$(GO) test -run '^$$' -fuzz '^FuzzWALSnapshot$$' -fuzztime $(FUZZTIME) ./internal/statusq/
+	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequests$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSWLINCode$$' -fuzztime $(FUZZTIME) ./internal/swlin/
 	$(GO) test -run '^$$' -fuzz '^FuzzGBTModel$$' -fuzztime $(FUZZTIME) ./internal/ml/gbt/
@@ -116,9 +120,9 @@ fuzz:
 
 # check is the CI gate: compile, vet, check gofmt, race-test everything, repeat the
 # concurrency stress suite, re-run the chaos (fault-injection) suite and
-# the delta-vs-rebuild differential suite, fuzz the WAL decoders, the
-# HTTP read/ingest surface, SWLIN parsing, GBT model artifacts and date
-# parsing, run the in-process serving benchmarks and the tree-kernel
+# the delta-vs-rebuild differential suite, fuzz the WAL decoders and
+# torn-tail replay, the HTTP read/ingest surface, SWLIN parsing, GBT
+# model artifacts and date parsing, run the in-process serving benchmarks and the tree-kernel
 # benchmark once each so they cannot rot,
 # enforce the lint invariants (domdlint must exit 0 on the tree) and the
 # docs cross-checks, run the riskbands example end to end (it serves

@@ -386,7 +386,6 @@ func runServe(args []string) {
 	shards := fs.Int("shards", 1, "partition the catalog into N consistent-hash shards, each with its own WAL subdirectory (topology is pinned on first open)")
 	repl := fs.Int("repl", 1, "replicate each shard's WAL across N directories, acknowledging ingests at quorum (pinned on first open)")
 	replQuorum := fs.Int("repl-quorum", 0, "replicas that must append before an ingest is acknowledged (0: majority of -repl)")
-	replLagMax := fs.Int("repl-lag-max", wal.DefaultReplMaxLag, "records a replica may fall behind before it is failed out of async catch-up (revived by the next snapshot)")
 	dedupCap := fs.Int("dedup-cap", statusq.DefaultDedupCap, "max idempotency keys tracked per catalog shard (negative: unbounded)")
 	modelDir := fs.String("model-dir", "", "serve /predict and fleet predictions from the model registry in this directory (empty: prediction answers carry prediction_unavailable)")
 	modelReload := fs.Duration("model-reload", 0, "poll the model registry and hot-swap new versions this often (0: swap only via POST /models/reload)")
@@ -455,7 +454,6 @@ func runServe(args []string) {
 		DedupCap:     *dedupCap,
 		Replicas:     *repl,
 		ReplQuorum:   *replQuorum,
-		ReplMaxLag:   *replLagMax,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -52,9 +52,6 @@ type DurableOptions struct {
 	// ReplQuorum is the replica acks required before Ingest
 	// acknowledges; 0 means majority.
 	ReplQuorum int
-	// ReplMaxLag bounds the in-memory catch-up window per replica set;
-	// 0 means wal.DefaultReplMaxLag.
-	ReplMaxLag int
 	// CompactEvery writes a snapshot and truncates the log after this
 	// many ingested records since the last snapshot; <= 0 disables
 	// auto-compaction (Compact can still be called manually).
@@ -170,7 +167,6 @@ func openDurable(dir string, avails []domain.Avail, rccs []domain.RCC, opts Dura
 	}
 	log, rec, rep, err := wal.OpenReplicated(dirs, wal.ReplicatedOptions{
 		Quorum: opts.ReplQuorum,
-		MaxLag: opts.ReplMaxLag,
 		Name:   filepath.Base(dir),
 		Log:    opts.WAL,
 	})

@@ -49,36 +49,80 @@ const (
 	// to degraded.
 	DegradeAfterFailures = 2
 	// FailAfterFailures consecutive storage failures demote a shard to
-	// failed even when quorum is nominally intact.
+	// failed even when quorum is nominally intact, and open its circuit
+	// breaker.
 	FailAfterFailures = 5
 )
 
-// healthTracker is one shard's health state machine. Transitions are
-// driven by noteIngest outcomes; the current replica-set status is
-// folded in on every read so /readyz sees a quorum loss even on an idle
-// shard.
+// breakerProbeEvery admits every Nth request through an open breaker
+// as a recovery probe.
+const breakerProbeEvery = 8
+
+// ErrShardUnavailable is returned (wrapped) by the router when a
+// shard's circuit breaker is open and the request was not selected as a
+// recovery probe. The server maps it to 503 + Retry-After.
+var ErrShardUnavailable = errors.New("statusq: shard circuit breaker open")
+
+// healthTracker is one shard's consecutive ingest-failure streak and
+// the two things read from it: the health state machine and a
+// count-based circuit breaker. The breaker is open exactly when the
+// streak has reached FailAfterFailures: it then fails fast without
+// touching the shard's storage, admitting every breakerProbeEvery-th
+// request as a probe, and one probe success closes it. The current
+// replica-set status is folded into the health state on every read so
+// /readyz sees a quorum loss even on an idle shard.
 type healthTracker struct {
-	mu          sync.Mutex // guards consecFails
-	consecFails int
+	mu         sync.Mutex // guards streak and sinceProbe
+	streak     int        // consecutive storage failures
+	sinceProbe int        // requests refused since the breaker opened or last probed
 }
 
-// noteIngest records one ingest storage outcome (ok=false only for
-// storage-level failures — validation rejects are not health signals).
+// allow reports whether the request may proceed to the shard (closed
+// breaker, or selected as a recovery probe).
+func (t *healthTracker) allow() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.streak < FailAfterFailures {
+		return true
+	}
+	t.sinceProbe++
+	if t.sinceProbe >= breakerProbeEvery {
+		t.sinceProbe = 0
+		return true
+	}
+	return false
+}
+
+// noteIngest records one allowed ingest's storage outcome (ok=false
+// only for storage-level failures — validation rejects are not health
+// signals), tripping the breaker as the streak reaches
+// FailAfterFailures and closing it on a success.
 func (t *healthTracker) noteIngest(ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if ok {
-		t.consecFails = 0
-	} else {
-		t.consecFails++
+		t.streak = 0
+		return
 	}
+	t.streak++
+	if t.streak == FailAfterFailures {
+		t.sinceProbe = 0
+		mShardBreakerTrips.Inc()
+	}
+}
+
+// breakerOpen reports whether the breaker is failing fast.
+func (t *healthTracker) breakerOpen() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.streak >= FailAfterFailures
 }
 
 // state folds the failure streak and the shard's current replica status
 // into a health state.
 func (t *healthTracker) state(repl ReplHealth, replicated bool) ShardHealth {
 	t.mu.Lock()
-	fails := t.consecFails
+	fails := t.streak
 	t.mu.Unlock()
 	if replicated && !repl.QuorumOK {
 		return ShardFailed
@@ -93,73 +137,6 @@ func (t *healthTracker) state(repl ReplHealth, replicated bool) ShardHealth {
 		return ShardDegraded
 	}
 	return ShardHealthy
-}
-
-const (
-	// breakerTripAfter consecutive ingest failures open a shard's
-	// circuit breaker.
-	breakerTripAfter = 5
-	// breakerProbeEvery admits every Nth request through an open
-	// breaker as a recovery probe.
-	breakerProbeEvery = 8
-)
-
-// ErrShardUnavailable is returned (wrapped) by the router when a
-// shard's circuit breaker is open and the request was not selected as a
-// recovery probe. The server maps it to 503 + Retry-After.
-var ErrShardUnavailable = errors.New("statusq: shard circuit breaker open")
-
-// breaker is a count-based per-shard circuit breaker: after
-// breakerTripAfter consecutive failures it fails fast without touching
-// the shard's storage, admitting every breakerProbeEvery-th request as
-// a probe; one probe success closes it. Count-based (not time-based) so
-// behavior is deterministic under test and independent of wall clocks.
-type breaker struct {
-	mu          sync.Mutex // guards open, consecFails, and sinceProbe
-	open        bool
-	consecFails int
-	sinceProbe  int
-}
-
-// allow reports whether the request may proceed to the shard (closed
-// breaker, or selected as a recovery probe).
-func (b *breaker) allow() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.open {
-		return true
-	}
-	b.sinceProbe++
-	if b.sinceProbe >= breakerProbeEvery {
-		b.sinceProbe = 0
-		return true
-	}
-	return false
-}
-
-// note records the outcome of an allowed request, tripping or closing
-// the breaker.
-func (b *breaker) note(ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if ok {
-		b.open = false
-		b.consecFails = 0
-		return
-	}
-	b.consecFails++
-	if !b.open && b.consecFails >= breakerTripAfter {
-		b.open = true
-		b.sinceProbe = 0
-		mShardBreakerTrips.Inc()
-	}
-}
-
-// isOpen reports the breaker's current state (observability hook).
-func (b *breaker) isOpen() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.open
 }
 
 // ShardHealthStatus is one shard's row in the router's health report

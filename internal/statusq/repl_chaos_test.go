@@ -112,13 +112,31 @@ func TestChaosReplKillPrimaryMidIngest(t *testing.T) {
 
 // TestChaosReplFollowerLagStillAcks proves a lagging follower never
 // blocks acknowledgment: a transient follower fault demotes it, quorum
-// acks continue, and background catch-up converges the set.
+// acks continue, and background catch-up converges the set. A follower
+// down for more than a compaction interval's worth of ingests keeps the
+// shard degraded, never failed, and once its disk recovers it is re-fed
+// from the primary's log, answers still matching a serial catalog fed
+// the same stream.
 func TestChaosReplFollowerLagStillAcks(t *testing.T) {
 	defer faultinject.Reset()
-	sc, _, _ := shardedFixture(t, t.TempDir(), 2, DurableOptions{Replicas: 3})
+	sc, _, ds := shardedFixture(t, t.TempDir(), 2, DurableOptions{Replicas: 3})
 	defer sc.Close()
+	serial, err := NewCatalog(ds.Avails, ds.RCCs)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ids := sc.AvailIDs()
 	shard := sc.ShardOf(ids[0])
+	ingest := func(id, n int) {
+		t.Helper()
+		r := deltaRCC(t, serial, id, n)
+		if dup, err := sc.Ingest(fmt.Sprintf("fl%d", n), r); err != nil || dup {
+			t.Fatalf("ingest %d during follower lag: dup=%v err=%v", n, dup, err)
+		}
+		if err := serial.addRCC(r); err != nil {
+			t.Fatalf("serial addRCC %d: %v", n, err)
+		}
+	}
 
 	faultinject.EnableTimes(wal.ReplicaFailpoint(replicaDir(sc, shard, 1)), errors.New("follower hiccup"), 1)
 	for i := 0; i < 6; i++ {
@@ -126,14 +144,30 @@ func TestChaosReplFollowerLagStillAcks(t *testing.T) {
 		if sc.ShardOf(id) != shard {
 			continue
 		}
-		r := deltaRCC(t, sc.shards[shard].Catalog, id, i)
-		if dup, err := sc.Ingest(fmt.Sprintf("fl%d", i), r); err != nil || dup {
-			t.Fatalf("ingest %d during follower lag: dup=%v err=%v", i, dup, err)
-		}
+		ingest(id, i)
 	}
 	waitReplConverged(t, sc, shard)
 	if h := sc.HealthOf(shard); h != ShardHealthy {
 		t.Fatalf("converged shard health = %v, want healthy", h)
+	}
+
+	follower := wal.ReplicaFailpoint(replicaDir(sc, shard, 2))
+	faultinject.Enable(follower, errors.New("follower disk down"))
+	const down = 1100
+	for i := 0; i < down; i++ {
+		ingest(ids[0], 100+i)
+		if h := sc.HealthOf(shard); h != ShardDegraded {
+			t.Fatalf("after %d ingests with a follower down the shard is %v, want degraded", i+1, h)
+		}
+	}
+	faultinject.Disable(follower)
+	ingest(ids[0], 100+down)
+	waitReplConverged(t, sc, shard)
+	if h := sc.HealthOf(shard); h != ShardHealthy {
+		t.Fatalf("shard health after the follower caught up = %v, want healthy", h)
+	}
+	if !sameFingerprint(evalFingerprint(t, sc), evalFingerprint(t, serial)) {
+		t.Fatal("replicated answers after catch-up differ from a serial catalog's")
 	}
 }
 
@@ -158,7 +192,7 @@ func TestChaosReplQuorumLostFailsShard(t *testing.T) {
 	faultinject.Enable(wal.ReplicaFailpoint(replicaDir(sc, shard, 0)), errors.New("disk 0 gone"))
 	faultinject.Enable(wal.ReplicaFailpoint(replicaDir(sc, shard, 1)), errors.New("disk 1 gone"))
 	failures := 0
-	for i := 1; i <= breakerTripAfter+2; i++ {
+	for i := 1; i <= FailAfterFailures+2; i++ {
 		rr := deltaRCC(t, sc.shards[shard].Catalog, id, i)
 		if _, err := sc.Ingest(fmt.Sprintf("q%d", i), rr); err != nil {
 			failures++
@@ -166,7 +200,7 @@ func TestChaosReplQuorumLostFailsShard(t *testing.T) {
 			t.Fatalf("ingest %d acked with every replica faulted", i)
 		}
 	}
-	if failures < breakerTripAfter {
+	if failures < FailAfterFailures {
 		t.Fatalf("only %d failures recorded", failures)
 	}
 	if h := sc.HealthOf(shard); h != ShardFailed {

@@ -166,12 +166,11 @@ type ShardedCatalog struct {
 	ingests []*obs.Counter
 	lookups []*obs.Counter
 
-	// health/breakers are the per-shard health state machines and
-	// circuit breakers driving the router's retry/fail-fast envelope;
-	// healthG are their resolved gauges.
-	health   []*healthTracker
-	breakers []*breaker
-	healthG  []*obs.Gauge
+	// health are the per-shard failure streaks behind the health state
+	// machines and circuit breakers that drive the router's
+	// retry/fail-fast envelope; healthG are their resolved gauges.
+	health  []*healthTracker
+	healthG []*obs.Gauge
 
 	// jitter seeds retry-backoff jitter: a counter hashed through
 	// splitmix instead of global math/rand, keeping statusq free of
@@ -217,14 +216,13 @@ func OpenSharded(root string, shards int, avails []domain.Avail, rccs []domain.R
 	}
 
 	sc := &ShardedCatalog{
-		ring:     ring,
-		shards:   make([]*DurableCatalog, shards),
-		dirs:     make([]string, shards),
-		ingests:  make([]*obs.Counter, shards),
-		lookups:  make([]*obs.Counter, shards),
-		health:   make([]*healthTracker, shards),
-		breakers: make([]*breaker, shards),
-		healthG:  make([]*obs.Gauge, shards),
+		ring:    ring,
+		shards:  make([]*DurableCatalog, shards),
+		dirs:    make([]string, shards),
+		ingests: make([]*obs.Counter, shards),
+		lookups: make([]*obs.Counter, shards),
+		health:  make([]*healthTracker, shards),
+		healthG: make([]*obs.Gauge, shards),
 	}
 	info := &ShardedRestoreInfo{Shards: make([]ShardRestore, shards)}
 	for i := 0; i < shards; i++ {
@@ -242,7 +240,6 @@ func OpenSharded(root string, shards int, avails []domain.Avail, rccs []domain.R
 		sc.ingests[i] = mShardIngests.With(label)
 		sc.lookups[i] = mShardEngineLookups.With(label)
 		sc.health[i] = &healthTracker{}
-		sc.breakers[i] = &breaker{}
 		sc.healthG[i] = mShardHealth.With(label)
 		mShardAvails.With(label).Set(int64(len(shardAvails[i])))
 		info.Shards[i] = ShardRestore{Shard: i, Dir: dir, Avails: len(shardAvails[i]), Info: *ri}
@@ -392,7 +389,7 @@ func (s *ShardedCatalog) Ingest(key string, r domain.RCC) (dup bool, err error) 
 	if verr := r.Validate(); verr != nil {
 		return false, verr
 	}
-	if !s.breakers[shard].allow() {
+	if !s.health[shard].allow() {
 		return false, fmt.Errorf("statusq: shard %d: %w", shard, ErrShardUnavailable)
 	}
 	dup, err = s.shards[shard].Ingest(key, r)
@@ -401,15 +398,9 @@ func (s *ShardedCatalog) Ingest(key string, r domain.RCC) (dup bool, err error) 
 		time.Sleep(s.backoff(attempt))
 		dup, err = s.shards[shard].Ingest(key, r)
 	}
-	if err == nil || !ingestRetryable(err) {
-		// Success, or a request-level rejection (unknown avail, closed
-		// catalog): the shard's storage is not implicated.
-		s.breakers[shard].note(true)
-		s.health[shard].noteIngest(true)
-	} else {
-		s.breakers[shard].note(false)
-		s.health[shard].noteIngest(false)
-	}
+	// Success, or a request-level rejection (unknown avail, closed
+	// catalog), does not implicate the shard's storage.
+	s.health[shard].noteIngest(!ingestRetryable(err))
 	s.healthG[shard].Set(int64(s.HealthOf(shard)))
 	return dup, err
 }
@@ -489,7 +480,7 @@ func (s *ShardedCatalog) ShardHealths() []ShardHealthStatus {
 			State:       s.HealthOf(i),
 			Replicas:    1,
 			Live:        1,
-			BreakerOpen: s.breakers[i].isOpen(),
+			BreakerOpen: s.health[i].breakerOpen(),
 		}
 		if replicated {
 			st.Replicas = repl.Replicas

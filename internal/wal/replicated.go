@@ -10,12 +10,12 @@
 // # Replica states
 //
 // A replica is live (caught up; participates in quorum), lagging
-// (missed appends that are still buffered in the in-memory tail window;
-// catch-up re-appends them), or failed (out of the window, unopenable,
-// or un-rewindable; only a snapshot or a reopen revives it). An append
-// fault rewinds the replica's log back to its last acknowledged
-// watermark — the faulted tail's durability is unknown, so catch-up must
-// extend a known-good prefix — and demotes it to lagging.
+// (missed appends; catch-up re-appends them from the primary's log
+// however far behind it is), or failed (unopenable, un-rewindable, or
+// behind the primary's snapshot; only a snapshot or a reopen revives
+// it). An append fault rewinds the replica's log back to its last
+// acknowledged watermark — the faulted tail's durability is unknown, so
+// catch-up must extend a known-good prefix — and demotes it to lagging.
 //
 // # Reopen repair
 //
@@ -32,7 +32,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 
@@ -51,10 +50,6 @@ func ReplicaFailpoint(dir string) string {
 	return FailReplicaAppend + ":" + dir
 }
 
-// DefaultReplMaxLag bounds the in-memory tail window (records buffered
-// for replica catch-up) when ReplicatedOptions.MaxLag is zero.
-const DefaultReplMaxLag = 1024
-
 // ReplState is a replica's position in the live → lagging → failed
 // ladder.
 type ReplState int
@@ -62,12 +57,12 @@ type ReplState int
 const (
 	// ReplLive means the replica is caught up and participates in quorum.
 	ReplLive ReplState = iota
-	// ReplLagging means the replica missed appends still buffered in the
-	// tail window; catch-up is converging it back to live.
+	// ReplLagging means the replica missed appends; catch-up is
+	// converging it back to live from the primary's log.
 	ReplLagging
-	// ReplFailed means the replica is beyond catch-up (out of the tail
-	// window, unopenable, or un-rewindable); a snapshot or reopen
-	// revives it.
+	// ReplFailed means the replica is beyond catch-up (unopenable,
+	// un-rewindable, or missing records the primary's log no longer
+	// holds); a snapshot or reopen revives it.
 	ReplFailed
 )
 
@@ -90,10 +85,6 @@ type ReplicatedOptions struct {
 	// Quorum is the number of replica acks required before Append
 	// acknowledges; 0 means majority (n/2+1).
 	Quorum int
-	// MaxLag bounds the in-memory tail window buffered for replica
-	// catch-up; a replica that falls further behind is failed until the
-	// next snapshot. 0 means DefaultReplMaxLag.
-	MaxLag int
 	// Name labels this replica set's lag gauge; defaults to the first
 	// replica directory.
 	Name string
@@ -127,15 +118,12 @@ type ReplicaStatus struct {
 // acknowledges at quorum. All methods are safe for concurrent use.
 type ReplicatedLog struct {
 	quorum int
-	maxLag int
 
-	mu        sync.Mutex // guards replicas, primary, seq, tail, tailStart, closed
-	replicas  []*replica
-	primary   int    // index of the acting primary replica
-	seq       uint64 // last sequence any replica acknowledged
-	tail      [][]byte
-	tailStart uint64 // sequence of tail[0]
-	closed    bool
+	mu       sync.Mutex // guards replicas, primary, seq, closed
+	replicas []*replica
+	primary  int    // index of the acting primary replica
+	seq      uint64 // last sequence any replica acknowledged
+	closed   bool
 
 	kick       chan struct{} // nudges the catch-up worker; closed on Close
 	workerDone chan struct{}
@@ -191,9 +179,6 @@ func OpenReplicated(dirs []string, opts ReplicatedOptions) (*ReplicatedLog, *Rec
 	}
 	if opts.Quorum < 1 || opts.Quorum > n {
 		return nil, nil, nil, fmt.Errorf("wal: replicated open: quorum %d out of range [1,%d]", opts.Quorum, n)
-	}
-	if opts.MaxLag <= 0 {
-		opts.MaxLag = DefaultReplMaxLag
 	}
 	if opts.Name == "" {
 		opts.Name = dirs[0]
@@ -253,11 +238,9 @@ func OpenReplicated(dirs []string, opts ReplicatedOptions) (*ReplicatedLog, *Rec
 
 	rl := &ReplicatedLog{
 		quorum:     opts.Quorum,
-		maxLag:     opts.MaxLag,
 		replicas:   make([]*replica, n),
 		primary:    auth,
 		seq:        authSeq,
-		tailStart:  authSeq + 1,
 		kick:       make(chan struct{}, 1),
 		workerDone: make(chan struct{}),
 		lagGauge:   mReplLag.With(opts.Name),
@@ -316,13 +299,21 @@ func repairReplica(log *Log, rec *Recovered, authLog *Log, authRec *Recovered, r
 		}
 		seq = authSnapSeq
 	}
-	for s := seq + 1; s <= authSeq; s++ {
-		if _, err := log.Append(authRec.Entries[s-authSnapSeq-1]); err != nil {
-			return err
+	n, err := appendRecords(log, authRec.Entries[seq-authSnapSeq:])
+	rep.CaughtUp += n
+	return err
+}
+
+// appendRecords appends payloads to log in order and returns how many
+// landed before the first error. It is the one loop that re-feeds a
+// replica, both in reopen repair and in live catch-up.
+func appendRecords(log *Log, payloads [][]byte) (int, error) {
+	for i, p := range payloads {
+		if _, err := log.Append(p); err != nil {
+			return i, err
 		}
-		rep.CaughtUp++
 	}
-	return nil
+	return len(payloads), nil
 }
 
 // Append fans payload out to every live replica and acknowledges once
@@ -341,9 +332,8 @@ func (l *ReplicatedLog) Append(payload []byte) (uint64, error) {
 	}
 	if l.liveCount() < l.quorum {
 		// Not enough live replicas to possibly ack: try to revive
-		// laggards inline (bounded by the tail window) before fanning
-		// out, so a transient full outage self-heals on the next append
-		// after the fault clears.
+		// laggards inline before fanning out, so a transient full outage
+		// self-heals on the next append after the fault clears.
 		l.catchupLocked()
 	}
 
@@ -393,17 +383,6 @@ func (l *ReplicatedLog) Append(payload []byte) (uint64, error) {
 	}
 
 	l.seq = seq
-	if acks == len(l.replicas) {
-		// Every replica holds this record and all before it, so catch-up
-		// can never need them: the window starts empty after it. A set of
-		// one replica never buffers anything.
-		clear(l.tail)
-		l.tail = l.tail[:0]
-		l.tailStart = seq + 1
-	} else {
-		l.tail = append(l.tail, append([]byte(nil), payload...))
-		l.trimTailLocked()
-	}
 
 	if l.replicas[l.primary].state != ReplLive {
 		l.promoteLocked()
@@ -476,22 +455,6 @@ func (l *ReplicatedLog) promoteLocked() {
 	}
 }
 
-// trimTailLocked bounds the catch-up buffer to maxLag records, failing
-// any lagging replica that falls out of the window. Callers hold l.mu.
-func (l *ReplicatedLog) trimTailLocked() {
-	if len(l.tail) <= l.maxLag {
-		return
-	}
-	drop := len(l.tail) - l.maxLag
-	l.tail = append([][]byte(nil), l.tail[drop:]...)
-	l.tailStart += uint64(drop)
-	for _, r := range l.replicas {
-		if r.state == ReplLagging && r.watermark+1 < l.tailStart {
-			r.state = ReplFailed
-		}
-	}
-}
-
 // kickLocked nudges the catch-up worker without blocking. Callers hold
 // l.mu.
 func (l *ReplicatedLog) kickLocked() {
@@ -515,43 +478,53 @@ func (l *ReplicatedLog) catchupWorker() {
 	}
 }
 
-// catchupLocked replays buffered tail records into every lagging replica
-// until it is live or faults again. A catch-up fault rewinds the replica
-// and leaves it lagging for the next kick; a rewind failure or a
-// watermark outside the tail window fails it. Callers hold l.mu.
+// catchupLocked converges every lagging replica. One whose watermark is
+// the set's sequence lost nothing and goes live without touching a disk
+// (the fault path of a one-replica set); the others are re-fed the
+// records they lack from the primary's log by feedLocked. Callers hold
+// l.mu.
 func (l *ReplicatedLog) catchupLocked() {
 	for _, r := range l.replicas {
 		if r.state != ReplLagging || l.closed {
 			continue
 		}
-		for r.watermark < l.seq && r.watermark+1 >= l.tailStart {
-			payload := l.tail[r.watermark+1-l.tailStart]
-			err := faultinject.Fire(r.failpoint)
-			if err == nil {
-				_, err = r.log.Append(payload)
-			}
-			if err != nil {
-				mReplReplicaFaults.Inc()
-				if rerr := r.log.Rewind(r.watermark); rerr != nil {
-					r.state = ReplFailed
-				}
-				break
-			}
-			r.watermark++
-			mReplCatchupRecords.Inc()
+		if r.watermark < l.seq {
+			l.feedLocked(r)
 		}
-		switch {
-		case r.state != ReplLagging:
-			// Failed by the rewind fault above; leave it.
-		case r.watermark+1 < l.tailStart:
-			// The in-memory tail no longer covers this replica: only a
-			// snapshot (or reopen repair) can revive it.
-			r.state = ReplFailed
-		case r.watermark == l.seq:
+		if r.state == ReplLagging && r.watermark == l.seq {
 			r.state = ReplLive
 		}
 	}
 	l.updateLagLocked()
+}
+
+// feedLocked appends to lagging replica r the records after its
+// watermark, read from the primary's log. A fault rewinds r and leaves
+// it lagging for the next kick; a rewind failure fails it, and so does a
+// primary log that no longer holds every record r lacks (they were
+// folded into a snapshot, which only a snapshot or reopen repair can
+// hand over). Callers hold l.mu.
+func (l *ReplicatedLog) feedLocked(r *replica) {
+	need := l.seq - r.watermark
+	err := faultinject.Fire(r.failpoint)
+	if err == nil {
+		var missing [][]byte
+		missing, err = l.replicas[l.primary].log.RecordsAfter(r.watermark)
+		if err != nil || uint64(len(missing)) < need {
+			r.state = ReplFailed
+			return
+		}
+		var n int
+		n, err = appendRecords(r.log, missing[:need])
+		r.watermark += uint64(n)
+		mReplCatchupRecords.Add(int64(n))
+	}
+	if err != nil {
+		mReplReplicaFaults.Inc()
+		if rerr := r.log.Rewind(r.watermark); rerr != nil {
+			r.state = ReplFailed
+		}
+	}
 }
 
 // updateLagLocked refreshes the per-set lag gauge. Callers hold l.mu.
@@ -579,7 +552,7 @@ func (l *ReplicatedLog) lagLocked() uint64 {
 // truncates their logs. Lagging and failed replicas are revived
 // wholesale via SnapshotAt — the snapshot subsumes everything they
 // missed — so compaction doubles as the recovery path for replicas
-// beyond the tail window. An error is returned when fewer than quorum
+// catch-up cannot feed. An error is returned when fewer than quorum
 // replicas completed, but every replica that did complete is compacted.
 func (l *ReplicatedLog) Snapshot(payload []byte) error {
 	l.mu.Lock()
@@ -618,14 +591,12 @@ func (l *ReplicatedLog) Snapshot(payload []byte) error {
 		// A caught-up replica still holds every record in its log (the
 		// snapshot is made durable before the log is touched), so it
 		// stays live; if the fault broke its log, the next append faults
-		// and rewinds it. A replica this snapshot was to revive stays
-		// failed, since the tail window is gone.
+		// and rewinds it. A replica this snapshot was to revive is
+		// failed: the primary's log no longer holds what it lacks.
 		if r.state != ReplLive || r.watermark != l.seq {
 			r.state = ReplFailed
 		}
 	}
-	l.tail = nil
-	l.tailStart = l.seq + 1
 	if l.replicas[l.primary].state != ReplLive {
 		l.promoteLocked()
 	}
@@ -699,19 +670,6 @@ func (l *ReplicatedLog) Close() error {
 		}
 		if err := r.log.Close(); err != nil && !errors.Is(err, ErrClosed) {
 			errs = append(errs, fmt.Errorf("%s: %w", r.dir, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// RemoveReplicaDirs deletes every replica directory under root matching
-// the replica-NN layout — a test and operator helper for simulating a
-// total disk loss of one replica.
-func RemoveReplicaDirs(dirs ...string) error {
-	var errs []error
-	for _, dir := range dirs {
-		if err := os.RemoveAll(dir); err != nil {
-			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)

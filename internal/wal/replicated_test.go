@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -197,20 +198,73 @@ func TestReplicatedPrimaryFailover(t *testing.T) {
 	rl.Close() //lint:ignore droppederr replica 0 is faulted; close errors are expected
 }
 
-func TestReplicatedSnapshotRevivesLaggard(t *testing.T) {
+// TestReplicatedLaggardCatchesUpFromPrimaryLog pins that live catch-up
+// has no lag bound: a follower faulted for more than two compaction
+// intervals' worth of appends stays lagging, never failed, and once the
+// fault clears it is re-fed from the primary's log until every replica
+// directory holds the same bytes, with no snapshot involved.
+func TestReplicatedLaggardCatchesUpFromPrimaryLog(t *testing.T) {
 	defer faultinject.Reset()
 	root := t.TempDir()
 	dirs := ReplicaDirs(root, 3)
-	rl, _, _ := openReplT(t, root, 3, ReplicatedOptions{MaxLag: 2})
+	rl, _, _ := openReplT(t, root, 3, ReplicatedOptions{Log: Options{Policy: SyncNever}})
+	appendReplT(t, rl, "before")
 	faultinject.Enable(ReplicaFailpoint(dirs[2]), errors.New("slow disk"))
-	for i := 0; i < 6; i++ {
+	const behind = 2*1024 + 100
+	for i := 0; i < behind; i++ {
 		appendReplT(t, rl, fmt.Sprintf("r%d", i))
+		if st := rl.Status(); st[2].State != ReplLagging {
+			t.Fatalf("after %d faulted appends the follower is %v, want lagging", i+1, st[2].State)
+		}
 	}
-	// Replica 2 fell out of the 2-record tail window: failed.
-	if st := rl.Status(); st[2].State != ReplFailed {
-		t.Fatalf("out-of-window replica not failed: %+v", st)
+	if lag := rl.Lag(); lag != behind {
+		t.Fatalf("lag = %d, want %d", lag, behind)
 	}
 	faultinject.Reset()
+	appendReplT(t, rl, "after")
+	waitConverged(t, rl)
+	if err := rl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertReplicasEqual(t, dirs)
+	want, err := os.ReadFile(filepath.Join(dirs[0], logName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range dirs {
+		if _, err := os.Stat(filepath.Join(dir, snapName)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s has a snapshot (err=%v): catch-up compacted", dir, err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, logName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s log differs from the primary's (%d vs %d bytes)", dir, len(got), len(want))
+		}
+	}
+}
+
+// TestReplicatedSnapshotRevivesFailedReplica covers the one replica
+// catch-up cannot repair: a follower whose log cannot be rewound after a
+// fault (its wal.log is gone) is failed, and the next Snapshot revives
+// it wholesale.
+func TestReplicatedSnapshotRevivesFailedReplica(t *testing.T) {
+	defer faultinject.Reset()
+	root := t.TempDir()
+	dirs := ReplicaDirs(root, 3)
+	rl, _, _ := openReplT(t, root, 3, ReplicatedOptions{})
+	appendReplT(t, rl, "r0")
+	if err := os.Remove(filepath.Join(dirs[2], logName)); err != nil {
+		t.Fatal(err)
+	}
+	faultinject.EnableTimes(ReplicaFailpoint(dirs[2]), errors.New("disk fault"), 1)
+	for i := 1; i < 6; i++ {
+		appendReplT(t, rl, fmt.Sprintf("r%d", i))
+	}
+	if st := rl.Status(); st[2].State != ReplFailed {
+		t.Fatalf("un-rewindable replica not failed: %+v", st)
+	}
 	if err := rl.Snapshot([]byte("folded")); err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +402,7 @@ func TestReplicatedRecoveryLostReplicaDirRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Total loss of one replica directory.
-	if err := RemoveReplicaDirs(dirs[1]); err != nil {
+	if err := removeReplicaDirs(dirs[1]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -363,6 +417,18 @@ func TestReplicatedRecoveryLostReplicaDirRebuilds(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertReplicasEqual(t, dirs)
+}
+
+// removeReplicaDirs deletes whole replica directories, simulating the
+// total loss of their disks.
+func removeReplicaDirs(dirs ...string) error {
+	var errs []error
+	for _, dir := range dirs {
+		if err := os.RemoveAll(dir); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
 func TestReplicatedOpenQuorumValidation(t *testing.T) {
@@ -449,6 +515,11 @@ func TestRewindIntoSnapshotFails(t *testing.T) {
 	if err := l.Snapshot([]byte("folded")); err != nil {
 		t.Fatal(err)
 	}
+	// With the log empty there is no record to find the gap by; the
+	// snapshot's sequence alone must refuse the rewind.
+	if err := l.Rewind(1); err == nil {
+		t.Fatal("rewind below the snapshot of an empty log accepted")
+	}
 	appendT(t, l, "r3")
 	if err := l.Rewind(1); err == nil {
 		t.Fatal("rewind into snapshot-covered territory accepted")
@@ -519,5 +590,45 @@ func TestTornTailCutIsDurable(t *testing.T) {
 	}
 	if fi.Size() != rec.Info.TornOffset {
 		t.Fatalf("file size %d after cut, want %d", fi.Size(), rec.Info.TornOffset)
+	}
+}
+
+// BenchmarkReplicatedCatchup times one catch-up of a follower 1000
+// records behind the rest of a 3-replica set, under each fsync policy.
+// The lag is built with the follower's failpoint armed; the set's lock
+// is then held so the background worker cannot start the catch-up
+// first, and only catchupLocked is timed.
+func BenchmarkReplicatedCatchup(b *testing.B) {
+	for _, policy := range []SyncPolicy{SyncNever, SyncAlways} {
+		b.Run("fsync="+policy.String(), func(b *testing.B) {
+			defer faultinject.Reset()
+			payload := []byte("B" + string(bytes.Repeat([]byte("x"), 40)))
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dirs := ReplicaDirs(b.TempDir(), 3)
+				rl, _, _, err := OpenReplicated(dirs, ReplicatedOptions{Log: Options{Policy: policy}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				faultinject.Enable(ReplicaFailpoint(dirs[2]), errors.New("follower down"))
+				for j := 0; j < 1000; j++ {
+					if _, err := rl.Append(payload); err != nil {
+						b.Fatal(err)
+					}
+				}
+				rl.mu.Lock()
+				faultinject.Reset()
+				b.StartTimer()
+				rl.catchupLocked()
+				b.StopTimer()
+				if st := rl.replicas[2]; st.state != ReplLive || st.watermark != 1000 {
+					b.Fatalf("follower after catch-up: %v at %d", st.state, st.watermark)
+				}
+				rl.mu.Unlock()
+				if err := rl.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

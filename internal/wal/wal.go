@@ -148,10 +148,11 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu     sync.Mutex // guards f, seq, and closed
-	f      *os.File
-	seq    uint64 // last sequence appended (or recovered)
-	closed bool
+	mu      sync.Mutex // guards f, seq, snapSeq, and closed
+	f       *os.File
+	seq     uint64 // last sequence appended (or recovered)
+	snapSeq uint64 // sequence the snapshot folds in; the log holds only later records
+	closed  bool
 }
 
 // Open opens (creating if absent) the log in dir and replays existing
@@ -185,7 +186,7 @@ func Open(dir string, opts Options) (*Log, *Recovered, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open log: %w", err)
 	}
-	return &Log{dir: dir, opts: opts, f: f, seq: lastSeq}, rec, nil
+	return &Log{dir: dir, opts: opts, f: f, seq: lastSeq, snapSeq: snapSeq}, rec, nil
 }
 
 // frame renders one record line; the CRC covers everything after it.
@@ -234,54 +235,59 @@ func parseFrame(line []byte) (uint64, []byte, error) {
 // replayLog scans the log, appending payloads with seq > snapSeq to rec
 // and truncating a torn tail in place. It returns the last valid seq.
 func replayLog(path string, snapSeq uint64, rec *Recovered) (uint64, error) {
-	f, err := os.Open(path)
+	var last uint64
+	end, torn, err := scanLog(path, func(seq uint64, payload []byte) bool {
+		last = seq
+		if seq > snapSeq {
+			rec.Entries = append(rec.Entries, payload)
+			rec.Info.Records++
+		}
+		return true
+	})
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, fmt.Errorf("wal: replay: %w", err)
 	}
-	defer f.Close() //lint:ignore droppederr read-only scan; nothing to lose on close
+	if torn {
+		// Any bytes after the valid prefix are unacknowledged crash
+		// debris by the append-before-ack contract.
+		cut(path, end, rec)
+	}
+	return last, nil
+}
 
-	size, err := f.Seek(0, io.SeekEnd)
+// scanLog is the one reader of the log's framing. It reads the log at
+// path oldest first and calls fn with each intact record's sequence and
+// payload (the caller's to keep). The scan ends at the end of the file,
+// at the first torn frame (no trailing newline) or corrupt one, or at
+// the first record fn returns false for. It returns the byte offset
+// just past the last record fn accepted, and whether a torn or corrupt
+// frame ended the scan. It never modifies the file.
+func scanLog(path string, fn func(seq uint64, payload []byte) bool) (end int64, torn bool, err error) {
+	f, err := os.Open(path)
 	if err != nil {
-		return 0, fmt.Errorf("wal: replay: %w", err)
+		return 0, false, err
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, fmt.Errorf("wal: replay: %w", err)
-	}
-
-	var (
-		r      = bufio.NewReader(f)
-		offset int64 // start of the next unread line == end of valid prefix
-		last   uint64
-	)
+	defer f.Close() //lint:ignore droppederr read-only scan; nothing to lose on close
+	r := bufio.NewReader(f)
 	for {
 		line, err := r.ReadBytes('\n')
 		if err == io.EOF {
-			if len(line) > 0 {
-				// No trailing newline: torn final record.
-				cut(path, size, offset, rec)
-			}
-			return last, nil
+			return end, len(line) > 0, nil
 		}
 		if err != nil {
-			return 0, fmt.Errorf("wal: replay: %w", err)
+			return 0, false, err
 		}
 		seq, payload, perr := parseFrame(line[:len(line)-1])
 		if perr != nil {
-			// Corrupt record: recover the prefix, report the cut. Any
-			// bytes after it are unacknowledged crash debris by the
-			// append-before-ack contract.
-			cut(path, size, offset, rec)
-			return last, nil
+			return end, true, nil
 		}
-		offset += int64(len(line))
-		last = seq
-		if seq > snapSeq {
-			rec.Entries = append(rec.Entries, append([]byte(nil), payload...))
-			rec.Info.Records++
+		if !fn(seq, payload) {
+			return end, false, nil
 		}
+		end += int64(len(line))
 	}
 }
 
@@ -292,10 +298,12 @@ func replayLog(path string, snapSeq uint64, rec *Recovered) (uint64, error) {
 // made durable — the file's new size is fsynced and then the parent
 // directory, mirroring the snapshot temp+rename dir-fsync discipline —
 // so a crash *during recovery* cannot resurrect the damaged suffix.
-func cut(path string, size, offset int64, rec *Recovered) {
+func cut(path string, offset int64, rec *Recovered) {
 	rec.Info.TornTail = true
 	rec.Info.TornOffset = offset
-	rec.Info.TornBytes = size - offset
+	if fi, err := os.Stat(path); err == nil {
+		rec.Info.TornBytes = fi.Size() - offset
+	}
 	mTornTailCuts.Inc()
 	if err := os.Truncate(path, offset); err != nil {
 		return // best-effort cleanup; next Open re-cuts at the same boundary
@@ -433,6 +441,7 @@ func (l *Log) snapshotLocked(payload []byte, seq uint64) (err error) {
 	}
 	l.f = f
 	l.seq = seq
+	l.snapSeq = seq
 	mCompactions.Inc()
 	return nil
 }
@@ -456,10 +465,18 @@ func (l *Log) Rewind(to uint64) error {
 	if to > l.seq {
 		return fmt.Errorf("wal: rewind forward (have seq %d, want %d)", l.seq, to)
 	}
+	if to < l.snapSeq {
+		return fmt.Errorf("wal: rewind: log starts after the snapshot at seq %d, cannot rewind to %d", l.snapSeq, to)
+	}
 	path := filepath.Join(l.dir, logName)
-	offset, err := offsetAfter(path, to)
+	// The cut goes just past record `to`; a torn or corrupt tail after
+	// it is debris the truncate drops too.
+	offset, _, err := scanLog(path, func(seq uint64, _ []byte) bool { return seq <= to })
+	if errors.Is(err, os.ErrNotExist) {
+		return fmt.Errorf("wal: rewind: log file missing")
+	}
 	if err != nil {
-		return err
+		return fmt.Errorf("wal: rewind: %w", err)
 	}
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("wal: rewind: %w", err)
@@ -480,46 +497,32 @@ func (l *Log) Rewind(to uint64) error {
 	return nil
 }
 
-// offsetAfter scans the log at path and returns the byte offset just
-// past the record with sequence `to` — the truncation point that makes
-// `to` the last record. An offset of 0 is valid when every record in the
-// file is later than `to`; a gap (the file starts past to+1) is an error
-// because truncation could not restore a contiguous tail.
-func offsetAfter(path string, to uint64) (int64, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, fmt.Errorf("wal: rewind: log file missing")
+// RecordsAfter returns the payloads of the records sequenced after
+// `after`, oldest first, read from the log file on disk. It is
+// read-only: a torn or corrupt tail ends the read and stays in place for
+// the next Open to cut. Records at or before the snapshot's sequence are
+// gone from the log, so an `after` below it is an error. Replication
+// reads a lagging replica's missing records this way from the primary.
+func (l *Log) RecordsAfter(after uint64) ([][]byte, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil, ErrClosed
 	}
+	if after < l.snapSeq {
+		return nil, fmt.Errorf("wal: read: records after %d are folded into the snapshot at seq %d", after, l.snapSeq)
+	}
+	var out [][]byte
+	_, _, err := scanLog(filepath.Join(l.dir, logName), func(seq uint64, payload []byte) bool {
+		if seq > after {
+			out = append(out, payload)
+		}
+		return true
+	})
 	if err != nil {
-		return 0, fmt.Errorf("wal: rewind: %w", err)
+		return nil, fmt.Errorf("wal: read: %w", err)
 	}
-	defer f.Close() //lint:ignore droppederr read-only scan; nothing to lose on close
-	var (
-		r      = bufio.NewReader(f)
-		offset int64
-		first  = true
-	)
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			return offset, nil // any unread tail is torn debris the truncate drops too
-		}
-		if err != nil {
-			return 0, fmt.Errorf("wal: rewind: %w", err)
-		}
-		seq, _, perr := parseFrame(line[:len(line)-1])
-		if perr != nil {
-			return offset, nil // corrupt tail: truncating at offset drops it as a bonus
-		}
-		if first && seq > to+1 {
-			return 0, fmt.Errorf("wal: rewind: log starts at seq %d, cannot rewind to %d", seq, to)
-		}
-		first = false
-		if seq > to {
-			return offset, nil
-		}
-		offset += int64(len(line))
-	}
+	return out, nil
 }
 
 // Reset discards the snapshot and every log record, returning the log to
@@ -547,6 +550,7 @@ func (l *Log) Reset() error {
 	}
 	l.f = f
 	l.seq = 0
+	l.snapSeq = 0
 	return nil
 }
 
