@@ -135,7 +135,9 @@ check:
 # bench runs the Go micro-benchmarks (including the statusq
 # ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3, the serving-engine
 # build NewEngine at 260, 1000 and 4000 RCCs and NewCatalog, every engine
-# of the domdbench fleet built up front, the in-process
+# of the domdbench fleet built up front, DurableIngest at fsync=never over
+# 10k and 100k histories, the WAL's replica catch-up of a 1000-record lag
+# behind a 100k-record history, the in-process
 # GET /fleet and POST /query/batch pair, and the compiled GBT tree kernel
 # at depths 4 and 8), then domdbench, the
 # serving benchmark declared in BENCHMARK.json, on both of its workloads:
@@ -143,7 +145,8 @@ check:
 # domdbench/README.md). The last line of each run is its JSON result.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
-	$(GO) test -run '^$$' -bench 'ApplyRCC|RebuildAfterIngest|NewEngine|NewCatalog' -benchmem ./internal/statusq/
+	$(GO) test -run '^$$' -bench 'ApplyRCC|RebuildAfterIngest|NewEngine|NewCatalog|DurableIngest' -benchmem ./internal/statusq/
+	$(GO) test -run '^$$' -bench . -benchmem ./internal/wal/
 	$(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench 'GBTPredict' -benchmem ./internal/ml/gbt/
 	bash domdbench/run.sh --workload fleet-scan --seed 1 --seconds 21 --trace 0

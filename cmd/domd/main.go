@@ -382,7 +382,6 @@ func runServe(args []string) {
 	maxBody := fs.Int64("max-body", server.DefaultMaxBodyBytes, "max POST body size in bytes")
 	walDir := fs.String("wal-dir", "data/wal", "root directory of the RCC ingestion WAL (topology.json plus one subdirectory per shard)")
 	fsyncPolicy := fs.String("fsync", "always", "WAL fsync policy: always (fsync before every acknowledgment) or never")
-	walCompactEvery := fs.Int("wal-compact-every", 1024, "ingests between WAL snapshots (0 disables auto-compaction)")
 	shards := fs.Int("shards", 1, "partition the catalog into N consistent-hash shards, each with its own WAL subdirectory (topology is pinned on first open)")
 	repl := fs.Int("repl", 1, "replicate each shard's WAL across N directories, acknowledging ingests at quorum (pinned on first open)")
 	replQuorum := fs.Int("repl-quorum", 0, "replicas that must append before an ingest is acknowledged (0: majority of -repl)")
@@ -449,11 +448,10 @@ func runServe(args []string) {
 	// breaker, and /readyz rows live, and server.New wires it as the
 	// Ingester too.
 	catalog, info, err := statusq.OpenSharded(*walDir, *shards, avails, rccs, statusq.DurableOptions{
-		WAL:          wal.Options{Policy: policy},
-		CompactEvery: *walCompactEvery,
-		DedupCap:     *dedupCap,
-		Replicas:     *repl,
-		ReplQuorum:   *replQuorum,
+		WAL:        wal.Options{Policy: policy},
+		DedupCap:   *dedupCap,
+		Replicas:   *repl,
+		ReplQuorum: *replQuorum,
 	})
 	if err != nil {
 		log.Fatal(err)

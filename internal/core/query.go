@@ -144,8 +144,9 @@ type Trajectory struct {
 // shared with every other trajectory on the row — and runs the
 // per-timestamp models over them. It fails when no grid point lies at or
 // before ts (a window model whose window starts after ts): every point
-// it could evaluate would read history later than t*.
-func (p *Pipeline) TrajectoryAt(row *features.Row, ts float64) (*Trajectory, error) {
+// it could evaluate would read history later than t*. The trajectory is
+// returned by value, so it costs no allocation of its own.
+func (p *Pipeline) TrajectoryAt(row *features.Row, ts float64) (Trajectory, error) {
 	grid := p.Timestamps()
 	upto := -1
 	for k, g := range grid {
@@ -154,15 +155,15 @@ func (p *Pipeline) TrajectoryAt(row *features.Row, ts float64) (*Trajectory, err
 		}
 	}
 	if upto < 0 {
-		return nil, fmt.Errorf("core: no grid point at or before t* = %.1f%%", ts)
+		return Trajectory{}, fmt.Errorf("core: no grid point at or before t* = %.1f%%", ts)
 	}
 	fulls, err := row.Vectors(grid[:upto+1])
 	if err != nil {
-		return nil, err
+		return Trajectory{}, err
 	}
 	raw, fused, err := p.Trajectory(fulls, upto)
 	if err != nil {
-		return nil, err
+		return Trajectory{}, err
 	}
-	return &Trajectory{Upto: upto, Grid: grid, Fulls: fulls, Raw: raw, Fused: fused}, nil
+	return Trajectory{Upto: upto, Grid: grid, Fulls: fulls, Raw: raw, Fused: fused}, nil
 }

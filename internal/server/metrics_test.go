@@ -58,10 +58,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	pipe, ext := trainTestPipeline()
-	// SyncAlways + CompactEvery:1 so every acknowledged ingest moves the
-	// WAL sync and compaction counters, not just the append counter.
+	// SyncAlways so every acknowledged ingest moves the WAL sync
+	// counters, not just the append counter.
 	dc, _, err := statusq.OpenDurable(t.TempDir(), ds.Avails, ds.RCCs, index.KindAVL,
-		statusq.DurableOptions{WAL: wal.Options{Policy: wal.SyncAlways}, CompactEvery: 1})
+		statusq.DurableOptions{WAL: wal.Options{Policy: wal.SyncAlways}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +204,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`domd_ingest_duplicates_total`: 1,
 
 		// WAL on the main catalog: four appends reached the log (three
-		// acks + the panicked apply), each fsynced under SyncAlways; each
-		// ack compacted under CompactEvery:1.
+		// acks + the panicked apply), each fsynced under SyncAlways.
 		`domd_wal_appends_total`:               4,
 		`domd_wal_syncs_total`:                 4,
 		`domd_wal_sync_duration_seconds_count`: 4,
-		`domd_wal_compactions_total`:           3,
 	}
 	for key, want := range wantAtLeast {
 		if got := delta(before, after, key); got < want {

@@ -7,6 +7,7 @@ import (
 
 	"domd/internal/domain"
 	"domd/internal/navsim"
+	"domd/internal/wal"
 )
 
 // The ingest benchmarks compare the two ways a serving process could absorb
@@ -123,4 +124,47 @@ func BenchmarkNewCatalog(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(ds.RCCs)), "rccs")
+}
+
+// BenchmarkDurableIngest times DurableCatalog.Ingest at fsync=never on a
+// catalog whose log already holds a 10k- or 100k-record history: the
+// packed encode, the WAL append, the dedup index and the engine fold.
+// The log is never rewritten, so nothing in an ingest grows with the
+// history but the fold into an avail's engine.
+func BenchmarkDurableIngest(b *testing.B) {
+	ds, err := navsim.Generate(navsim.Config{NumClosed: 15, NumOngoing: 3, MeanRCCsPerAvail: 20, Seed: 9})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, history := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("history=%d", history), func(b *testing.B) {
+			d, _, err := openDurable(b.TempDir(), ds.Avails, ds.RCCs, DurableOptions{WAL: wal.Options{Policy: wal.SyncNever}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids := d.AvailIDs()
+			ingest := func(n int) {
+				a, _ := d.Avail(ids[n%len(ids)])
+				r := domain.RCC{
+					ID: 2_000_000 + n, AvailID: a.ID, Type: domain.Growth, SWLIN: 43411001,
+					Created: a.ActStart + 1, Settled: a.ActStart + 20, Amount: float64(100 + n%1000),
+				}
+				if _, err := d.Ingest(fmt.Sprintf("k%d", n), r); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for n := 0; n < history; n++ {
+				ingest(n)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ingest(history + i)
+			}
+			b.StopTimer()
+			if err := d.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 }

@@ -9,10 +9,10 @@ import (
 
 // TestDurableDedupBounded is the regression gate for the idempotency-key
 // memory leak: sustained unique-key traffic must not grow the dedup
-// index past the configured budget (plus the pinned un-snapshotted
-// suffix), while recently acknowledged keys keep deduplicating.
+// index past the configured budget, while recently acknowledged keys
+// keep deduplicating.
 func TestDurableDedupBounded(t *testing.T) {
-	d, _, _ := durableFixture(t, t.TempDir(), DurableOptions{DedupCap: 8, CompactEvery: 4})
+	d, _, _ := durableFixture(t, t.TempDir(), DurableOptions{DedupCap: 8})
 	defer d.Close()
 	ids := d.AvailIDs()
 	const n = 40
@@ -21,10 +21,8 @@ func TestDurableDedupBounded(t *testing.T) {
 			t.Fatalf("ingest %d: dup=%v err=%v", i, dup, err)
 		}
 	}
-	// Budget 8 plus at most CompactEvery-1 pinned keys awaiting the next
-	// snapshot.
-	if got := d.DedupTracked(); got > 8+4 {
-		t.Fatalf("dedup index holds %d keys after %d unique ingests; budget is 8 (+4 pinned)", got, n)
+	if got := d.DedupTracked(); got != 8 {
+		t.Fatalf("dedup index holds %d keys after %d unique ingests; budget is 8", got, n)
 	}
 	// The newest key is inside the window: its retry must dedup.
 	lastID := ids[(n-1)%len(ids)]
@@ -42,36 +40,53 @@ func TestDurableDedupBounded(t *testing.T) {
 	}
 }
 
-// TestDurableDedupPinnedUntilSnapshot pins the exactly-once guarantee
-// for the WAL window: keys whose records are still in the un-snapshotted
-// log suffix are never evicted, no matter how far past the budget the
-// index grows, until a compaction folds them into a snapshot.
-func TestDurableDedupPinnedUntilSnapshot(t *testing.T) {
-	d, _, _ := durableFixture(t, t.TempDir(), DurableOptions{DedupCap: 4, CompactEvery: 0})
-	defer d.Close()
+// TestDurableDedupKeepsLastCapKeys pins the idempotency window: the
+// index holds exactly the last DedupCap acknowledged keys, so a retry of
+// any of them deduplicates and a retry of the one just before them is
+// accepted as a fresh record. A reopen replays the same cap over the
+// same records and arrives at the same window.
+func TestDurableDedupKeepsLastCapKeys(t *testing.T) {
+	dir := t.TempDir()
+	opts := DurableOptions{DedupCap: 4}
+	d, _, ds := durableFixture(t, dir, opts)
 	ids := d.AvailIDs()
+	ingest := func(d *DurableCatalog, i int, wantDup bool) {
+		t.Helper()
+		if dup, err := d.Ingest(fmt.Sprintf("cap%d", i), deltaRCC(t, d.Catalog, ids[i%len(ids)], i)); err != nil || dup != wantDup {
+			t.Fatalf("ingest cap%d: dup=%v err=%v, want dup=%v", i, dup, err, wantDup)
+		}
+	}
 	const n = 20
 	for i := 0; i < n; i++ {
-		if dup, err := d.Ingest(fmt.Sprintf("pin%d", i), deltaRCC(t, d.Catalog, ids[i%len(ids)], i)); err != nil || dup {
-			t.Fatalf("ingest %d: dup=%v err=%v", i, dup, err)
-		}
-	}
-	if got := d.DedupTracked(); got != n {
-		t.Fatalf("dedup index holds %d keys, want all %d pinned (no snapshot yet)", got, n)
-	}
-	// Every key is still in the WAL window, so every retry dedups.
-	for i := 0; i < n; i++ {
-		if dup, err := d.Ingest(fmt.Sprintf("pin%d", i), deltaRCC(t, d.Catalog, ids[i%len(ids)], i)); err != nil || !dup {
-			t.Fatalf("retry %d inside WAL window: dup=%v err=%v, want dup=true", i, dup, err)
-		}
-	}
-	// Compaction unpins: the index snaps down to the budget.
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
+		ingest(d, i, false)
 	}
 	if got := d.DedupTracked(); got != 4 {
-		t.Fatalf("dedup index holds %d keys after compaction, want budget 4", got)
+		t.Fatalf("dedup index holds %d keys, want the last 4", got)
 	}
+	for i := n - 4; i < n; i++ {
+		ingest(d, i, true)
+	}
+	// cap15 fell out of the window: accepted fresh, it evicts cap16.
+	ingest(d, n-5, false)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, info, err := OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if info.Restored != n+1 || info.Duplicates != 0 {
+		t.Fatalf("restore info = %+v, want %d restored and no duplicates", info, n+1)
+	}
+	if got := d2.DedupTracked(); got != 4 {
+		t.Fatalf("replayed dedup index holds %d keys, want 4", got)
+	}
+	for _, i := range []int{n - 5, n - 1, n - 2, n - 3} {
+		ingest(d2, i, true)
+	}
+	ingest(d2, n-4, false)
 }
 
 // TestDurableDedupRestoreEquivalence proves bounded dedup does not
@@ -83,7 +98,7 @@ func TestDurableDedupPinnedUntilSnapshot(t *testing.T) {
 // TestDurableReplayDedupsDuplicateRecords.)
 func TestDurableDedupRestoreEquivalence(t *testing.T) {
 	dir := t.TempDir()
-	opts := DurableOptions{DedupCap: 4, CompactEvery: 2}
+	opts := DurableOptions{DedupCap: 4}
 	d, _, ds := durableFixture(t, dir, opts)
 	ids := d.AvailIDs()
 

@@ -21,11 +21,12 @@ import (
 // the next OpenDurable must surface it.
 const FailDurableApply = "statusq.durable.apply"
 
-// walEntry is the WAL record and snapshot element for one ingested RCC.
+// walEntry is the WAL record (and legacy snapshot element) for one
+// ingested RCC.
 // The base tables (avails, historical RCCs) are reloaded from their CSVs
 // at startup; the WAL persists only the delta ingested at runtime. The
 // JSON tags describe the legacy payloads earlier builds wrote, which
-// replay still reads (see decodeWALPayload).
+// replay still reads (see appendWALPayload).
 type walEntry struct {
 	// Key is the idempotency key the record was ingested under ("" when
 	// the client supplied none, which disables dedup for that record).
@@ -52,20 +53,19 @@ type DurableOptions struct {
 	// ReplQuorum is the replica acks required before Ingest
 	// acknowledges; 0 means majority.
 	ReplQuorum int
-	// CompactEvery writes a snapshot and truncates the log after this
-	// many ingested records since the last snapshot; <= 0 disables
-	// auto-compaction (Compact can still be called manually).
+	// CompactEvery is ignored: the log is never compacted, because it is
+	// the whole ingested history. The field stays only because the
+	// domdbench tracer sets it; the benchmark change that moves the
+	// tracer onto OpenSharded (ROADMAP item 2) drops it.
 	CompactEvery int
 	// DedupCap bounds the in-memory idempotency-key index so sustained
-	// unique-key traffic is not a slow memory leak. When more than
-	// DedupCap keys are live, the oldest snapshot-covered keys are
-	// evicted in acknowledgment order. Keys whose records still sit in
-	// the un-snapshotted log suffix are never evicted, so exactly-once
-	// holds for every key still in the WAL window; an evicted (ancient,
-	// already-snapshotted) key retried later is accepted as a fresh
-	// record — the documented idempotency window is
-	// min(DedupCap acknowledgments, age of the last snapshot).
-	// 0 applies DefaultDedupCap; negative disables the bound.
+	// unique-key traffic is not a slow memory leak: the index holds
+	// exactly the last DedupCap acknowledged keys, evicting the oldest
+	// first. A key retried within that window deduplicates; an evicted
+	// key retried later is accepted as a fresh record. Replay applies the
+	// same cap to the same records in the same order, so it reproduces
+	// every live dedup decision. 0 applies DefaultDedupCap; negative
+	// disables the bound.
 	DedupCap int
 }
 
@@ -91,7 +91,8 @@ type RestoreInfo struct {
 	// Repl reports how the WAL reconciled its replica set on open (a
 	// one-replica catalog has one row and nothing to repair).
 	Repl *wal.ReplRecovery
-	// Restored counts delta RCCs re-applied from snapshot + log.
+	// Restored counts delta RCCs re-applied from the log (after a legacy
+	// snapshot's, on roots written by earlier builds).
 	Restored int
 	// Duplicates counts replayed entries skipped because their
 	// idempotency key had already been applied.
@@ -107,7 +108,7 @@ type RestoreInfo struct {
 // DurableCatalog is a Catalog whose ingestion path is write-ahead
 // logged: Ingest acknowledges an RCC only after it is on the log (per
 // the configured fsync policy), and OpenDurable restores every
-// acknowledged RCC from snapshot + log replay after a crash or restart.
+// acknowledged RCC from log replay after a crash or restart.
 // Read and query methods are the embedded Catalog's.
 type DurableCatalog struct {
 	*Catalog
@@ -117,29 +118,18 @@ type DurableCatalog struct {
 	// open flips false on Close; Ready gates /readyz on it.
 	open atomic.Bool
 
-	mu   sync.Mutex // guards seen, keyq, snapKeys, history, ingested, sinceSnap, and compactErr
+	mu   sync.Mutex // guards seen, keyq, and ingested
 	seen map[string]bool
-	// keyq holds the live idempotency keys in acknowledgment order; its
-	// prefix of snapKeys entries is covered by the last snapshot and
-	// therefore evictable once the index exceeds the DedupCap budget.
-	// Keys after that prefix belong to the un-snapshotted log suffix
-	// and are pinned (see DurableOptions.DedupCap).
-	keyq     []string
-	snapKeys int
-	// history is every applied delta entry in acknowledgment order, held
-	// as the space-separated packed records a snapshot stores; ingested
-	// counts them.
-	history   []byte
-	ingested  int
-	sinceSnap int
-	// compactErr is the most recent auto-compaction failure (nil when
-	// the last one succeeded). Compaction failures do not fail Ingest —
-	// the record is already durable — but operators can surface them.
-	compactErr error
+	// keyq holds the live idempotency keys in acknowledgment order, the
+	// oldest first out once the index exceeds the DedupCap budget.
+	keyq []string
+	// ingested counts the applied delta entries.
+	ingested int
 }
 
 // OpenDurable builds a catalog over the base tables plus the ingested
-// delta restored from the WAL in dir (snapshot first, then log replay),
+// delta restored from the WAL in dir (a legacy snapshot first, on roots
+// written by earlier builds, then log replay),
 // creating the log if absent. Replayed duplicates (by idempotency key)
 // and entries that no longer apply (orphaned by base-table edits, or
 // invalid) are skipped and counted in RestoreInfo.
@@ -160,7 +150,7 @@ func openDurable(dir string, avails []domain.Avail, rccs []domain.RCC, opts Dura
 	if err := checkReplLayout(dir, opts.Replicas); err != nil {
 		return nil, nil, err
 	}
-	// A one-replica set lives in dir itself (dir/wal.log, dir/snapshot.wal).
+	// A one-replica set lives in dir itself (dir/wal.log).
 	dirs := []string{dir}
 	if opts.Replicas > 1 {
 		dirs = wal.ReplicaDirs(dir, opts.Replicas)
@@ -181,58 +171,58 @@ func openDurable(dir string, avails []domain.Avail, rccs []domain.RCC, opts Dura
 	}
 	info := &RestoreInfo{Recovery: rec.Info, Repl: rep}
 
-	// The CRC already vouched for every payload, so a decode failure is a
-	// format mismatch (version skew), not disk damage: refuse to guess.
-	entries, err := decodeWALPayload(rec.Snapshot)
-	if err != nil {
-		closeBestEffort(log)
-		return nil, nil, fmt.Errorf("statusq: decode WAL snapshot: %w", err)
-	}
-	snapCount := len(entries)
-	for _, raw := range rec.Entries {
-		es, err := decodeWALPayload(raw)
-		if err != nil {
-			closeBestEffort(log)
-			return nil, nil, fmt.Errorf("statusq: decode WAL record: %w", err)
-		}
-		entries = append(entries, es...)
-	}
 	// Replay dedups through the same bounded index live ingestion uses,
 	// evicting as it goes. That reproduces the live process's decisions
 	// exactly: crash-window duplicate records sit close together on the
 	// log and still collapse to one apply, while a re-accepted evicted
 	// key (two records with the same key, by construction separated by
 	// at least DedupCap unique keys) is correctly applied twice — an
-	// acknowledged record never disappears across a restart. Restored
-	// RCCs join their avail's base RCCs before the engines are built, so
-	// restore costs one event-order sort per avail, not one ApplyRCC per
-	// record; ApplyRCC's bitwise equivalence to a rebuild makes the two
-	// the same engine.
-	for i, e := range entries {
-		if e.Key != "" && d.seen[e.Key] {
-			info.Duplicates++
-			mIngestRestored.With("duplicate").Inc()
-			continue
+	// acknowledged record never disappears across a restart. Roots
+	// written under the older snapshot-pinned rule replay the same: it
+	// held a superset of these keys, so every record it applied is
+	// applied here too. Restored RCCs join their avail's base RCCs before
+	// the engines are built, so restore costs one event-order sort per
+	// avail, not one ApplyRCC per record; ApplyRCC's bitwise equivalence
+	// to a rebuild makes the two the same engine. Payloads are decoded
+	// one at a time into one reused slice.
+	var es []walEntry
+	restore := func(raw []byte) (err error) {
+		if es, err = appendWALPayload(es[:0], raw); err != nil {
+			return err
 		}
-		if err := cat.admit(&e.RCC); err != nil {
-			info.Skipped++
-			mIngestRestored.With("orphaned").Inc()
-			continue
-		}
-		byAvail[e.RCC.AvailID] = append(byAvail[e.RCC.AvailID], e.RCC)
-		if e.Key != "" {
-			d.seen[e.Key] = true
-			d.keyq = append(d.keyq, e.Key)
-			if i < snapCount {
-				d.snapKeys++
+		for _, e := range es {
+			if e.Key != "" && d.seen[e.Key] {
+				info.Duplicates++
+				continue
 			}
-			d.evictExcess()
+			if err := cat.admit(&e.RCC); err != nil {
+				info.Skipped++
+				continue
+			}
+			byAvail[e.RCC.AvailID] = append(byAvail[e.RCC.AvailID], e.RCC)
+			if e.Key != "" {
+				d.remember(e.Key)
+			}
+			info.Restored++
 		}
-		d.history = appendWALHistory(d.history, encodeWALEntry(e))
-		d.ingested++
-		info.Restored++
-		mIngestRestored.With("applied").Inc()
+		return nil
 	}
+	// The CRC already vouched for every payload, so a decode failure is a
+	// format mismatch (version skew), not disk damage: refuse to guess.
+	if err := restore(rec.Snapshot); err != nil {
+		closeBestEffort(log)
+		return nil, nil, fmt.Errorf("statusq: decode WAL snapshot: %w", err)
+	}
+	for _, raw := range rec.Entries {
+		if err := restore(raw); err != nil {
+			closeBestEffort(log)
+			return nil, nil, fmt.Errorf("statusq: decode WAL record: %w", err)
+		}
+	}
+	d.ingested = info.Restored
+	mIngestRestored.With("applied").Add(int64(info.Restored))
+	mIngestRestored.With("duplicate").Add(int64(info.Duplicates))
+	mIngestRestored.With("orphaned").Add(int64(info.Skipped))
 	if err := cat.buildEngines(byAvail); err != nil {
 		closeBestEffort(log)
 		return nil, nil, err
@@ -241,20 +231,15 @@ func openDurable(dir string, avails []domain.Avail, rccs []domain.RCC, opts Dura
 	return d, info, nil
 }
 
-// evictExcess trims the idempotency-key index down to the configured
-// budget, oldest acknowledgment first, never dipping past the
-// snapshot-covered prefix (keys still in the un-snapshotted log suffix
-// stay dedupable until a compaction folds them into a snapshot).
-// Callers hold d.mu (or, in OpenDurable, exclusive ownership).
-func (d *DurableCatalog) evictExcess() {
-	budget := d.opts.dedupCap()
-	if budget <= 0 {
-		return
-	}
-	for len(d.seen) > budget && d.snapKeys > 0 {
+// remember adds an acknowledged key to the idempotency-key index and
+// trims the index to the configured budget, oldest acknowledgment
+// first. Callers hold d.mu (or, in OpenDurable, exclusive ownership).
+func (d *DurableCatalog) remember(key string) {
+	d.seen[key] = true
+	d.keyq = append(d.keyq, key)
+	if budget := d.opts.dedupCap(); budget > 0 && len(d.keyq) > budget {
 		delete(d.seen, d.keyq[0])
 		d.keyq = d.keyq[1:]
-		d.snapKeys--
 		mDedupEvictions.Inc()
 	}
 	// Reclaim the queue's backing array once eviction has walked far
@@ -318,16 +303,6 @@ func (d *DurableCatalog) Ready() error {
 	return nil
 }
 
-// LastCompactError returns the most recent auto-compaction failure, or
-// nil. A failing compaction leaves serving and durability intact (the
-// log just keeps growing), so it is reported out-of-band instead of
-// failing Ingest.
-func (d *DurableCatalog) LastCompactError() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.compactErr
-}
-
 // Ingest validates, durably logs, and applies one RCC. The contract:
 //
 //   - A nil error means the record is on the WAL (per the fsync policy)
@@ -376,44 +351,11 @@ func (d *DurableCatalog) Ingest(key string, r domain.RCC) (dup bool, err error) 
 		return false, err
 	}
 	if key != "" {
-		d.seen[key] = true
-		d.keyq = append(d.keyq, key)
-		d.evictExcess()
+		d.remember(key)
 	}
-	d.history = appendWALHistory(d.history, payload)
 	d.ingested++
-	d.sinceSnap++
 	mIngestAcks.Inc()
-	if d.opts.CompactEvery > 0 && d.sinceSnap >= d.opts.CompactEvery {
-		// Auto-compaction failure must not fail the already-durable
-		// ingest; record it for LastCompactError instead.
-		d.compactErr = d.compactLocked()
-	}
 	return false, nil
-}
-
-// Compact writes a snapshot of the ingested delta and truncates the
-// log — bounding replay time after long uptimes. Safe to call at any
-// time; concurrent Ingests serialize around it.
-func (d *DurableCatalog) Compact() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.compactLocked()
-}
-
-// compactLocked writes the packed history as the snapshot, unchanged.
-// It matches the log's sequence exactly because callers hold d.mu, the
-// ingest lock.
-func (d *DurableCatalog) compactLocked() error {
-	if err := d.log.Snapshot(d.history); err != nil {
-		return err
-	}
-	d.sinceSnap = 0
-	// Every live key is now snapshot-covered, which unpins the whole
-	// queue for capacity eviction.
-	d.snapKeys = len(d.keyq)
-	d.evictExcess()
-	return nil
 }
 
 // IngestedCount reports how many delta RCCs are applied (restored +

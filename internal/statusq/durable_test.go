@@ -1,10 +1,13 @@
 package statusq
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -42,6 +45,28 @@ func deltaRCC(t *testing.T, c *Catalog, availID, n int) domain.RCC {
 		ID: 2_000_000 + n, AvailID: availID, Type: domain.Growth,
 		SWLIN:   43411001,
 		Created: a.ActStart + 1, Settled: a.ActStart + 20, Amount: float64(100 + n),
+	}
+}
+
+// compactLegacy folds the whole log of each WAL directory into a packed
+// snapshot (the records joined by spaces) and empties the log, leaving
+// the root the way builds that compacted the log did.
+func compactLegacy(t *testing.T, dirs ...string) {
+	t.Helper()
+	for _, dir := range dirs {
+		l, rec, err := wal.Open(dir, wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Snapshot != nil {
+			t.Fatalf("%s already holds a snapshot", dir)
+		}
+		if err := l.Snapshot(bytes.Join(rec.Entries, []byte{' '})); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -120,10 +145,10 @@ func sameFingerprint(a, b []uint64) bool {
 	return true
 }
 
-// TestDurableRestoreEquivalence is the snapshot+log replay equivalence
-// gate: a catalog restored from WAL answers bitwise-identical Eval to
-// the never-restarted one, across plain-log, snapshot-only, and
-// snapshot+suffix layouts.
+// TestDurableRestoreEquivalence is the replay equivalence gate: a catalog
+// restored from WAL answers bitwise-identical Eval to the catalog that
+// acknowledged the records, on a root written by earlier builds (a legacy
+// snapshot plus a log suffix) that this build keeps appending to.
 func TestDurableRestoreEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	d, _, ds := durableFixture(t, dir, DurableOptions{})
@@ -133,8 +158,14 @@ func TestDurableRestoreEquivalence(t *testing.T) {
 			t.Fatalf("ingest %d: dup=%v err=%v", n, dup, err)
 		}
 	}
-	// Snapshot mid-stream, then keep appending so replay must combine both.
-	if err := d.Compact(); err != nil {
+	// Fold the log into a snapshot mid-stream, then keep appending so
+	// replay must combine both.
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	compactLegacy(t, dir)
+	d, _, err := OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 12; n < 20; n++ {
@@ -346,7 +377,10 @@ func TestDurableWALFaultNotAcknowledged(t *testing.T) {
 	}
 }
 
-func TestDurableAutoCompaction(t *testing.T) {
+// TestDurableLogIsTheHistory pins that the durable tier never compacts:
+// with CompactEvery set (it is ignored) every acknowledged record stays
+// in wal.log, no snapshot is written, and a reopen replays them all.
+func TestDurableLogIsTheHistory(t *testing.T) {
 	dir := t.TempDir()
 	d, _, ds := durableFixture(t, dir, DurableOptions{CompactEvery: 5})
 	ids := d.AvailIDs()
@@ -354,9 +388,6 @@ func TestDurableAutoCompaction(t *testing.T) {
 		if _, err := d.Ingest(fmt.Sprintf("k%d", n), deltaRCC(t, d.Catalog, ids[n%len(ids)], n)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := d.LastCompactError(); err != nil {
-		t.Fatal(err)
 	}
 	want := evalFingerprint(t, d.Catalog)
 	if err := d.Close(); err != nil {
@@ -367,13 +398,14 @@ func TestDurableAutoCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	// 13 ingests with CompactEvery=5: snapshots at 5 and 10, then 3 log
-	// records ride behind the second snapshot.
-	if info.Recovery.SnapshotSeq != 10 || info.Recovery.Records != 3 || info.Restored != 13 {
-		t.Fatalf("restore info = %+v / recovery %+v", info, info.Recovery)
+	if info.Recovery.SnapshotSeq != 0 || info.Recovery.Records != 13 || info.Restored != 13 {
+		t.Fatalf("restore info = %+v / recovery %+v, want 13 log records and no snapshot", info, info.Recovery)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.wal")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("snapshot.wal present (err=%v): the log was compacted", err)
 	}
 	if got := evalFingerprint(t, d2.Catalog); !sameFingerprint(got, want) {
-		t.Fatal("compacted restore answers differ")
+		t.Fatal("restored catalog answers differ")
 	}
 }
 
@@ -405,7 +437,7 @@ func TestDurableReadyAndClose(t *testing.T) {
 // acknowledged record exactly once.
 func TestDurableConcurrentIngest(t *testing.T) {
 	dir := t.TempDir()
-	d, _, ds := durableFixture(t, dir, DurableOptions{CompactEvery: 16})
+	d, _, ds := durableFixture(t, dir, DurableOptions{})
 	ids := d.AvailIDs()
 	var wg sync.WaitGroup
 	var acked atomic.Int64
@@ -452,32 +484,21 @@ func TestDurableConcurrentIngest(t *testing.T) {
 	}
 }
 
-// TestDurableSnapshotFaultKeepsIngesting pins that a failed
-// auto-compaction is only reported: the log still holds every record,
-// so the next ingest is acknowledged, the following compaction succeeds,
-// and a reopen restores everything.
+// TestDurableSnapshotFaultKeepsIngesting pins that the ingest path never
+// writes a snapshot: with every snapshot write failing and CompactEvery
+// set (it is ignored), each ingest is acknowledged, and a reopen
+// restores every record from the log alone.
 func TestDurableSnapshotFaultKeepsIngesting(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
 	d, _, ds := durableFixture(t, dir, DurableOptions{CompactEvery: 2})
 	ids := d.AvailIDs()
-	ingest := func(n int) {
-		t.Helper()
+	faultinject.Enable(wal.FailSnapshotWrite, errors.New("snapshot disk full"))
+	for n := 0; n < 4; n++ {
 		if _, err := d.Ingest(fmt.Sprintf("k%d", n), deltaRCC(t, d.Catalog, ids[n%len(ids)], n)); err != nil {
 			t.Fatalf("ingest %d: %v", n, err)
 		}
 	}
-	ingest(0)
-	faultinject.EnableTimes(wal.FailSnapshotWrite, errors.New("snapshot disk full"), 1)
-	ingest(1)
-	if d.LastCompactError() == nil {
-		t.Fatal("failed auto-compaction not reported")
-	}
-	ingest(2)
-	if err := d.LastCompactError(); err != nil {
-		t.Fatalf("compaction after the fault cleared: %v", err)
-	}
-	ingest(3)
 	want := evalFingerprint(t, d.Catalog)
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -487,20 +508,22 @@ func TestDurableSnapshotFaultKeepsIngesting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if info.Restored != 4 || info.Recovery.SnapshotSeq != 3 {
-		t.Fatalf("restore info = %+v / recovery %+v, want 4 restored over a snapshot at 3", info, info.Recovery)
+	if info.Restored != 4 || info.Recovery.SnapshotSeq != 0 || info.Recovery.Records != 4 {
+		t.Fatalf("restore info = %+v / recovery %+v, want 4 restored from 4 log records", info, info.Recovery)
 	}
 	if got := evalFingerprint(t, d2.Catalog); !sameFingerprint(got, want) {
 		t.Fatal("restored catalog answers differ")
 	}
 }
 
-// TestDurableLegacyJSONRootReplays opens a root written the way earlier
-// builds wrote it — a JSON snapshot, then a log holding a JSON record
-// and packed records — and checks that every acknowledged record is
-// restored and that the next compaction rewrites the snapshot packed.
+// TestDurableLegacyJSONRootReplays opens roots written the way earlier
+// builds wrote them: a JSON snapshot, then a log holding a JSON record
+// and packed records; and a packed snapshot plus a packed log suffix, in
+// a one-replica root and in a three-replica one. Every acknowledged
+// record is restored, a key folded into the snapshot still deduplicates,
+// a new ingest lands in each replica's wal.log while the snapshot stays
+// byte-identical, and a reopen restores every record.
 func TestDurableLegacyJSONRootReplays(t *testing.T) {
-	dir := t.TempDir()
 	ds, err := navsim.Generate(navsim.Config{NumClosed: 15, NumOngoing: 3, MeanRCCsPerAvail: 20, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -511,82 +534,137 @@ func TestDurableLegacyJSONRootReplays(t *testing.T) {
 	}
 	ids := ref.AvailIDs()
 	var entries []walEntry
-	for n := 0; n < 9; n++ {
+	for n := 0; n < 10; n++ {
 		e := walEntry{Key: fmt.Sprintf("k%d", n), RCC: deltaRCC(t, ref, ids[n%len(ids)], n)}
-		if err := ref.addRCC(e.RCC); err != nil {
-			t.Fatal(err)
-		}
 		entries = append(entries, e)
 	}
-
-	l, _, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	appendRaw := func(p []byte) {
-		t.Helper()
-		if _, err := l.Append(p); err != nil {
-			t.Fatal(err)
+	packed := func(es []walEntry) [][]byte {
+		out := make([][]byte, len(es))
+		for i, e := range es {
+			out[i] = encodeWALEntry(e)
 		}
+		return out
 	}
-	for _, e := range entries[:5] {
-		appendRaw(encodeWALEntry(e))
-	}
-	snap, err := json.Marshal(struct {
+	jsonSnap, err := json.Marshal(struct {
 		Entries []walEntry `json:"entries"`
 	}{entries[:5]})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Snapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	rec5, err := json.Marshal(entries[5])
+	jsonRec, err := json.Marshal(entries[5])
 	if err != nil {
-		t.Fatal(err)
-	}
-	appendRaw(rec5)
-	for _, e := range entries[6:] {
-		appendRaw(encodeWALEntry(e))
-	}
-	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	d, info, err := OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Restored != len(entries) || info.Duplicates != 0 || info.Skipped != 0 {
-		t.Fatalf("restore info = %+v, want %d restored", info, len(entries))
-	}
-	if got := evalFingerprint(t, d.Catalog); !sameFingerprint(got, evalFingerprint(t, ref)) {
-		t.Fatal("legacy root restored different answers")
-	}
-	if dup, err := d.Ingest("k5", entries[5].RCC); err != nil || !dup {
-		t.Fatalf("key of the legacy JSON record: dup=%v err=%v, want dup", dup, err)
-	}
-	if err := d.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name     string
+		replicas int
+		snap     []byte   // the snapshot, folding in entries[:5]
+		suffix   [][]byte // the log after it: entries[5:9]
+	}{
+		{"json", 1, jsonSnap, append([][]byte{jsonRec}, packed(entries[6:9])...)},
+		{"packed/R=1", 1, packHistory(entries[:5]), packed(entries[5:9])},
+		{"packed/R=3", 3, packHistory(entries[:5]), packed(entries[5:9])},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			dirs := []string{dir}
+			if tc.replicas > 1 {
+				dirs = wal.ReplicaDirs(dir, tc.replicas)
+			}
+			snaps := make([][]byte, len(dirs))
+			for i, rd := range dirs {
+				l, _, err := wal.Open(rd, wal.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				appendAll := func(payloads [][]byte) {
+					t.Helper()
+					for _, p := range payloads {
+						if _, err := l.Append(p); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				appendAll(packed(entries[:5]))
+				if err := l.Snapshot(tc.snap); err != nil {
+					t.Fatal(err)
+				}
+				appendAll(tc.suffix)
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if snaps[i], err = os.ReadFile(filepath.Join(rd, "snapshot.wal")); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	l2, rec, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	if len(rec.Snapshot) == 0 || rec.Snapshot[0] != walEntryV1 || len(rec.Entries) != 0 {
-		t.Fatalf("compacted snapshot %.20q with %d log records, want packed records only", rec.Snapshot, len(rec.Entries))
-	}
-	got, err := decodeWALPayload(rec.Snapshot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameEntries(got, entries) {
-		t.Fatalf("compacted snapshot = %+v, want %+v", got, entries)
+			want, err := NewCatalog(ds.Avails, ds.RCCs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries[:9] {
+				if err := want.addRCC(e.RCC); err != nil {
+					t.Fatal(err)
+				}
+			}
+			opts := DurableOptions{Replicas: tc.replicas}
+			d, info, err := OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Restored != 9 || info.Duplicates != 0 || info.Skipped != 0 || info.Recovery.SnapshotSeq != 5 {
+				t.Fatalf("restore info = %+v / recovery %+v, want 9 restored over a snapshot at 5", info, info.Recovery)
+			}
+			if got := evalFingerprint(t, d.Catalog); !sameFingerprint(got, evalFingerprint(t, want)) {
+				t.Fatal("legacy root restored different answers")
+			}
+			for _, k := range []int{2, 5} { // inside the snapshot; the first log record
+				if dup, err := d.Ingest(entries[k].Key, entries[k].RCC); err != nil || !dup {
+					t.Fatalf("key %s of the legacy root: dup=%v err=%v, want dup", entries[k].Key, dup, err)
+				}
+			}
+			if dup, err := d.Ingest(entries[9].Key, entries[9].RCC); err != nil || dup {
+				t.Fatalf("new ingest: dup=%v err=%v", dup, err)
+			}
+			if err := want.addRCC(entries[9].RCC); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			for i, rd := range dirs {
+				if got, err := os.ReadFile(filepath.Join(rd, "snapshot.wal")); err != nil || !bytes.Equal(got, snaps[i]) {
+					t.Fatalf("%s/snapshot.wal changed (err=%v)", rd, err)
+				}
+				l, rec, err := wal.Open(rd, wal.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if len(rec.Entries) != len(tc.suffix)+1 {
+					t.Fatalf("%s holds %d log records, want %d", rd, len(rec.Entries), len(tc.suffix)+1)
+				}
+				if got, err := appendWALPayload(nil, rec.Entries[len(rec.Entries)-1]); err != nil || !sameEntries(got, entries[9:]) {
+					t.Fatalf("%s ends with %+v (err=%v), want the new ingest", rd, got, err)
+				}
+			}
+
+			d2, info, err := OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d2.Close()
+			if info.Restored != 10 || info.Duplicates != 0 || info.Skipped != 0 {
+				t.Fatalf("reopen restore info = %+v, want 10 restored", info)
+			}
+			if got := evalFingerprint(t, d2.Catalog); !sameFingerprint(got, evalFingerprint(t, want)) {
+				t.Fatal("reopened legacy root answers differ")
+			}
+		})
 	}
 }
 

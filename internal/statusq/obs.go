@@ -22,7 +22,7 @@ var (
 	mIngestRestored = obs.NewCounterVec("domd_ingest_restored_total",
 		"WAL-replayed delta RCCs at startup, by outcome.", "outcome")
 	mDedupEvictions = obs.NewCounter("domd_ingest_dedup_evictions_total",
-		"Idempotency keys evicted from the bounded dedup index (oldest snapshot-covered keys first).")
+		"Idempotency keys evicted from the bounded dedup index (oldest acknowledgment first).")
 
 	// Shard-labeled serving metrics. Label cardinality is bounded by the
 	// -shards flag (one series per shard), so the registry stays small.

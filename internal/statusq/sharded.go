@@ -144,8 +144,8 @@ func (s *ShardedRestoreInfo) Totals() RestoreInfo {
 // ShardedCatalog partitions a DurableCatalog into N ≥ 1 shards keyed
 // by avail id via consistent hashing; it is the one catalog `domd
 // serve` builds, with one shard by default. Each shard owns its own
-// WAL directory, engines, idempotency-key index, and compaction
-// cycle, so ingest acknowledgments on different shards never serialize
+// WAL directory, engines and idempotency-key index, so ingest
+// acknowledgments on different shards never serialize
 // on a shared lock or a shared fsync. The router implements the same query
 // surface as *Catalog and the server's Ingester contract, so the
 // serving handlers are unchanged: point lookups route to the owning
@@ -180,13 +180,13 @@ type ShardedCatalog struct {
 
 // OpenSharded builds an N-shard sharded catalog over the base tables,
 // laying per-shard WALs out as <root>/shard-0000, <root>/shard-0001, …
-// and restoring each shard from its own snapshot + log. The shard
+// and restoring each shard from its own log. The shard
 // layout is pinned in <root>/topology.json; reopening a root with a
 // different shard count fails rather than silently orphaning records
 // (re-sharding an existing root is not supported), and so does opening
 // a root that holds a single-catalog WAL of its own (see pinTopology).
-// Every shard gets its own copy of opts (WAL fsync policy, compaction
-// cadence, dedup budget). One shard takes the base tables as they are;
+// Every shard gets its own copy of opts (WAL fsync policy, replica
+// count, dedup budget). One shard takes the base tables as they are;
 // only N > 1 partitions them into per-shard copies.
 func OpenSharded(root string, shards int, avails []domain.Avail, rccs []domain.RCC, opts DurableOptions) (*ShardedCatalog, *ShardedRestoreInfo, error) {
 	if shards < 1 {

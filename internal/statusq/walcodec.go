@@ -1,16 +1,16 @@
-// walcodec.go is the one wire format for WAL records and snapshots.
+// walcodec.go is the one wire format for WAL records.
 //
 // Every acknowledged ingest appends one walEntry to the log, so the
 // codec sits on the hot path of the durable ingest tier. A record is
 // varint-packed and then base64-wrapped, because the log is line-framed
-// (payloads must be newline-free; see wal.Log.Append). A snapshot is the
-// packed records of the whole applied history joined by single spaces:
-// the base64 alphabet has neither spaces nor newlines, so the history is
-// still one valid frame, and compaction writes the bytes ingestion
-// already built instead of encoding anything. Decoding accepts either
-// shape through decodeWALPayload, plus one read-only branch for the
-// JSON that earlier builds wrote (snapshots, and records before the
-// packed format), sniffed by its leading '{'.
+// (payloads must be newline-free; see wal.Log.Append). Nothing writes
+// snapshots any more, but roots written by earlier builds may hold one:
+// the packed records of the history it folds in, joined by single spaces
+// (the base64 alphabet has neither spaces nor newlines, so the history
+// was one valid frame). Decoding accepts either shape through
+// appendWALPayload, plus one read-only branch for the JSON that still
+// earlier builds wrote (snapshots, and records before the packed
+// format), sniffed by its leading '{'.
 package statusq
 
 import (
@@ -51,20 +51,12 @@ func encodeWALEntry(e walEntry) []byte {
 	return out
 }
 
-// appendWALHistory appends one packed record to a space-separated
-// history of packed records — the snapshot payload.
-func appendWALHistory(history, record []byte) []byte {
-	if len(history) > 0 {
-		history = append(history, ' ')
-	}
-	return append(history, record...)
-}
-
-// decodeWALPayload decodes a WAL record or snapshot payload into its
-// entries, in order: space-separated packed records (an empty payload is
-// an empty history), or legacy JSON from earlier builds — a snapshot
-// {"entries":[...]} or a single record {"key":...,"rcc":{...}}.
-func decodeWALPayload(raw []byte) ([]walEntry, error) {
+// appendWALPayload decodes a WAL record or legacy snapshot payload and
+// appends its entries, in order, to dst: space-separated packed records
+// (an empty payload is an empty history), or legacy JSON from earlier
+// builds — a snapshot {"entries":[...]} or a single record
+// {"key":...,"rcc":{...}}.
+func appendWALPayload(dst []walEntry, raw []byte) ([]walEntry, error) {
 	if len(raw) > 0 && raw[0] == '{' {
 		var legacy struct {
 			Entries []walEntry  `json:"entries"`
@@ -74,23 +66,25 @@ func decodeWALPayload(raw []byte) ([]walEntry, error) {
 		if err := json.Unmarshal(raw, &legacy); err != nil {
 			return nil, fmt.Errorf("statusq: decode legacy JSON WAL payload: %w", err)
 		}
+		dst = append(dst, legacy.Entries...)
 		if legacy.RCC != nil {
-			return append(legacy.Entries, walEntry{Key: legacy.Key, RCC: *legacy.RCC}), nil
+			dst = append(dst, walEntry{Key: legacy.Key, RCC: *legacy.RCC})
 		}
-		return legacy.Entries, nil
+		return dst, nil
 	}
 	if len(raw) == 0 {
-		return nil, nil
+		return dst, nil
 	}
-	var entries []walEntry
-	for _, rec := range bytes.Split(raw, []byte{' '}) {
+	for more := true; more; {
+		var rec []byte
+		rec, raw, more = bytes.Cut(raw, []byte{' '})
 		e, err := decodeWALEntry(rec)
 		if err != nil {
 			return nil, err
 		}
-		entries = append(entries, e)
+		dst = append(dst, e)
 	}
-	return entries, nil
+	return dst, nil
 }
 
 // decodeWALEntry unmarshals one packed record.
@@ -101,7 +95,12 @@ func decodeWALEntry(raw []byte) (walEntry, error) {
 	if raw[0] != walEntryV1 {
 		return walEntry{}, fmt.Errorf("statusq: unknown WAL record version 0x%02x", raw[0])
 	}
-	b := make([]byte, walB64.DecodedLen(len(raw)-1))
+	// A record's fields fit the stack buffer unless its key is long.
+	var stack [128]byte
+	b := stack[:]
+	if n := walB64.DecodedLen(len(raw) - 1); n > len(b) {
+		b = make([]byte, n)
+	}
 	n, err := walB64.Decode(b, raw[1:])
 	if err != nil {
 		return walEntry{}, fmt.Errorf("statusq: unwrap WAL record: %w", err)

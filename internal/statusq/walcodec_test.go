@@ -49,7 +49,7 @@ func TestWALCodecLegacyJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeWALPayload(raw)
+	got, err := appendWALPayload(nil, raw)
 	if err != nil {
 		t.Fatalf("decode legacy JSON record: %v", err)
 	}
@@ -94,20 +94,21 @@ func sameEntries(a, b []walEntry) bool {
 	return true
 }
 
-// packHistory encodes entries the way a snapshot stores them.
+// packHistory encodes entries the way a legacy snapshot stores them:
+// packed records joined by single spaces.
 func packHistory(entries []walEntry) []byte {
-	var h []byte
-	for _, e := range entries {
-		h = appendWALHistory(h, encodeWALEntry(e))
+	records := make([][]byte, len(entries))
+	for i, e := range entries {
+		records[i] = encodeWALEntry(e)
 	}
-	return h
+	return bytes.Join(records, []byte{' '})
 }
 
 // checkReencode asserts the invariant every accepted payload must keep:
 // packing its entries and decoding them again gives the same entries.
 func checkReencode(t *testing.T, entries []walEntry) {
 	t.Helper()
-	again, err := decodeWALPayload(packHistory(entries))
+	again, err := appendWALPayload(nil, packHistory(entries))
 	if err != nil {
 		t.Fatalf("re-encoded payload rejected: %v", err)
 	}
@@ -155,7 +156,7 @@ func FuzzWALRecord(f *testing.F) {
 			checkReencode(t, []walEntry{e})
 			checkFolds(t, e)
 		}
-		if entries, err := decodeWALPayload(raw); err == nil {
+		if entries, err := appendWALPayload(nil, raw); err == nil {
 			checkReencode(t, entries)
 			for _, e := range entries {
 				checkFolds(t, e)
@@ -185,7 +186,7 @@ func FuzzWALRecord(f *testing.F) {
 // JSON form.
 func FuzzWALSnapshot(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, n uint8, key string, id, created int64, amount uint64) {
-		if entries, err := decodeWALPayload(raw); err == nil {
+		if entries, err := appendWALPayload(nil, raw); err == nil {
 			checkReencode(t, entries)
 		}
 
@@ -194,7 +195,7 @@ func FuzzWALSnapshot(f *testing.F) {
 			d := int64(i)
 			entries[i] = fuzzEntry(key+strconv.Itoa(i), id+d, id-d, d%3, id^d, created, created+d, amount+uint64(i))
 		}
-		got, err := decodeWALPayload(packHistory(entries))
+		got, err := appendWALPayload(nil, packHistory(entries))
 		if err != nil {
 			t.Fatalf("packed history rejected: %v", err)
 		}
@@ -210,7 +211,7 @@ func FuzzWALSnapshot(f *testing.F) {
 		if err != nil || !utf8.ValidString(key) {
 			return
 		}
-		fromJSON, err := decodeWALPayload(legacy)
+		fromJSON, err := appendWALPayload(nil, legacy)
 		if err != nil {
 			t.Fatalf("legacy JSON snapshot rejected: %v", err)
 		}

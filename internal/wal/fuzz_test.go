@@ -7,12 +7,16 @@ import (
 	"testing"
 )
 
-// validPrefix returns the length of the longest run of intact,
-// newline-terminated frames at the start of b and the payloads of those
-// with a sequence above 0 (what replay without a snapshot keeps).
-func validPrefix(b []byte) (int, [][]byte) {
-	n := 0
-	var entries [][]byte
+// validPrefix is a fresh scan of b as a log with no snapshot. Its valid
+// prefix, n bytes long, is the longest run of intact, newline-terminated
+// frames sequenced 1, 2, 3, ... at its start (frames sequenced 0 before
+// the first of them are skipped, as replay skips records a snapshot
+// folds in). entries holds those records' payloads and ends[k] the
+// offset just past record k (ends[0] is 0). damaged is set when the
+// prefix ends at an intact frame out of sequence rather than a torn or
+// corrupt one.
+func validPrefix(b []byte) (n int, ends []int, entries [][]byte, damaged bool) {
+	ends = []int{0}
 	for _, line := range bytes.SplitAfter(b, []byte("\n")) {
 		if len(line) == 0 || line[len(line)-1] != '\n' {
 			break
@@ -21,12 +25,17 @@ func validPrefix(b []byte) (int, [][]byte) {
 		if err != nil {
 			break
 		}
-		if seq > 0 {
-			entries = append(entries, payload)
+		if seq != uint64(len(entries)+1) && (seq != 0 || len(entries) > 0) {
+			damaged = true
+			break
 		}
 		n += len(line)
+		if seq > 0 {
+			entries = append(entries, payload)
+			ends = append(ends, n)
+		}
 	}
-	return n, entries
+	return n, ends, entries, damaged
 }
 
 // sameEntries reports whether a and b hold the same payloads in order.
@@ -43,13 +52,18 @@ func sameEntries(a, b [][]byte) bool {
 }
 
 // FuzzLogReplay writes any byte string as wal.log, with no snapshot, and
-// checks torn-tail replay: Open never fails or panics, cuts the file to
-// exactly its valid prefix and reports the cut, a second Open replays the
-// same entries with nothing left to cut, and RecordsAfter reads those
-// same entries back without changing the file.
+// checks torn-tail replay against a fresh scan of the same bytes: Open
+// never panics; it refuses a log whose valid prefix ends at an intact
+// frame out of sequence and leaves the file as it was; otherwise it cuts
+// the file to exactly its valid prefix and reports the cut, and a second
+// Open replays the same entries with nothing left to cut. It then checks the offset table Open built: for
+// every k in [0, seq], RecordsAfter(k) reads exactly the records after k
+// (whole, and one at a time) without changing the file, and Rewind(k)
+// leaves the file cut just past record k, which a reopen replays as the
+// first k records.
 func FuzzLogReplay(f *testing.F) {
 	good := func(seq uint64, payload string) []byte {
-		line, err := frame(seq, []byte(payload))
+		line, err := appendFrame(nil, seq, []byte(payload))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -62,6 +76,8 @@ func FuzzLogReplay(f *testing.F) {
 	flipped[len(flipped)-3] ^= 0x20 // CRC mismatch on the last frame
 	f.Add(flipped)
 	f.Add(append(good(1, "first"), "garbage-without-newline"...)) // no newline
+	f.Add(append(good(1, "first"), good(3, "gap")...))            // out of sequence
+	f.Add(append(good(0, "folded"), two...))                      // stale frame before the records
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -70,9 +86,19 @@ func FuzzLogReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		prefix, want := validPrefix(data)
+		prefix, ends, want, damaged := validPrefix(data)
 
 		l, rec, err := Open(dir, Options{Policy: SyncNever})
+		if damaged {
+			if err == nil {
+				l.Close() //lint:ignore droppederr the test fails either way
+				t.Fatalf("Open accepted an intact frame out of sequence at offset %d", prefix)
+			}
+			if b, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(b, data) {
+				t.Fatalf("refused Open changed the log (err=%v)", rerr)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -87,15 +113,24 @@ func FuzzLogReplay(f *testing.F) {
 			(torn && (rec.Info.TornOffset != int64(prefix) || rec.Info.TornBytes != int64(len(data)-prefix))) {
 			t.Fatalf("recovery info %+v, want a cut at %d of %d bytes", rec.Info, prefix, len(data))
 		}
-		if !sameEntries(rec.Entries, want) {
-			t.Fatalf("Open replayed %q, want %q", rec.Entries, want)
+		if !sameEntries(rec.Entries, want) || l.Seq() != uint64(len(want)) {
+			t.Fatalf("Open replayed %q to seq %d, want %q", rec.Entries, l.Seq(), want)
 		}
-		read, err := l.RecordsAfter(0)
-		if err != nil {
-			t.Fatalf("RecordsAfter: %v", err)
+		for k := range want {
+			read, err := l.RecordsAfter(uint64(k), len(want))
+			if err != nil {
+				t.Fatalf("RecordsAfter(%d): %v", k, err)
+			}
+			one, err := l.RecordsAfter(uint64(k), 1)
+			if err != nil {
+				t.Fatalf("RecordsAfter(%d, 1): %v", k, err)
+			}
+			if !sameEntries(read, want[k:]) || !sameEntries(one, want[k:k+1]) {
+				t.Fatalf("RecordsAfter(%d) read %q and %q, want %q", k, read, one, want[k:])
+			}
 		}
-		if !sameEntries(read, want) {
-			t.Fatalf("RecordsAfter read %q, want %q", read, want)
+		if read, err := l.RecordsAfter(uint64(len(want)), 1); err != nil || len(read) != 0 {
+			t.Fatalf("RecordsAfter(seq) = %q, %v, want nothing", read, err)
 		}
 		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, cut) {
 			t.Fatalf("RecordsAfter changed the log (err=%v)", err)
@@ -108,9 +143,40 @@ func FuzzLogReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("second Open: %v", err)
 		}
-		defer l2.Close() //lint:ignore droppederr test cleanup
 		if rec2.Info.TornTail || !sameEntries(rec2.Entries, want) {
 			t.Fatalf("second Open replayed %q (torn=%v), want %q", rec2.Entries, rec2.Info.TornTail, want)
+		}
+		if err := l2.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		for k := range ends {
+			if err := os.WriteFile(path, cut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			l, _, err := Open(dir, Options{Policy: SyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Rewind(uint64(k)); err != nil {
+				t.Fatalf("Rewind(%d): %v", k, err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if b, err := os.ReadFile(path); err != nil || !bytes.Equal(b, cut[:ends[k]]) {
+				t.Fatalf("Rewind(%d) left %d bytes (err=%v), want %d", k, len(b), err, ends[k])
+			}
+			l, rec, err = Open(dir, Options{Policy: SyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Info.TornTail || !sameEntries(rec.Entries, want[:k]) {
+				t.Fatalf("reopen after Rewind(%d) replayed %q (torn=%v), want %q", k, rec.Entries, rec.Info.TornTail, want[:k])
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	})
 }

@@ -14,10 +14,6 @@ var (
 		"WAL fsync calls issued by appends.")
 	mSyncSeconds = obs.NewHistogram("domd_wal_sync_duration_seconds",
 		"WAL fsync latency in seconds.", obs.DefBuckets)
-	mCompactions = obs.NewCounter("domd_wal_compactions_total",
-		"Snapshot-and-truncate compactions completed.")
-	mCompactionFailures = obs.NewCounter("domd_wal_compaction_failures_total",
-		"Compactions that failed (the log keeps growing; durability is unaffected).")
 	mTornTailCuts = obs.NewCounter("domd_wal_torn_tail_cuts_total",
 		"Torn or corrupt log tails cut off during restore.")
 )
@@ -34,7 +30,7 @@ var (
 	mReplCatchupRecords = obs.NewCounter("domd_wal_repl_catchup_records_total",
 		"Records re-appended to lagging replicas by catch-up.")
 	mReplReplicaFaults = obs.NewCounter("domd_wal_repl_replica_faults_total",
-		"Individual replica append/snapshot faults (the set may still have reached quorum).")
+		"Individual replica append or catch-up faults (the set may still have reached quorum).")
 	mReplLag = obs.NewGaugeVec("domd_wal_repl_lag",
 		"Records the most-behind non-failed replica is missing, per replica set.", "set")
 )

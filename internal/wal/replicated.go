@@ -11,22 +11,26 @@
 //
 // A replica is live (caught up; participates in quorum), lagging
 // (missed appends; catch-up re-appends them from the primary's log
-// however far behind it is), or failed (unopenable, un-rewindable, or
-// behind the primary's snapshot; only a snapshot or a reopen revives
+// however far behind it is, one batch per hold of the set's lock, so
+// appends interleave with a long re-feed), or failed (unopenable,
+// or its log could neither be rewound nor reset; only a reopen revives
 // it). An append fault rewinds the replica's log back to its last
 // acknowledged watermark — the faulted tail's durability is unknown, so
 // catch-up must extend a known-good prefix — and demotes it to lagging.
+// A replica whose log cannot be rewound is reset instead (to the
+// primary's legacy snapshot on a root written by earlier builds) and
+// re-fed the whole history by the same catch-up.
 //
 // # Reopen repair
 //
 // OpenReplicated opens every replica, adopts the one with the highest
 // recovered sequence as authoritative, and reconciles the rest: replicas
 // whose missing suffix lies within the authoritative log are caught up
-// by plain appends; replicas with divergent overlapping payloads or gaps
-// reaching into the authoritative snapshot are rebuilt wholesale from
-// it. The authoritative replica's recovered state is what the caller
-// replays, so an acknowledged record (quorum-durable by definition)
-// survives the loss of any minority of replicas.
+// by plain appends; replicas with divergent overlapping payloads, or
+// gaps reaching into the authoritative replica's legacy snapshot, are
+// reset and re-fed from it. The authoritative replica's recovered state
+// is what the caller replays, so an acknowledged record (quorum-durable
+// by definition) survives the loss of any minority of replicas.
 package wal
 
 import (
@@ -60,9 +64,8 @@ const (
 	// ReplLagging means the replica missed appends; catch-up is
 	// converging it back to live from the primary's log.
 	ReplLagging
-	// ReplFailed means the replica is beyond catch-up (unopenable,
-	// un-rewindable, or missing records the primary's log no longer
-	// holds); a snapshot or reopen revives it.
+	// ReplFailed means the replica is beyond catch-up (unopenable, or
+	// its log could neither be rewound nor reset); a reopen revives it.
 	ReplFailed
 )
 
@@ -137,8 +140,9 @@ type ReplRepair struct {
 	// CaughtUp is the number of records re-appended from the
 	// authoritative replica's recovered tail.
 	CaughtUp int
-	// Rebuilt is true when the replica was reset and rebuilt wholesale
-	// from the authoritative snapshot (divergent or gapped tail).
+	// Rebuilt is true when the replica was reset (to the authoritative
+	// replica's legacy snapshot, if any) and re-fed from the
+	// authoritative log (divergent or gapped tail).
 	Rebuilt bool
 	// Failed is true when the replica could not be opened or repaired.
 	Failed bool
@@ -215,17 +219,6 @@ func OpenReplicated(dirs []string, opts ReplicatedOptions) (*ReplicatedLog, *Rec
 	repair.Authoritative = auth
 	authLog, authRec := logs[auth], recs[auth]
 	authSeq := authLog.Seq()
-	authSnapSeq := authRec.Info.SnapshotSeq
-
-	// The authoritative log's own bookkeeping must be self-consistent:
-	// its recovered entries are contiguous from the snapshot, so seq ==
-	// snapshot seq + entry count. A mismatch means a non-contiguous
-	// history we cannot use as a repair source.
-	if authSeq != authSnapSeq+uint64(len(authRec.Entries)) {
-		return nil, nil, nil, fmt.Errorf(
-			"wal: replicated open: authoritative replica %s is inconsistent (seq %d, snapshot %d, %d entries)",
-			dirs[auth], authSeq, authSnapSeq, len(authRec.Entries))
-	}
 
 	for i := range dirs {
 		if i == auth || logs[i] == nil {
@@ -264,18 +257,18 @@ func OpenReplicated(dirs []string, opts ReplicatedOptions) (*ReplicatedLog, *Rec
 
 // repairReplica reconciles one behind-or-divergent replica against the
 // authoritative log, either by appending the missing suffix or by
-// rebuilding it wholesale from the authoritative snapshot.
+// resetting it with rebase and re-feeding the whole authoritative log.
 func repairReplica(log *Log, rec *Recovered, authLog *Log, authRec *Recovered, rep *ReplRepair) error {
 	authSeq := authLog.Seq()
 	authSnapSeq := authRec.Info.SnapshotSeq
 	seq := log.Seq()
 	snapSeq := rec.Info.SnapshotSeq
 
-	// Incremental catch-up is possible only when the replica's history is
-	// self-consistent, does not run past the authoritative sequence, and
-	// its gap does not reach into the authoritative snapshot (whose
-	// individual records are gone). Otherwise rebuild wholesale.
-	rebuild := seq != snapSeq+uint64(len(rec.Entries)) || seq > authSeq || seq < authSnapSeq
+	// Incremental catch-up is possible only when the replica does not run
+	// past the authoritative sequence and its gap does not reach into the
+	// authoritative legacy snapshot (whose individual records are gone).
+	// Otherwise reset it and re-feed everything.
+	rebuild := seq > authSeq || seq < authSnapSeq
 	if !rebuild {
 		// Compare the overlap the two recovered tails share: any payload
 		// mismatch at the same sequence is divergence (e.g. this replica
@@ -290,26 +283,38 @@ func repairReplica(log *Log, rec *Recovered, authLog *Log, authRec *Recovered, r
 
 	if rebuild {
 		rep.Rebuilt = true
-		if authRec.Snapshot != nil || authSnapSeq > 0 {
-			if err := log.SnapshotAt(authRec.Snapshot, authSnapSeq); err != nil {
-				return err
-			}
-		} else if err := log.Reset(); err != nil {
+		var err error
+		if seq, err = rebase(log, authLog); err != nil {
 			return err
 		}
-		seq = authSnapSeq
 	}
 	n, err := appendRecords(log, authRec.Entries[seq-authSnapSeq:])
 	rep.CaughtUp += n
 	return err
 }
 
-// appendRecords appends payloads to log in order and returns how many
-// landed before the first error. It is the one loop that re-feeds a
-// replica, both in reopen repair and in live catch-up.
+// rebase empties log down to src's legacy snapshot, adopting it, or to
+// sequence 0 when src has none (every root written since the log stopped
+// compacting), so the records after it can be re-fed from src's log. It
+// returns the sequence log is left at.
+func rebase(log, src *Log) (uint64, error) {
+	snap, seq, err := readSnapshot(filepath.Join(src.dir, snapName))
+	if err != nil {
+		return 0, err
+	}
+	if snap == nil {
+		return 0, log.Reset()
+	}
+	return seq, log.SnapshotAt(snap, seq)
+}
+
+// appendRecords appends payloads to log in order, catchupBatch records
+// per write and fsync, and returns how many landed before the first
+// error. It is the one loop that re-feeds a replica, both in reopen
+// repair and in live catch-up.
 func appendRecords(log *Log, payloads [][]byte) (int, error) {
-	for i, p := range payloads {
-		if _, err := log.Append(p); err != nil {
+	for i := 0; i < len(payloads); i += catchupBatch {
+		if _, err := log.Append(payloads[i:min(i+catchupBatch, len(payloads))]...); err != nil {
 			return i, err
 		}
 	}
@@ -365,12 +370,12 @@ func (l *ReplicatedLog) Append(payload []byte) (uint64, error) {
 		}
 		// The faulted tail's durability is unknown: rewind to the last
 		// acknowledged watermark so catch-up extends a known-good prefix.
+		// One that cannot be rewound is failed until rebuilt below.
 		mReplReplicaFaults.Inc()
+		r.state = ReplLagging
 		if rerr := r.log.Rewind(r.watermark); rerr != nil {
 			r.state = ReplFailed
-			continue
 		}
-		r.state = ReplLagging
 	}
 
 	if acks == 0 {
@@ -386,6 +391,11 @@ func (l *ReplicatedLog) Append(payload []byte) (uint64, error) {
 
 	if l.replicas[l.primary].state != ReplLive {
 		l.promoteLocked()
+	}
+	for i, r := range l.replicas {
+		if r.state == ReplFailed && errs[i] != nil && !errors.Is(errs[i], errReplicaDown) {
+			l.rebuildLocked(r)
+		}
 	}
 	if l.anyLagging() {
 		l.kickLocked()
@@ -478,52 +488,87 @@ func (l *ReplicatedLog) catchupWorker() {
 	}
 }
 
-// catchupLocked converges every lagging replica. One whose watermark is
-// the set's sequence lost nothing and goes live without touching a disk
-// (the fault path of a one-replica set); the others are re-fed the
-// records they lack from the primary's log by feedLocked. Callers hold
-// l.mu.
+// catchupLocked moves every lagging replica one step toward live. One
+// whose watermark is the set's sequence lost nothing and goes live
+// without touching a disk (the fault path of a one-replica set); the
+// others are re-fed one batch of the records they lack from the primary's
+// log by feedLocked. While a replica still lags after a batch that made
+// progress, the worker is kicked again, so a long re-feed releases l.mu
+// between batches and appends interleave with it. Callers hold l.mu.
 func (l *ReplicatedLog) catchupLocked() {
+	more := false
 	for _, r := range l.replicas {
 		if r.state != ReplLagging || l.closed {
 			continue
 		}
-		if r.watermark < l.seq {
-			l.feedLocked(r)
+		if r.watermark < l.seq && l.feedLocked(r) && r.watermark < l.seq {
+			more = true
 		}
 		if r.state == ReplLagging && r.watermark == l.seq {
 			r.state = ReplLive
 		}
 	}
+	if more {
+		l.kickLocked()
+	}
 	l.updateLagLocked()
 }
 
-// feedLocked appends to lagging replica r the records after its
-// watermark, read from the primary's log. A fault rewinds r and leaves
-// it lagging for the next kick; a rewind failure fails it, and so does a
-// primary log that no longer holds every record r lacks (they were
-// folded into a snapshot, which only a snapshot or reopen repair can
-// hand over). Callers hold l.mu.
-func (l *ReplicatedLog) feedLocked(r *replica) {
-	need := l.seq - r.watermark
+// catchupBatch bounds the records one catch-up step reads, writes and
+// fsyncs at a time, and so how long it holds l.mu: re-feeding a reset
+// replica the whole history costs a batch of memory per step, not a copy
+// of the log, and one fsync per batch, not per record.
+const catchupBatch = 1024
+
+// feedLocked appends to lagging replica r the next batch (at most
+// catchupBatch) of the records after its watermark, read from the
+// primary's log, and reports whether r made progress. A replica behind
+// the primary's legacy snapshot is rebuilt first. A fault rewinds r and
+// leaves it lagging for the next kick; one that cannot be rewound is
+// rebuilt, and a primary log that cannot feed r fails it. Callers hold
+// l.mu.
+func (l *ReplicatedLog) feedLocked(r *replica) bool {
 	err := faultinject.Fire(r.failpoint)
 	if err == nil {
-		var missing [][]byte
-		missing, err = l.replicas[l.primary].log.RecordsAfter(r.watermark)
-		if err != nil || uint64(len(missing)) < need {
+		var batch [][]byte
+		batch, err = l.replicas[l.primary].log.RecordsAfter(r.watermark, catchupBatch)
+		if errors.Is(err, errBeforeSnapshot) {
+			l.rebuildLocked(r)
+			return r.state == ReplLagging
+		}
+		if err != nil || len(batch) == 0 {
 			r.state = ReplFailed
-			return
+			return false
 		}
 		var n int
-		n, err = appendRecords(r.log, missing[:need])
+		n, err = appendRecords(r.log, batch)
 		r.watermark += uint64(n)
 		mReplCatchupRecords.Add(int64(n))
 	}
 	if err != nil {
 		mReplReplicaFaults.Inc()
 		if rerr := r.log.Rewind(r.watermark); rerr != nil {
-			r.state = ReplFailed
+			l.rebuildLocked(r)
 		}
+		return false
+	}
+	return true
+}
+
+// rebuildLocked resets replica r with rebase against the primary and
+// leaves it lagging at the sequence it was reset to, so catch-up re-feeds
+// it from the primary's log. It fails r instead when the primary is r
+// itself or does not hold every acknowledged record (resetting r could
+// then lose acknowledged data), or when the reset fails. Callers hold
+// l.mu.
+func (l *ReplicatedLog) rebuildLocked(r *replica) {
+	p := l.replicas[l.primary]
+	r.state = ReplFailed
+	if p == r || p.state == ReplFailed || p.watermark < l.seq {
+		return
+	}
+	if seq, err := rebase(r.log, p.log); err == nil {
+		r.state, r.watermark = ReplLagging, seq
 	}
 }
 
@@ -545,67 +590,6 @@ func (l *ReplicatedLog) lagLocked() uint64 {
 		}
 	}
 	return lag
-}
-
-// Snapshot atomically replaces every replica's snapshot with payload
-// (which must fold in every record up to the current sequence) and
-// truncates their logs. Lagging and failed replicas are revived
-// wholesale via SnapshotAt — the snapshot subsumes everything they
-// missed — so compaction doubles as the recovery path for replicas
-// catch-up cannot feed. An error is returned when fewer than quorum
-// replicas completed, but every replica that did complete is compacted.
-func (l *ReplicatedLog) Snapshot(payload []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	acks := 0
-	errs := make([]error, len(l.replicas))
-	for i, r := range l.replicas {
-		if r.log == nil {
-			errs[i] = errReplicaDown
-			continue
-		}
-		var err error
-		if r.state == ReplLive && r.watermark == l.seq {
-			err = r.log.Snapshot(payload)
-		} else {
-			err = r.log.SnapshotAt(payload, l.seq)
-		}
-		errs[i] = err
-		if err == nil {
-			acks++
-		}
-	}
-	for i, r := range l.replicas {
-		if r.log == nil {
-			continue
-		}
-		if errs[i] == nil {
-			r.state = ReplLive
-			r.watermark = l.seq
-			continue
-		}
-		mReplReplicaFaults.Inc()
-		// A caught-up replica still holds every record in its log (the
-		// snapshot is made durable before the log is touched), so it
-		// stays live; if the fault broke its log, the next append faults
-		// and rewinds it. A replica this snapshot was to revive is
-		// failed: the primary's log no longer holds what it lacks.
-		if r.state != ReplLive || r.watermark != l.seq {
-			r.state = ReplFailed
-		}
-	}
-	if l.replicas[l.primary].state != ReplLive {
-		l.promoteLocked()
-	}
-	l.updateLagLocked()
-	if acks < l.quorum {
-		return fmt.Errorf("wal: snapshot: %d/%d replicas compacted (need %d): %w: %w",
-			acks, len(l.replicas), l.quorum, ErrQuorumLost, firstFault(errs))
-	}
-	return nil
 }
 
 // Seq returns the last acknowledged sequence number.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -245,44 +246,111 @@ func TestReplicatedLaggardCatchesUpFromPrimaryLog(t *testing.T) {
 	}
 }
 
-// TestReplicatedSnapshotRevivesFailedReplica covers the one replica
-// catch-up cannot repair: a follower whose log cannot be rewound after a
-// fault (its wal.log is gone) is failed, and the next Snapshot revives
-// it wholesale.
-func TestReplicatedSnapshotRevivesFailedReplica(t *testing.T) {
-	defer faultinject.Reset()
-	root := t.TempDir()
-	dirs := ReplicaDirs(root, 3)
-	rl, _, _ := openReplT(t, root, 3, ReplicatedOptions{})
-	appendReplT(t, rl, "r0")
-	if err := os.Remove(filepath.Join(dirs[2], logName)); err != nil {
-		t.Fatal(err)
-	}
-	faultinject.EnableTimes(ReplicaFailpoint(dirs[2]), errors.New("disk fault"), 1)
-	for i := 1; i < 6; i++ {
-		appendReplT(t, rl, fmt.Sprintf("r%d", i))
-	}
-	if st := rl.Status(); st[2].State != ReplFailed {
-		t.Fatalf("un-rewindable replica not failed: %+v", st)
-	}
-	if err := rl.Snapshot([]byte("folded")); err != nil {
-		t.Fatal(err)
-	}
-	st := rl.Status()
-	for _, r := range st {
-		if r.State != ReplLive || r.Watermark != 6 {
-			t.Fatalf("snapshot did not revive: %+v", st)
+// legacySnapshot folds each replica's whole log into a snapshot holding
+// payload, leaving the root the way builds that compacted the log did.
+func legacySnapshot(t *testing.T, dirs []string, payload string) {
+	t.Helper()
+	for _, dir := range dirs {
+		l, _ := openT(t, dir, Options{})
+		if err := l.Snapshot([]byte(payload)); err != nil {
+			t.Fatal(err)
 		}
+		closeT(t, l)
 	}
-	appendReplT(t, rl, "after")
-	if err := rl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	assertReplicasEqual(t, dirs)
-	l, rec := openT(t, dirs[2], Options{})
-	closeT(t, l)
-	if string(rec.Snapshot) != "folded" || len(rec.Entries) != 1 {
-		t.Fatalf("revived replica state: snap=%q entries=%d", rec.Snapshot, len(rec.Entries))
+}
+
+// TestReplicatedCatchupRevivesUnrewindableReplica covers the replica a
+// rewind cannot repair: a follower whose wal.log is gone when a fault
+// hits it. It is reset and re-fed the whole history by catch-up, across
+// more than one batch, until every replica is live at the set's sequence
+// and holds the primary's bytes. On a root written by earlier builds it
+// is first given the primary's legacy snapshot. The revived replica is
+// then faulted again after its write reached the file, so its rewind
+// shrinks the log the reset reopened, and it must still converge to the
+// primary's bytes.
+func TestReplicatedCatchupRevivesUnrewindableReplica(t *testing.T) {
+	for _, legacy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("legacy=%v", legacy), func(t *testing.T) {
+			defer faultinject.Reset()
+			root := t.TempDir()
+			dirs := ReplicaDirs(root, 3)
+			opts := ReplicatedOptions{Log: Options{Policy: SyncNever}}
+			rl, _, _ := openReplT(t, root, 3, opts)
+			appendReplT(t, rl, "r0")
+			if legacy {
+				if err := rl.Close(); err != nil {
+					t.Fatal(err)
+				}
+				legacySnapshot(t, dirs, "folded")
+				rl, _, _ = openReplT(t, root, 3, opts)
+			}
+			const n = catchupBatch + 500
+			for i := 1; i < n; i++ {
+				appendReplT(t, rl, fmt.Sprintf("r%d", i))
+			}
+			// The history is written without fsyncs; the faults below
+			// run under SyncAlways, where a sync fault follows the write.
+			if err := rl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rl, _, _ = openReplT(t, root, 3, ReplicatedOptions{})
+			if err := os.Remove(filepath.Join(dirs[2], logName)); err != nil {
+				t.Fatal(err)
+			}
+			fed := mReplCatchupRecords.Value()
+			faultinject.EnableTimes(ReplicaFailpoint(dirs[2]), errors.New("disk fault"), 1)
+			appendReplT(t, rl, fmt.Sprintf("r%d", n))
+			if st := rl.Status(); st[2].State == ReplFailed {
+				t.Fatalf("un-rewindable replica failed instead of reset: %+v", st)
+			}
+			waitConverged(t, rl)
+			st := rl.Status()
+			for _, r := range st {
+				if r.State != ReplLive || r.Watermark != n+1 {
+					t.Fatalf("catch-up did not revive: %+v", st)
+				}
+			}
+			want := int64(n + 1)
+			if legacy {
+				want-- // r0 came back inside the snapshot
+			}
+			if got := mReplCatchupRecords.Value() - fed; got != want {
+				t.Fatalf("catch-up re-fed %d records, want %d", got, want)
+			}
+
+			// Fan-out runs in replica order, so the third sync is the
+			// revived replica's.
+			var syncs atomic.Int32
+			faultinject.Arm(FailAppendSync, func() error {
+				if syncs.Add(1) == 3 {
+					return errors.New("sync fault")
+				}
+				return nil
+			})
+			appendReplT(t, rl, "second fault")
+			faultinject.Disable(FailAppendSync)
+			if st := rl.Status(); st[2].State == ReplFailed || syncs.Load() < 3 {
+				t.Fatalf("second fault: %d syncs, status %+v", syncs.Load(), st)
+			}
+			waitConverged(t, rl)
+			appendReplT(t, rl, "after")
+			if err := rl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			assertReplicasEqual(t, dirs)
+			l, rec := openT(t, dirs[2], Options{})
+			closeT(t, l)
+			if legacy != (string(rec.Snapshot) == "folded") || len(rec.Entries) != int(want)+2 || rec.Info.TornTail {
+				t.Fatalf("revived replica state: snap=%q entries=%d torn=%v", rec.Snapshot, len(rec.Entries), rec.Info.TornTail)
+			}
+			for _, name := range []string{logName, snapName} {
+				primary, _ := os.ReadFile(filepath.Join(dirs[0], name))
+				revived, _ := os.ReadFile(filepath.Join(dirs[2], name))
+				if !bytes.Equal(revived, primary) {
+					t.Fatalf("revived %s differs from the primary's (%d vs %d bytes)", name, len(revived), len(primary))
+				}
+			}
+		})
 	}
 }
 
@@ -394,9 +462,11 @@ func TestReplicatedRecoveryLostReplicaDirRebuilds(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		appendReplT(t, rl, fmt.Sprintf("r%d", i))
 	}
-	if err := rl.Snapshot([]byte("base")); err != nil {
+	if err := rl.Close(); err != nil {
 		t.Fatal(err)
 	}
+	legacySnapshot(t, dirs, "base")
+	rl, _, _ = openReplT(t, root, 3, ReplicatedOptions{})
 	appendReplT(t, rl, "tail")
 	if err := rl.Close(); err != nil {
 		t.Fatal(err)
@@ -479,7 +549,7 @@ func TestRewindCutsPartialFrameAtSeq(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
 	appendT(t, l, "good")
-	line, err := frame(l.Seq()+1, []byte("doomed"))
+	line, err := appendFrame(nil, l.Seq()+1, []byte("doomed"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,6 +631,50 @@ func TestSnapshotAtAndReset(t *testing.T) {
 	}
 }
 
+// TestRewindAfterResetAndSnapshotAt rewinds a log whose file Reset or
+// SnapshotAt reopened. The rewind shrinks the file, so the next append
+// must land at its new end: a descriptor that kept writing at its old
+// offset would leave a hole that replay cuts off with every record after
+// it.
+func TestRewindAfterResetAndSnapshotAt(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reset func(*Log) error
+		base  uint64
+	}{
+		{"reset", (*Log).Reset, 0},
+		{"snapshotAt", func(l *Log) error { return l.SnapshotAt([]byte("adopted"), 7) }, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l, _ := openT(t, dir, Options{})
+			appendT(t, l, "before")
+			if err := tc.reset(l); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []string{"a", "b", "c"} {
+				appendT(t, l, p)
+			}
+			if err := l.Rewind(tc.base + 1); err != nil {
+				t.Fatal(err)
+			}
+			appendT(t, l, "b2")
+			appendT(t, l, "c2")
+			closeT(t, l)
+
+			l2, rec := openT(t, dir, Options{})
+			defer closeT(t, l2)
+			got := make([]string, len(rec.Entries))
+			for i, e := range rec.Entries {
+				got[i] = string(e)
+			}
+			if rec.Info.TornTail || fmt.Sprint(got) != "[a b2 c2]" || l2.Seq() != tc.base+3 {
+				t.Fatalf("replay = %q to seq %d (torn=%v), want [a b2 c2] to seq %d", got, l2.Seq(), rec.Info.TornTail, tc.base+3)
+			}
+		})
+	}
+}
+
 func TestTornTailCutIsDurable(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
@@ -594,40 +708,66 @@ func TestTornTailCutIsDurable(t *testing.T) {
 }
 
 // BenchmarkReplicatedCatchup times one catch-up of a follower 1000
-// records behind the rest of a 3-replica set, under each fsync policy.
-// The lag is built with the follower's failpoint armed; the set's lock
-// is then held so the background worker cannot start the catch-up
-// first, and only catchupLocked is timed.
+// records behind the rest of a 3-replica set whose log already holds at
+// least a 100k-record history, under each fsync policy: catch-up seeks
+// to the follower's watermark through the primary's offset table, so
+// its cost tracks the lag, not the history. The history is written once
+// per policy. Each iteration builds the lag directly, under the set's
+// lock so the background worker cannot start the catch-up first: one
+// batch append to each of the other two replicas, the follower demoted
+// to lagging, as 1000 appends with the follower faulted would leave it
+// (those would cost 2000 untimed fsyncs per iteration). Only
+// catchupLocked is timed.
 func BenchmarkReplicatedCatchup(b *testing.B) {
+	const history, lag = 100_000, 1000
+	payload := []byte("B" + string(bytes.Repeat([]byte("x"), 40)))
+	var seed []byte
+	for i := 1; i <= history; i++ {
+		line, err := appendFrame(nil, uint64(i), payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		seed = append(seed, line...)
+	}
+	batch := make([][]byte, lag)
+	for i := range batch {
+		batch[i] = payload
+	}
 	for _, policy := range []SyncPolicy{SyncNever, SyncAlways} {
 		b.Run("fsync="+policy.String(), func(b *testing.B) {
-			defer faultinject.Reset()
-			payload := []byte("B" + string(bytes.Repeat([]byte("x"), 40)))
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				dirs := ReplicaDirs(b.TempDir(), 3)
-				rl, _, _, err := OpenReplicated(dirs, ReplicatedOptions{Log: Options{Policy: policy}})
-				if err != nil {
+			dirs := ReplicaDirs(b.TempDir(), 3)
+			for _, dir := range dirs {
+				if err := os.MkdirAll(dir, 0o755); err != nil {
 					b.Fatal(err)
 				}
-				faultinject.Enable(ReplicaFailpoint(dirs[2]), errors.New("follower down"))
-				for j := 0; j < 1000; j++ {
-					if _, err := rl.Append(payload); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, logName), seed, 0o644); err != nil {
+					b.Fatal(err)
+				}
+			}
+			rl, _, _, err := OpenReplicated(dirs, ReplicatedOptions{Log: Options{Policy: policy}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer rl.Close() //lint:ignore droppederr benchmark cleanup
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				rl.mu.Lock()
+				for _, r := range rl.replicas[:2] {
+					if _, err := r.log.Append(batch...); err != nil {
 						b.Fatal(err)
 					}
+					r.watermark += lag
 				}
-				rl.mu.Lock()
-				faultinject.Reset()
+				rl.seq += lag
+				rl.replicas[2].state = ReplLagging
 				b.StartTimer()
 				rl.catchupLocked()
 				b.StopTimer()
-				if st := rl.replicas[2]; st.state != ReplLive || st.watermark != 1000 {
-					b.Fatalf("follower after catch-up: %v at %d", st.state, st.watermark)
+				if st := rl.replicas[2]; st.state != ReplLive || st.watermark != rl.seq {
+					b.Fatalf("follower after catch-up: %v at %d of %d", st.state, st.watermark, rl.seq)
 				}
 				rl.mu.Unlock()
-				if err := rl.Close(); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

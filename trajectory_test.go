@@ -216,7 +216,7 @@ func TestServedTrajectoryMatchesScratchOracle(t *testing.T) {
 					if werr != nil {
 						continue
 					}
-					if err := sameTrajectory(got, want); err != nil {
+					if err := sameTrajectory(&got, want); err != nil {
 						t.Fatalf("%s %s t*=%g: %v", name, pc.name, ts, err)
 					}
 				}
