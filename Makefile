@@ -97,12 +97,14 @@ docs:
 differential:
 	$(GO) test -race -count 1 -run 'TestDelta' ./internal/statusq/
 
-# fuzz runs each native fuzz target for FUZZTIME: the WAL record and
-# snapshot decoders must never panic, and whatever they accept must
-# survive a re-encode (seed corpora live in testdata/fuzz); any byte
-# string opened as a WAL log is cut to exactly its valid prefix, replays
-# the same entries a second time, and reads back unchanged through
-# Log.RecordsAfter; the HTTP read and ingest surface (GET /query,
+# fuzz runs each native fuzz target for FUZZTIME: the WAL record decoder
+# must never panic, and whatever it accepts must survive a re-encode
+# (seed corpora live in testdata/fuzz); old-format replica bytes either
+# make the upgrade refuse, leaving the root byte-identical, or upgrade to
+# a log that replays what the old reader decodes; topology.json bytes are
+# refused or round-trip; any byte string opened as a WAL log is cut to
+# exactly its valid prefix, replays the same entries a second time, and
+# reads back unchanged through Log.RecordsAfter; the HTTP read and ingest surface (GET /query,
 # /predict, /fleet, POST /query/batch, /predict, /rccs) must never answer a 5xx, and a 200 batch answer has one
 # row per query; every SWLIN code Parse accepts round-trips through
 # String, and Subsystem agrees with Digit(0) and Prefix(1); every GBT model
@@ -111,7 +113,8 @@ differential:
 # through Day.String. go test fuzzes one target per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/statusq/
-	$(GO) test -run '^$$' -fuzz '^FuzzWALSnapshot$$' -fuzztime $(FUZZTIME) ./internal/statusq/
+	$(GO) test -run '^$$' -fuzz '^FuzzUpgrade$$' -fuzztime $(FUZZTIME) ./internal/statusq/
+	$(GO) test -run '^$$' -fuzz '^FuzzTopology$$' -fuzztime $(FUZZTIME) ./internal/statusq/
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequests$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSWLINCode$$' -fuzztime $(FUZZTIME) ./internal/swlin/
@@ -120,8 +123,8 @@ fuzz:
 
 # check is the CI gate: compile, vet, check gofmt, race-test everything, repeat the
 # concurrency stress suite, re-run the chaos (fault-injection) suite and
-# the delta-vs-rebuild differential suite, fuzz the WAL decoders and
-# torn-tail replay, the HTTP read/ingest surface, SWLIN parsing, GBT
+# the delta-vs-rebuild differential suite, fuzz the WAL decoders, the
+# upgrade, topology.json and torn-tail replay, the HTTP read/ingest surface, SWLIN parsing, GBT
 # model artifacts and date parsing, run the in-process serving benchmarks and the tree-kernel
 # benchmark once each so they cannot rot,
 # enforce the lint invariants (domdlint must exit 0 on the tree) and the

@@ -457,11 +457,14 @@ func runServe(args []string) {
 		log.Fatal(err)
 	}
 	tot := info.Totals()
+	if info.Upgraded {
+		log.Printf("WAL root %s was written by an earlier build: upgraded to the current on-disk format", *walDir)
+	}
 	log.Printf("WAL restore from %s (%d shards): %d RCCs re-applied (%d duplicates, %d orphaned), %d log records",
 		*walDir, catalog.ShardCount(), tot.Restored, tot.Duplicates, tot.Skipped, tot.Recovery.Records)
 	for _, sh := range info.Shards {
-		log.Printf("  shard %d (%s): %d avails, %d restored, snapshot seq %d, %d log records",
-			sh.Shard, sh.Dir, sh.Avails, sh.Info.Restored, sh.Info.Recovery.SnapshotSeq, sh.Info.Recovery.Records)
+		log.Printf("  shard %d (%s): %d avails, %d restored, %d log records",
+			sh.Shard, sh.Dir, sh.Avails, sh.Info.Restored, sh.Info.Recovery.Records)
 		if sh.Info.Recovery.TornTail {
 			log.Printf("  shard %d: torn tail repaired at offset %d (%d bytes dropped)",
 				sh.Shard, sh.Info.Recovery.TornOffset, sh.Info.Recovery.TornBytes)

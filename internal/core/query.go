@@ -23,7 +23,7 @@ type QueryService struct {
 //
 // kind is ignored: queries read the §4.3 sweep, not a time index. The
 // parameter stays only because the domdbench tracer links this signature;
-// the benchmark change that moves the tracer off it (ROADMAP item 2) drops
+// the benchmark change that moves the tracer off it (ROADMAP item 12) drops
 // it.
 func NewQueryService(p *Pipeline, ext *features.Extractor, kind index.Kind) *QueryService {
 	return &QueryService{pipeline: p, ext: ext}

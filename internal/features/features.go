@@ -404,7 +404,7 @@ func TimestampGrid(x float64) []float64 {
 // kind is ignored: the build runs on the event sweep and materializes no
 // time index. The parameter stays only because the domdbench tracer links
 // this signature; the benchmark change that moves the tracer off it
-// (ROADMAP item 2) drops it.
+// (ROADMAP item 12) drops it.
 func BuildTensor(ext *Extractor, avails []domain.Avail, rccsByAvail map[int][]domain.RCC, x float64, kind index.Kind) (*Tensor, error) {
 	return BuildTensorOpt(ext, avails, rccsByAvail, x, TensorOptions{})
 }

@@ -134,7 +134,7 @@ func ReadManifest(dir string) (*Manifest, error) {
 }
 
 // Write atomically replaces <dir>/manifest.json (write-temp-then-rename,
-// the same torn-write discipline as the WAL snapshots).
+// the same torn-write discipline as wal.WriteFileAtomic).
 func (m *Manifest) Write(dir string) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {

@@ -8,9 +8,11 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+	"time"
 
 	"domd/internal/domain"
 	"domd/internal/faultinject"
+	"domd/internal/index"
 	"domd/internal/navsim"
 	"domd/internal/statusq"
 	"domd/internal/wal"
@@ -236,4 +238,103 @@ func TestChaosOneReplicaIngestFaultLadder(t *testing.T) {
 		t.Fatalf("recovered health = %v, want healthy", h)
 	}
 	readyz(http.StatusOK, "ready", "healthy", false)
+}
+
+// TestChaosReplQuorumLostOutageLongerThanOneBatch drives a below-quorum
+// outage longer than one catch-up batch through POST /rccs: a catalog at
+// quorum 2 of 3 whose two followers are down for 1100 ingests. Every
+// ingest of the outage answers 503 with Retry-After and acknowledges
+// nothing. Once the faults clear, a client retrying with the same key
+// gets 503 with Retry-After until the catch-up worker has re-fed the
+// laggards (an append's inline catch-up feeds one 1024-record batch),
+// then 201; the set is live again, and after a restart every
+// acknowledged record is still there: its retry answers 200 duplicate.
+// (internal/wal pins, with the worker parked, that the first append
+// after the outage fails with ErrQuorumLost.)
+func TestChaosReplQuorumLostOutageLongerThanOneBatch(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	ds, err := navsim.Generate(navsim.Config{NumClosed: 40, NumOngoing: 3, MeanRCCsPerAvail: 40, Seed: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe, ext := trainTestPipeline()
+	opts := statusq.DurableOptions{Replicas: 3, ReplQuorum: 2, WAL: wal.Options{Policy: wal.SyncNever}}
+	open := func() (*statusq.DurableCatalog, *httptest.Server) {
+		dc, _, err := statusq.OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dc, httptest.NewServer(New(pipe, ext, dc.Catalog, Options{Ingester: dc}))
+	}
+	dc, srv := open()
+	a := ongoingAvail(t, ds)
+	post := func(id int) (int, http.Header) {
+		status, hdr, _ := postJSON(t, srv.URL+"/rccs", rccBody(id, a), nil)
+		return status, hdr
+	}
+	unavailable := func(status int, hdr http.Header) bool {
+		ra, err := strconv.Atoi(hdr.Get("Retry-After"))
+		return status == http.StatusServiceUnavailable && err == nil && ra >= 1 && ra <= 60
+	}
+	const base = 960000
+	if status, _ := post(base); status != http.StatusCreated {
+		t.Fatalf("ingest before the outage = %d, want 201", status)
+	}
+	acked := []int{base}
+
+	for _, n := range []int{1, 2} {
+		faultinject.Enable(wal.ReplicaFailpoint(filepath.Join(dir, fmt.Sprintf("replica-%02d", n))), errors.New("chaos: replica disk down"))
+	}
+	const outage = 1100
+	for i := 1; i <= outage; i++ {
+		if status, hdr := post(base + i); !unavailable(status, hdr) {
+			t.Fatalf("outage ingest %d = %d (Retry-After %q), want 503 with Retry-After", i, status, hdr.Get("Retry-After"))
+		}
+	}
+	if n := dc.IngestedCount(); n != 1 {
+		t.Fatalf("ingests acknowledged below quorum: count = %d, want 1", n)
+	}
+
+	faultinject.Reset()
+	deadline := time.Now().Add(10 * time.Second)
+	for id := base + 1; ; {
+		status, hdr := post(id)
+		if status == http.StatusCreated {
+			acked = append(acked, id)
+			break
+		}
+		if !unavailable(status, hdr) {
+			t.Fatalf("retry after the outage = %d (Retry-After %q), want 503 with Retry-After or 201", status, hdr.Get("Retry-After"))
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("ingest never recovered after the outage")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for h, _ := dc.ReplHealth(); h.Live != 3; h, _ = dc.ReplHealth() {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica set never returned to live: %+v", h)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for id := base + 2; id < base+12; id++ {
+		if status, _ := post(id); status != http.StatusCreated {
+			t.Fatalf("ingest %d with the set live = %d, want 201", id, status)
+		}
+		acked = append(acked, id)
+	}
+
+	srv.Close()
+	if err := dc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	dc, srv = open()
+	defer dc.Close()
+	defer srv.Close()
+	for _, id := range acked {
+		if status, _ := post(id); status != http.StatusOK {
+			t.Fatalf("acknowledged rcc %d after restart: retry = %d, want 200 duplicate", id, status)
+		}
+	}
 }

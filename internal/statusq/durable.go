@@ -21,17 +21,14 @@ import (
 // the next OpenDurable must surface it.
 const FailDurableApply = "statusq.durable.apply"
 
-// walEntry is the WAL record (and legacy snapshot element) for one
-// ingested RCC.
+// walEntry is the WAL record for one ingested RCC (see walcodec.go).
 // The base tables (avails, historical RCCs) are reloaded from their CSVs
-// at startup; the WAL persists only the delta ingested at runtime. The
-// JSON tags describe the legacy payloads earlier builds wrote, which
-// replay still reads (see appendWALPayload).
+// at startup; the WAL persists only the delta ingested at runtime.
 type walEntry struct {
 	// Key is the idempotency key the record was ingested under ("" when
 	// the client supplied none, which disables dedup for that record).
-	Key string     `json:"key,omitempty"`
-	RCC domain.RCC `json:"rcc"`
+	Key string
+	RCC domain.RCC
 }
 
 // DefaultDedupCap is the idempotency-key budget applied when
@@ -56,7 +53,7 @@ type DurableOptions struct {
 	// CompactEvery is ignored: the log is never compacted, because it is
 	// the whole ingested history. The field stays only because the
 	// domdbench tracer sets it; the benchmark change that moves the
-	// tracer onto OpenSharded (ROADMAP item 2) drops it.
+	// tracer onto OpenSharded (ROADMAP item 12) drops it.
 	CompactEvery int
 	// DedupCap bounds the in-memory idempotency-key index so sustained
 	// unique-key traffic is not a slow memory leak: the index holds
@@ -84,15 +81,14 @@ func (o DurableOptions) dedupCap() int {
 // RestoreInfo reports what OpenDurable reconstructed on top of the base
 // tables.
 type RestoreInfo struct {
-	// Recovery is the raw WAL-level recovery report (snapshot sequence,
-	// replayed records, torn-tail cut). Under replication it is the
+	// Recovery is the raw WAL-level recovery report (replayed records,
+	// torn-tail cut). Under replication it is the
 	// authoritative replica's report.
 	Recovery wal.RecoveryInfo
 	// Repl reports how the WAL reconciled its replica set on open (a
 	// one-replica catalog has one row and nothing to repair).
 	Repl *wal.ReplRecovery
-	// Restored counts delta RCCs re-applied from the log (after a legacy
-	// snapshot's, on roots written by earlier builds).
+	// Restored counts delta RCCs re-applied from the log.
 	Restored int
 	// Duplicates counts replayed entries skipped because their
 	// idempotency key had already been applied.
@@ -128,15 +124,15 @@ type DurableCatalog struct {
 }
 
 // OpenDurable builds a catalog over the base tables plus the ingested
-// delta restored from the WAL in dir (a legacy snapshot first, on roots
-// written by earlier builds, then log replay),
-// creating the log if absent. Replayed duplicates (by idempotency key)
+// delta restored by replaying the WAL in dir, creating the log if
+// absent. A directory holding a WAL in the format of earlier builds is
+// refused; OpenSharded upgrades such a root. Replayed duplicates (by idempotency key)
 // and entries that no longer apply (orphaned by base-table edits, or
 // invalid) are skipped and counted in RestoreInfo.
 //
 // kind is ignored: serving engines hold no time index. The parameter stays
 // only because the domdbench tracer links this signature; the benchmark
-// change that moves the tracer onto OpenSharded (ROADMAP item 2) drops it.
+// change that moves the tracer onto OpenSharded (ROADMAP item 12) drops it.
 func OpenDurable(dir string, avails []domain.Avail, rccs []domain.RCC, kind index.Kind, opts DurableOptions) (*DurableCatalog, *RestoreInfo, error) {
 	return openDurable(dir, avails, rccs, opts)
 }
@@ -150,10 +146,11 @@ func openDurable(dir string, avails []domain.Avail, rccs []domain.RCC, opts Dura
 	if err := checkReplLayout(dir, opts.Replicas); err != nil {
 		return nil, nil, err
 	}
-	// A one-replica set lives in dir itself (dir/wal.log).
-	dirs := []string{dir}
-	if opts.Replicas > 1 {
-		dirs = wal.ReplicaDirs(dir, opts.Replicas)
+	dirs := wal.ReplicaDirs(dir, opts.Replicas)
+	for _, rd := range dirs {
+		if holdsLegacy(rd) {
+			return nil, nil, fmt.Errorf("statusq: WAL dir %s holds a log in the on-disk format of earlier builds; open its root with OpenSharded (domd serve), which upgrades it once", rd)
+		}
 	}
 	log, rec, rep, err := wal.OpenReplicated(dirs, wal.ReplicatedOptions{
 		Quorum: opts.ReplQuorum,
@@ -178,46 +175,32 @@ func openDurable(dir string, avails []domain.Avail, rccs []domain.RCC, opts Dura
 	// key (two records with the same key, by construction separated by
 	// at least DedupCap unique keys) is correctly applied twice — an
 	// acknowledged record never disappears across a restart. Roots
-	// written under the older snapshot-pinned rule replay the same: it
-	// held a superset of these keys, so every record it applied is
-	// applied here too. Restored RCCs join their avail's base RCCs before
+	// Restored RCCs join their avail's base RCCs before
 	// the engines are built, so restore costs one event-order sort per
 	// avail, not one ApplyRCC per record; ApplyRCC's bitwise equivalence
-	// to a rebuild makes the two the same engine. Payloads are decoded
-	// one at a time into one reused slice.
-	var es []walEntry
-	restore := func(raw []byte) (err error) {
-		if es, err = appendWALPayload(es[:0], raw); err != nil {
-			return err
-		}
-		for _, e := range es {
-			if e.Key != "" && d.seen[e.Key] {
-				info.Duplicates++
-				continue
-			}
-			if err := cat.admit(&e.RCC); err != nil {
-				info.Skipped++
-				continue
-			}
-			byAvail[e.RCC.AvailID] = append(byAvail[e.RCC.AvailID], e.RCC)
-			if e.Key != "" {
-				d.remember(e.Key)
-			}
-			info.Restored++
-		}
-		return nil
-	}
-	// The CRC already vouched for every payload, so a decode failure is a
-	// format mismatch (version skew), not disk damage: refuse to guess.
-	if err := restore(rec.Snapshot); err != nil {
-		closeBestEffort(log)
-		return nil, nil, fmt.Errorf("statusq: decode WAL snapshot: %w", err)
-	}
+	// to a rebuild makes the two the same engine.
 	for _, raw := range rec.Entries {
-		if err := restore(raw); err != nil {
+		e, err := decodeWALEntry(raw)
+		if err != nil {
+			// The CRC already vouched for the payload, so a decode failure
+			// is a format mismatch (version skew), not disk damage: refuse
+			// to guess.
 			closeBestEffort(log)
 			return nil, nil, fmt.Errorf("statusq: decode WAL record: %w", err)
 		}
+		if e.Key != "" && d.seen[e.Key] {
+			info.Duplicates++
+			continue
+		}
+		if err := cat.admit(&e.RCC); err != nil {
+			info.Skipped++
+			continue
+		}
+		byAvail[e.RCC.AvailID] = append(byAvail[e.RCC.AvailID], e.RCC)
+		if e.Key != "" {
+			d.remember(e.Key)
+		}
+		info.Restored++
 	}
 	d.ingested = info.Restored
 	mIngestRestored.With("applied").Add(int64(info.Restored))
@@ -264,7 +247,7 @@ func closeBestEffort(log *wal.ReplicatedLog) {
 
 // checkReplLayout refuses to open a WAL directory whose on-disk layout
 // disagrees with the requested replica count: a single-log directory
-// reopened with -repl would silently abandon wal.log, and a replicated
+// reopened with -repl would silently abandon its log, and a replicated
 // directory reopened without -repl would abandon every replica. Changing
 // the replica count of a populated root is an operator migration, not a
 // flag flip.
@@ -279,9 +262,10 @@ func checkReplLayout(dir string, replicas int) error {
 	return nil
 }
 
-// hasSingleLog reports whether dir holds an unreplicated WAL of its own.
+// hasSingleLog reports whether dir holds an unreplicated WAL of its own,
+// in the current format or that of earlier builds.
 func hasSingleLog(dir string) bool {
-	return fileExists(filepath.Join(dir, "wal.log")) || fileExists(filepath.Join(dir, "snapshot.wal"))
+	return fileExists(filepath.Join(dir, wal.LogFile)) || holdsLegacy(dir)
 }
 
 // fileExists reports whether path exists (file or directory).

@@ -1,13 +1,10 @@
 package statusq
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -45,28 +42,6 @@ func deltaRCC(t *testing.T, c *Catalog, availID, n int) domain.RCC {
 		ID: 2_000_000 + n, AvailID: availID, Type: domain.Growth,
 		SWLIN:   43411001,
 		Created: a.ActStart + 1, Settled: a.ActStart + 20, Amount: float64(100 + n),
-	}
-}
-
-// compactLegacy folds the whole log of each WAL directory into a packed
-// snapshot (the records joined by spaces) and empties the log, leaving
-// the root the way builds that compacted the log did.
-func compactLegacy(t *testing.T, dirs ...string) {
-	t.Helper()
-	for _, dir := range dirs {
-		l, rec, err := wal.Open(dir, wal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec.Snapshot != nil {
-			t.Fatalf("%s already holds a snapshot", dir)
-		}
-		if err := l.Snapshot(bytes.Join(rec.Entries, []byte{' '})); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 
@@ -147,8 +122,8 @@ func sameFingerprint(a, b []uint64) bool {
 
 // TestDurableRestoreEquivalence is the replay equivalence gate: a catalog
 // restored from WAL answers bitwise-identical Eval to the catalog that
-// acknowledged the records, on a root written by earlier builds (a legacy
-// snapshot plus a log suffix) that this build keeps appending to.
+// acknowledged the records, after a restart mid-stream whose restored
+// log the reopened catalog keeps appending to.
 func TestDurableRestoreEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	d, _, ds := durableFixture(t, dir, DurableOptions{})
@@ -158,12 +133,9 @@ func TestDurableRestoreEquivalence(t *testing.T) {
 			t.Fatalf("ingest %d: dup=%v err=%v", n, dup, err)
 		}
 	}
-	// Fold the log into a snapshot mid-stream, then keep appending so
-	// replay must combine both.
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	compactLegacy(t, dir)
 	d, _, err := OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +158,8 @@ func TestDurableRestoreEquivalence(t *testing.T) {
 	if info.Restored != 20 || info.Duplicates != 0 || info.Skipped != 0 {
 		t.Fatalf("restore info = %+v, want 20 restored", info)
 	}
-	if info.Recovery.SnapshotSeq != 12 || info.Recovery.Records != 8 {
-		t.Fatalf("recovery = %+v, want snapshot@12 + 8 log records", info.Recovery)
+	if info.Recovery.Records != 20 || info.Recovery.TornTail {
+		t.Fatalf("recovery = %+v, want 20 log records", info.Recovery)
 	}
 	if got := evalFingerprint(t, d2.Catalog); !sameFingerprint(got, want) {
 		t.Fatal("restored catalog answers differ from the never-restarted one")
@@ -379,7 +351,8 @@ func TestDurableWALFaultNotAcknowledged(t *testing.T) {
 
 // TestDurableLogIsTheHistory pins that the durable tier never compacts:
 // with CompactEvery set (it is ignored) every acknowledged record stays
-// in wal.log, no snapshot is written, and a reopen replays them all.
+// in the log, the directory holds nothing else, and a reopen replays
+// them all.
 func TestDurableLogIsTheHistory(t *testing.T) {
 	dir := t.TempDir()
 	d, _, ds := durableFixture(t, dir, DurableOptions{CompactEvery: 5})
@@ -398,11 +371,11 @@ func TestDurableLogIsTheHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if info.Recovery.SnapshotSeq != 0 || info.Recovery.Records != 13 || info.Restored != 13 {
-		t.Fatalf("restore info = %+v / recovery %+v, want 13 log records and no snapshot", info, info.Recovery)
+	if info.Recovery.Records != 13 || info.Restored != 13 {
+		t.Fatalf("restore info = %+v / recovery %+v, want 13 log records", info, info.Recovery)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot.wal")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("snapshot.wal present (err=%v): the log was compacted", err)
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != wal.LogFile {
+		t.Fatalf("WAL dir holds %v (err=%v), want only %s", ents, err, wal.LogFile)
 	}
 	if got := evalFingerprint(t, d2.Catalog); !sameFingerprint(got, want) {
 		t.Fatal("restored catalog answers differ")
@@ -481,190 +454,6 @@ func TestDurableConcurrentIngest(t *testing.T) {
 	defer d2.Close()
 	if int64(info.Restored) != acked.Load() || info.Duplicates != 0 {
 		t.Fatalf("restored %d of %d acknowledged (dups %d)", info.Restored, acked.Load(), info.Duplicates)
-	}
-}
-
-// TestDurableSnapshotFaultKeepsIngesting pins that the ingest path never
-// writes a snapshot: with every snapshot write failing and CompactEvery
-// set (it is ignored), each ingest is acknowledged, and a reopen
-// restores every record from the log alone.
-func TestDurableSnapshotFaultKeepsIngesting(t *testing.T) {
-	defer faultinject.Reset()
-	dir := t.TempDir()
-	d, _, ds := durableFixture(t, dir, DurableOptions{CompactEvery: 2})
-	ids := d.AvailIDs()
-	faultinject.Enable(wal.FailSnapshotWrite, errors.New("snapshot disk full"))
-	for n := 0; n < 4; n++ {
-		if _, err := d.Ingest(fmt.Sprintf("k%d", n), deltaRCC(t, d.Catalog, ids[n%len(ids)], n)); err != nil {
-			t.Fatalf("ingest %d: %v", n, err)
-		}
-	}
-	want := evalFingerprint(t, d.Catalog)
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d2, info, err := OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if info.Restored != 4 || info.Recovery.SnapshotSeq != 0 || info.Recovery.Records != 4 {
-		t.Fatalf("restore info = %+v / recovery %+v, want 4 restored from 4 log records", info, info.Recovery)
-	}
-	if got := evalFingerprint(t, d2.Catalog); !sameFingerprint(got, want) {
-		t.Fatal("restored catalog answers differ")
-	}
-}
-
-// TestDurableLegacyJSONRootReplays opens roots written the way earlier
-// builds wrote them: a JSON snapshot, then a log holding a JSON record
-// and packed records; and a packed snapshot plus a packed log suffix, in
-// a one-replica root and in a three-replica one. Every acknowledged
-// record is restored, a key folded into the snapshot still deduplicates,
-// a new ingest lands in each replica's wal.log while the snapshot stays
-// byte-identical, and a reopen restores every record.
-func TestDurableLegacyJSONRootReplays(t *testing.T) {
-	ds, err := navsim.Generate(navsim.Config{NumClosed: 15, NumOngoing: 3, MeanRCCsPerAvail: 20, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewCatalog(ds.Avails, ds.RCCs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := ref.AvailIDs()
-	var entries []walEntry
-	for n := 0; n < 10; n++ {
-		e := walEntry{Key: fmt.Sprintf("k%d", n), RCC: deltaRCC(t, ref, ids[n%len(ids)], n)}
-		entries = append(entries, e)
-	}
-	packed := func(es []walEntry) [][]byte {
-		out := make([][]byte, len(es))
-		for i, e := range es {
-			out[i] = encodeWALEntry(e)
-		}
-		return out
-	}
-	jsonSnap, err := json.Marshal(struct {
-		Entries []walEntry `json:"entries"`
-	}{entries[:5]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonRec, err := json.Marshal(entries[5])
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		name     string
-		replicas int
-		snap     []byte   // the snapshot, folding in entries[:5]
-		suffix   [][]byte // the log after it: entries[5:9]
-	}{
-		{"json", 1, jsonSnap, append([][]byte{jsonRec}, packed(entries[6:9])...)},
-		{"packed/R=1", 1, packHistory(entries[:5]), packed(entries[5:9])},
-		{"packed/R=3", 3, packHistory(entries[:5]), packed(entries[5:9])},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			dirs := []string{dir}
-			if tc.replicas > 1 {
-				dirs = wal.ReplicaDirs(dir, tc.replicas)
-			}
-			snaps := make([][]byte, len(dirs))
-			for i, rd := range dirs {
-				l, _, err := wal.Open(rd, wal.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				appendAll := func(payloads [][]byte) {
-					t.Helper()
-					for _, p := range payloads {
-						if _, err := l.Append(p); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				appendAll(packed(entries[:5]))
-				if err := l.Snapshot(tc.snap); err != nil {
-					t.Fatal(err)
-				}
-				appendAll(tc.suffix)
-				if err := l.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if snaps[i], err = os.ReadFile(filepath.Join(rd, "snapshot.wal")); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			want, err := NewCatalog(ds.Avails, ds.RCCs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries[:9] {
-				if err := want.addRCC(e.RCC); err != nil {
-					t.Fatal(err)
-				}
-			}
-			opts := DurableOptions{Replicas: tc.replicas}
-			d, info, err := OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Restored != 9 || info.Duplicates != 0 || info.Skipped != 0 || info.Recovery.SnapshotSeq != 5 {
-				t.Fatalf("restore info = %+v / recovery %+v, want 9 restored over a snapshot at 5", info, info.Recovery)
-			}
-			if got := evalFingerprint(t, d.Catalog); !sameFingerprint(got, evalFingerprint(t, want)) {
-				t.Fatal("legacy root restored different answers")
-			}
-			for _, k := range []int{2, 5} { // inside the snapshot; the first log record
-				if dup, err := d.Ingest(entries[k].Key, entries[k].RCC); err != nil || !dup {
-					t.Fatalf("key %s of the legacy root: dup=%v err=%v, want dup", entries[k].Key, dup, err)
-				}
-			}
-			if dup, err := d.Ingest(entries[9].Key, entries[9].RCC); err != nil || dup {
-				t.Fatalf("new ingest: dup=%v err=%v", dup, err)
-			}
-			if err := want.addRCC(entries[9].RCC); err != nil {
-				t.Fatal(err)
-			}
-			if err := d.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			for i, rd := range dirs {
-				if got, err := os.ReadFile(filepath.Join(rd, "snapshot.wal")); err != nil || !bytes.Equal(got, snaps[i]) {
-					t.Fatalf("%s/snapshot.wal changed (err=%v)", rd, err)
-				}
-				l, rec, err := wal.Open(rd, wal.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := l.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if len(rec.Entries) != len(tc.suffix)+1 {
-					t.Fatalf("%s holds %d log records, want %d", rd, len(rec.Entries), len(tc.suffix)+1)
-				}
-				if got, err := appendWALPayload(nil, rec.Entries[len(rec.Entries)-1]); err != nil || !sameEntries(got, entries[9:]) {
-					t.Fatalf("%s ends with %+v (err=%v), want the new ingest", rd, got, err)
-				}
-			}
-
-			d2, info, err := OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer d2.Close()
-			if info.Restored != 10 || info.Duplicates != 0 || info.Skipped != 0 {
-				t.Fatalf("reopen restore info = %+v, want 10 restored", info)
-			}
-			if got := evalFingerprint(t, d2.Catalog); !sameFingerprint(got, evalFingerprint(t, want)) {
-				t.Fatal("reopened legacy root answers differ")
-			}
-		})
 	}
 }
 

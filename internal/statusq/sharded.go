@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"domd/internal/domain"
+	"domd/internal/faultinject"
 	"domd/internal/obs"
 	"domd/internal/wal"
 )
@@ -28,10 +29,14 @@ const ringReplicas = 128
 // would silently orphan durable records; OpenSharded refuses instead.
 const topologyFile = "topology.json"
 
-// shardTopology is the persisted shard layout of a WAL root. Replicas
-// is the consistent-hash ring's virtual-node count; WALReplicas is the
-// per-shard WAL replica count (0 in topologies written before
-// replication existed, read as 1).
+// topologyVersion names the WAL format this build reads and writes;
+// version 1 roots are upgraded once (see upgrade.go).
+const topologyVersion = 2
+
+// shardTopology is the persisted shard layout of a WAL root. Version
+// names its on-disk WAL format; Replicas is the consistent-hash ring's
+// virtual-node count; WALReplicas is the per-shard WAL replica count (0
+// in topologies written before replication existed, read as 1).
 type shardTopology struct {
 	Version     int `json:"version"`
 	Shards      int `json:"shards"`
@@ -121,6 +126,9 @@ type ShardRestore struct {
 type ShardedRestoreInfo struct {
 	// Shards holds one report per shard, indexed by shard id.
 	Shards []ShardRestore
+	// Upgraded is true when this open rewrote a root written by earlier
+	// builds in the current WAL format (see upgrade.go).
+	Upgraded bool
 }
 
 // Totals sums the per-shard restore counts into one RestoreInfo. The
@@ -185,6 +193,8 @@ type ShardedCatalog struct {
 // different shard count fails rather than silently orphaning records
 // (re-sharding an existing root is not supported), and so does opening
 // a root that holds a single-catalog WAL of its own (see pinTopology).
+// A root written by earlier builds is upgraded to the current WAL format
+// first, once (see upgrade.go).
 // Every shard gets its own copy of opts (WAL fsync policy, replica
 // count, dedup budget). One shard takes the base tables as they are;
 // only N > 1 partitions them into per-shard copies.
@@ -195,7 +205,8 @@ func OpenSharded(root string, shards int, avails []domain.Avail, rccs []domain.R
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("statusq: create WAL root: %w", err)
 	}
-	if err := pinTopology(root, shards, opts.Replicas); err != nil {
+	upgraded, err := pinTopology(root, shards, opts.Replicas)
+	if err != nil {
 		return nil, nil, err
 	}
 	ring := newShardRing(shards, ringReplicas)
@@ -224,7 +235,7 @@ func OpenSharded(root string, shards int, avails []domain.Avail, rccs []domain.R
 		health:  make([]*healthTracker, shards),
 		healthG: make([]*obs.Gauge, shards),
 	}
-	info := &ShardedRestoreInfo{Shards: make([]ShardRestore, shards)}
+	info := &ShardedRestoreInfo{Shards: make([]ShardRestore, shards), Upgraded: upgraded}
 	for i := 0; i < shards; i++ {
 		dir := shardDir(root, i)
 		d, ri, err := openDurable(dir, shardAvails[i], shardRCCs[i], opts)
@@ -252,56 +263,101 @@ func shardDir(root string, i int) string {
 	return filepath.Join(root, fmt.Sprintf("shard-%04d", i))
 }
 
-// pinTopology creates or verifies the root's topology metadata,
-// including the per-shard WAL replica count: reopening a root with a
-// different replica count would abandon (or invent) replica
-// directories, so it fails like a shard-count change does. A root with
-// no topology but a single-catalog WAL of its own (what `domd serve
-// -wal-dir` wrote before every server was sharded) is refused and left
-// untouched: a tier opened over it would route every record to
-// shard-0000 and orphan the root's acknowledged records.
-func pinTopology(root string, shards, walReplicas int) error {
-	if walReplicas < 1 {
-		walReplicas = 1
+// decodeTopology parses topology.json, refusing a version this build
+// does not know and non-positive counts.
+func decodeTopology(raw []byte) (shardTopology, error) {
+	var top shardTopology
+	if err := json.Unmarshal(raw, &top); err != nil {
+		return top, err
 	}
+	if (top.Version != 1 && top.Version != topologyVersion) || top.Shards < 1 || top.Replicas < 1 || top.WALReplicas < 0 {
+		return top, fmt.Errorf("unknown version or non-positive count in %+v (this build reads versions 1 and %d)", top, topologyVersion)
+	}
+	top.WALReplicas = max(top.WALReplicas, 1) // 0: a pre-replication topology, one log per shard
+	return top, nil
+}
+
+// pinTopology creates or verifies the root's topology.json, which pins
+// the shard count and the per-shard WAL replica count (changing either on
+// a populated root would orphan or invent WAL directories), and upgrades
+// a root written by earlier builds (see upgrade.go), reporting whether
+// it did. A topology this build cannot read is refused, and so is a root
+// with no topology but a single-catalog WAL of its own (what `domd serve
+// -wal-dir` wrote before every server was sharded; a tier over it would
+// route every record to shard-0000 and orphan them); both are left
+// untouched.
+func pinTopology(root string, shards, walReplicas int) (bool, error) {
+	walReplicas = max(walReplicas, 1)
 	path := filepath.Join(root, topologyFile)
+	top := shardTopology{Version: topologyVersion, Shards: shards, Replicas: ringReplicas, WALReplicas: walReplicas}
 	raw, err := os.ReadFile(path)
+	fresh := errors.Is(err, os.ErrNotExist)
 	switch {
 	case err == nil:
-		var top shardTopology
-		if derr := json.Unmarshal(raw, &top); derr != nil {
-			return fmt.Errorf("statusq: decode %s: %w", path, derr)
-		}
-		if top.WALReplicas < 1 {
-			top.WALReplicas = 1 // pre-replication topology: single log per shard
+		if top, err = decodeTopology(raw); err != nil {
+			return false, fmt.Errorf("statusq: %s: %w", path, err)
 		}
 		if top.Shards != shards || top.Replicas != ringReplicas {
-			return fmt.Errorf("statusq: WAL root %s is laid out for %d shards (ring replicas %d), got -shards %d (replicas %d): re-sharding an existing root is not supported",
+			return false, fmt.Errorf("statusq: WAL root %s is laid out for %d shards (ring replicas %d), got -shards %d (replicas %d): re-sharding an existing root is not supported",
 				root, top.Shards, top.Replicas, shards, ringReplicas)
 		}
 		if top.WALReplicas != walReplicas {
-			return fmt.Errorf("statusq: WAL root %s is laid out with %d WAL replicas per shard, got -repl %d: changing replication of an existing root is not supported",
+			return false, fmt.Errorf("statusq: WAL root %s is laid out with %d WAL replicas per shard, got -repl %d: changing replication of an existing root is not supported",
 				root, top.WALReplicas, walReplicas)
 		}
-		return nil
-	case os.IsNotExist(err):
-		if hasSingleLog(root) {
-			// At one shard the ring sends every avail to shard 0, and
-			// shard-0000 is a complete single-catalog WAL directory.
-			return fmt.Errorf("statusq: WAL root %s holds a single-catalog WAL and no %s; opening it sharded would orphan its records. Migrate it by moving wal.log and snapshot.wal (whichever exist) into %s, then reopen with -shards 1 -repl 1",
-				root, topologyFile, shardDir(root, 0))
-		}
-		raw, merr := json.Marshal(shardTopology{Version: 1, Shards: shards, Replicas: ringReplicas, WALReplicas: walReplicas})
-		if merr != nil {
-			return fmt.Errorf("statusq: encode topology: %w", merr)
-		}
-		if werr := wal.WriteFileAtomic(path, raw); werr != nil {
-			return fmt.Errorf("statusq: pin topology: %w", werr)
-		}
-		return nil
-	default:
-		return fmt.Errorf("statusq: read %s: %w", path, err)
+	case !fresh:
+		return false, fmt.Errorf("statusq: read %s: %w", path, err)
+	case hasSingleLog(root):
+		// At one shard the ring sends every avail to shard 0, and
+		// shard-0000 is a complete single-catalog WAL directory.
+		return false, fmt.Errorf("statusq: WAL root %s holds a single-catalog WAL and no %s; opening it sharded would orphan its records. Migrate it by moving its WAL files (%s, or those of earlier builds) into %s, then reopen with -shards 1 -repl 1",
+			root, topologyFile, wal.LogFile, shardDir(root, 0))
 	}
+
+	// A root at version 1, or with no topology but old files in a shard
+	// directory (where the migration above puts them), is upgraded.
+	upgrade := top.Version == 1
+	if upgrade || fresh {
+		logs := make([][][]byte, shards)
+		for i := range logs {
+			dir := shardDir(root, i)
+			if err := checkReplLayout(dir, walReplicas); err != nil {
+				return false, err
+			}
+			if logs[i], err = decodeShard(wal.ReplicaDirs(dir, walReplicas)); err != nil {
+				return false, fmt.Errorf("statusq: upgrade shard %d of %s: %w", i, root, err)
+			}
+			upgrade = upgrade || logs[i] != nil
+		}
+		for i, payloads := range logs {
+			if err := writeShard(wal.ReplicaDirs(shardDir(root, i), walReplicas), payloads); err != nil {
+				return false, fmt.Errorf("statusq: upgrade shard %d of %s: %w", i, root, err)
+			}
+		}
+	}
+	if upgrade {
+		if err := faultinject.Fire(failUpgradeCommit); err != nil {
+			return false, fmt.Errorf("statusq: upgrade %s: %w", root, err)
+		}
+		top.Version = topologyVersion
+	}
+	if upgrade || fresh {
+		raw, err := json.Marshal(top)
+		if err != nil {
+			return false, fmt.Errorf("statusq: encode topology: %w", err)
+		}
+		if err := wal.WriteFileAtomic(path, raw); err != nil {
+			return false, fmt.Errorf("statusq: pin topology: %w", err)
+		}
+	}
+	for i := 0; i < shards; i++ {
+		for _, dir := range wal.ReplicaDirs(shardDir(root, i), walReplicas) {
+			if err := removeLegacy(dir); err != nil {
+				return false, fmt.Errorf("statusq: remove upgraded WAL files in %s: %w", dir, err)
+			}
+		}
+	}
+	return upgrade, nil
 }
 
 // ShardCount reports the number of shards.

@@ -2,6 +2,7 @@ package statusq
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -11,7 +12,6 @@ import (
 	"testing"
 
 	"domd/internal/domain"
-	"domd/internal/index"
 	"domd/internal/navsim"
 	"domd/internal/wal"
 )
@@ -302,64 +302,33 @@ func TestShardedCloseReady(t *testing.T) {
 }
 
 // TestShardedRefusesSingleLogRoot is the zero-acked-loss gate for
-// upgraded deployments. A root written by a single-catalog WAL (its own
-// wal.log, or only snapshot.wal once compacted) must be refused with the
-// migration named, and left byte-identical with no topology or shard
-// directory created. After the documented move into shard-0000/, a
-// one-shard tier restores every acknowledged ingest and answers exactly
-// as the catalog that acknowledged them.
+// upgraded deployments. A root written by a single-catalog WAL of an
+// earlier build (its own wal.log, or only snapshot.wal once compacted;
+// testdata/legacy holds both as that build wrote them) must be refused
+// with the migration named, and left byte-identical with no topology or
+// shard directory created. After the documented move into shard-0000/,
+// the root has no topology.json but old files in a shard directory: a
+// one-shard tier upgrades it, restores every acknowledged ingest and
+// answers exactly as that build did.
 func TestShardedRefusesSingleLogRoot(t *testing.T) {
 	for _, file := range []string{"wal.log", "snapshot.wal"} {
 		t.Run(file, func(t *testing.T) {
-			root := t.TempDir()
-			ds, err := navsim.Generate(navsim.Config{NumClosed: 15, NumOngoing: 5, MeanRCCsPerAvail: 20, Seed: 9})
-			if err != nil {
-				t.Fatal(err)
-			}
+			name := "single-" + file
+			want := legacyWants(t)[name]
+			root := copyLegacyRoot(t, name)
+			ds := legacyDataset(t)
 			opts := DurableOptions{WAL: wal.Options{Policy: wal.SyncAlways}}
-			d, _, err := OpenDurable(root, ds.Avails, ds.RCCs, index.KindAVL, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids := d.AvailIDs()
-			const acked = 6
-			for i := 0; i < acked; i++ {
-				if dup, err := d.Ingest(fmt.Sprintf("old-%d", i), deltaRCC(t, d.Catalog, ids[i%len(ids)], i)); err != nil || dup {
-					t.Fatalf("ingest %d: dup=%v err=%v", i, dup, err)
-				}
-			}
-			want := evalFingerprint(t, d)
-			if err := d.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if file == "snapshot.wal" {
-				// Fold every record into the snapshot, as earlier builds
-				// compacted, and drop the emptied log, so the snapshot
-				// alone marks the root.
-				compactLegacy(t, root)
-				if err := os.Remove(filepath.Join(root, "wal.log")); err != nil {
-					t.Fatal(err)
-				}
-			}
 			before := treeBytes(t, root)
 			if _, ok := before[file]; !ok || len(before) != 1 {
 				t.Fatalf("single-catalog root holds %v, want only %s", sortedKeys(before), file)
 			}
 
-			_, _, err = OpenSharded(root, 1, ds.Avails, ds.RCCs, opts)
+			_, _, err := OpenSharded(root, 1, ds.Avails, ds.RCCs, opts)
 			shard0 := filepath.Join(root, "shard-0000")
 			if err == nil || !strings.Contains(err.Error(), "single-catalog WAL") || !strings.Contains(err.Error(), shard0) {
 				t.Fatalf("OpenSharded over a single-catalog root: err = %v, want the migration into %s", err, shard0)
 			}
-			after := treeBytes(t, root)
-			if len(after) != len(before) {
-				t.Fatalf("refused open changed the root: %v, was %v", sortedKeys(after), sortedKeys(before))
-			}
-			for name, b := range before {
-				if !bytes.Equal(after[name], b) {
-					t.Fatalf("refused open modified %s", name)
-				}
-			}
+			sameTree(t, root, before)
 
 			// The documented migration: move the root's WAL files into
 			// shard-0000/ and reopen with one shard.
@@ -374,17 +343,47 @@ func TestShardedRefusesSingleLogRoot(t *testing.T) {
 				t.Fatalf("reopen after migration: %v", err)
 			}
 			defer sc.Close()
-			if got := sc.IngestedCount(); got != acked {
-				t.Fatalf("IngestedCount after migration = %d, want %d acknowledged", got, acked)
+			if !info.Upgraded {
+				t.Fatal("migrated root opened without an upgrade")
 			}
-			if got := info.Totals().Restored; got != acked {
-				t.Fatalf("restored %d records after migration, want %d", got, acked)
+			checkLegacyWant(t, sc, info, want)
+			if got := sc.IngestedCount(); got != want.Counts[0].Restored {
+				t.Fatalf("IngestedCount after migration = %d, want %d acknowledged", got, want.Counts[0].Restored)
 			}
-			if !sameFingerprint(evalFingerprint(t, sc), want) {
-				t.Fatal("migrated tier answers differ from the catalog that acknowledged the ingests")
+			if top := readTopologyT(t, root); top.Version != topologyVersion {
+				t.Fatalf("migrated root pinned at version %d, want %d", top.Version, topologyVersion)
 			}
 		})
 	}
+}
+
+// sameTree fails unless root holds exactly the files of before, byte
+// for byte.
+func sameTree(t *testing.T, root string, before map[string][]byte) {
+	t.Helper()
+	after := treeBytes(t, root)
+	if len(after) != len(before) {
+		t.Fatalf("root changed: %v, was %v", sortedKeys(after), sortedKeys(before))
+	}
+	for name, b := range before {
+		if !bytes.Equal(after[name], b) {
+			t.Fatalf("root changed: %s modified", name)
+		}
+	}
+}
+
+// readTopologyT reads root's topology.json.
+func readTopologyT(t *testing.T, root string) shardTopology {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(root, topologyFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var top shardTopology
+	if err := json.Unmarshal(raw, &top); err != nil {
+		t.Fatal(err)
+	}
+	return top
 }
 
 // treeBytes reads every regular file under root, keyed by its path

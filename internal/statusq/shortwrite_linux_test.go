@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"syscall"
 	"testing"
+
+	"domd/internal/wal"
 )
 
 // shortWriteChild marks the re-executed test binary that performs the
@@ -56,7 +58,7 @@ func shortWriteIngests(t *testing.T, dir string) {
 	if _, err := d.Ingest("good", deltaRCC(t, d.Catalog, id, 0)); err != nil {
 		t.Fatal(err)
 	}
-	st, err := os.Stat(filepath.Join(dir, "wal.log"))
+	st, err := os.Stat(filepath.Join(dir, wal.LogFile))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,8 @@
 package statusq
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
-	"strconv"
 	"testing"
-	"unicode/utf8"
 
 	"domd/internal/domain"
 )
@@ -22,11 +18,7 @@ func TestWALCodecRoundTrip(t *testing.T) {
 		{Key: "unicode-κλειδί", RCC: domain.RCC{ID: 1 << 40, AvailID: 9, Amount: -0.0}},
 	}
 	for i, e := range cases {
-		raw := encodeWALEntry(e)
-		if len(raw) == 0 || raw[0] != walEntryV1 {
-			t.Fatalf("case %d: bad frame %v", i, raw)
-		}
-		got, err := decodeWALEntry(raw)
+		got, err := decodeWALEntry(encodeWALEntry(e))
 		if err != nil {
 			t.Fatalf("case %d: decode: %v", i, err)
 		}
@@ -38,17 +30,14 @@ func TestWALCodecRoundTrip(t *testing.T) {
 }
 
 // TestWALCodecLegacyJSON proves logs written by builds that marshalled
-// records as JSON still replay: the payload decoder sniffs the leading
-// '{'.
+// records as JSON still upgrade: the old payload decoder sniffs the
+// leading '{'.
 func TestWALCodecLegacyJSON(t *testing.T) {
 	want := walEntry{Key: "legacy", RCC: domain.RCC{
 		ID: 9, AvailID: 3, Type: domain.Growth, SWLIN: 43411001,
 		Created: 50, Settled: 80, Amount: 900,
 	}}
-	raw, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := []byte(`{"key":"legacy","rcc":{"ID":9,"AvailID":3,"Type":0,"SWLIN":43411001,"Created":50,"Settled":80,"Amount":900}}`)
 	got, err := appendWALPayload(nil, raw)
 	if err != nil {
 		t.Fatalf("decode legacy JSON record: %v", err)
@@ -60,11 +49,10 @@ func TestWALCodecLegacyJSON(t *testing.T) {
 
 func TestWALCodecRejectsGarbage(t *testing.T) {
 	bad := [][]byte{
-		nil,
-		{0x7f},                                  // unknown version byte
-		{walEntryV1},                            // missing key length
-		{walEntryV1, 0xff},                      // truncated varint
-		{walEntryV1, 0x05, 'a'},                 // key shorter than its declared length
+		nil,                                     // missing key length
+		{0x7f},                                  // key shorter than its declared length
+		{0xff},                                  // truncated varint
+		{0x05, 'a'},                             // key shorter than its declared length
 		encodeWALEntry(walEntry{Key: "x"})[:10], // truncated mid-fields
 		append(encodeWALEntry(walEntry{Key: "x"}), 0x00), // trailing junk
 	}
@@ -94,26 +82,16 @@ func sameEntries(a, b []walEntry) bool {
 	return true
 }
 
-// packHistory encodes entries the way a legacy snapshot stores them:
-// packed records joined by single spaces.
-func packHistory(entries []walEntry) []byte {
-	records := make([][]byte, len(entries))
-	for i, e := range entries {
-		records[i] = encodeWALEntry(e)
-	}
-	return bytes.Join(records, []byte{' '})
-}
-
-// checkReencode asserts the invariant every accepted payload must keep:
-// packing its entries and decoding them again gives the same entries.
-func checkReencode(t *testing.T, entries []walEntry) {
+// checkReencode asserts the invariant every accepted record must keep:
+// encoding it and decoding it again gives the same entry.
+func checkReencode(t *testing.T, e walEntry) {
 	t.Helper()
-	again, err := appendWALPayload(nil, packHistory(entries))
+	again, err := decodeWALEntry(encodeWALEntry(e))
 	if err != nil {
-		t.Fatalf("re-encoded payload rejected: %v", err)
+		t.Fatalf("re-encoded record rejected: %v", err)
 	}
-	if !sameEntries(again, entries) {
-		t.Fatalf("re-encode changed entries: %+v -> %+v", entries, again)
+	if !sameEntries([]walEntry{again}, []walEntry{e}) {
+		t.Fatalf("re-encode changed the entry: %+v -> %+v", e, again)
 	}
 }
 
@@ -145,30 +123,19 @@ func checkFolds(t *testing.T, e walEntry) {
 	}
 }
 
-// FuzzWALRecord fuzzes the record decoders with raw bytes (never panic;
+// FuzzWALRecord fuzzes the record decoder with raw bytes (never panic;
 // whatever is accepted survives a re-encode, and fails Validate or folds
 // into an engine) and the record codec with structured fields
-// (decode(encode(x)) == x, the record stays one space- and newline-free
-// frame, and x too fails Validate or folds).
+// (decode(encode(x)) == x, and x too fails Validate or folds).
 func FuzzWALRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, key string, id, availID, typ, swlin, created, settled int64, amount uint64) {
 		if e, err := decodeWALEntry(raw); err == nil {
-			checkReencode(t, []walEntry{e})
+			checkReencode(t, e)
 			checkFolds(t, e)
-		}
-		if entries, err := appendWALPayload(nil, raw); err == nil {
-			checkReencode(t, entries)
-			for _, e := range entries {
-				checkFolds(t, e)
-			}
 		}
 
 		x := fuzzEntry(key, id, availID, typ, swlin, created, settled, amount)
-		rec := encodeWALEntry(x)
-		if bytes.ContainsAny(rec, " \n") {
-			t.Fatalf("record %q holds a separator", rec)
-		}
-		got, err := decodeWALEntry(rec)
+		got, err := decodeWALEntry(encodeWALEntry(x))
 		if err != nil {
 			t.Fatalf("decode(encode(%+v)): %v", x, err)
 		}
@@ -176,47 +143,5 @@ func FuzzWALRecord(f *testing.F) {
 			t.Fatalf("decode(encode(%+v)) = %+v", x, got)
 		}
 		checkFolds(t, x)
-	})
-}
-
-// FuzzWALSnapshot fuzzes the snapshot decoder with raw bytes (never
-// panic; whatever is accepted survives a re-encode) and with histories
-// built from n records derived from the fuzzed fields: the packed
-// history decodes to those records in order, and so does its legacy
-// JSON form.
-func FuzzWALSnapshot(f *testing.F) {
-	f.Fuzz(func(t *testing.T, raw []byte, n uint8, key string, id, created int64, amount uint64) {
-		if entries, err := appendWALPayload(nil, raw); err == nil {
-			checkReencode(t, entries)
-		}
-
-		entries := make([]walEntry, n%32)
-		for i := range entries {
-			d := int64(i)
-			entries[i] = fuzzEntry(key+strconv.Itoa(i), id+d, id-d, d%3, id^d, created, created+d, amount+uint64(i))
-		}
-		got, err := appendWALPayload(nil, packHistory(entries))
-		if err != nil {
-			t.Fatalf("packed history rejected: %v", err)
-		}
-		if !sameEntries(got, entries) {
-			t.Fatalf("packed history decoded to %+v, want %+v", got, entries)
-		}
-
-		// JSON cannot carry NaN or infinities and rewrites invalid UTF-8,
-		// so only those histories have a faithful legacy form.
-		legacy, err := json.Marshal(struct {
-			Entries []walEntry `json:"entries"`
-		}{entries})
-		if err != nil || !utf8.ValidString(key) {
-			return
-		}
-		fromJSON, err := appendWALPayload(nil, legacy)
-		if err != nil {
-			t.Fatalf("legacy JSON snapshot rejected: %v", err)
-		}
-		if !sameEntries(fromJSON, got) {
-			t.Fatalf("legacy JSON snapshot decoded to %+v, packed form to %+v", fromJSON, got)
-		}
 	})
 }

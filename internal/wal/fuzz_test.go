@@ -2,38 +2,38 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// validPrefix is a fresh scan of b as a log with no snapshot. Its valid
-// prefix, n bytes long, is the longest run of intact, newline-terminated
-// frames sequenced 1, 2, 3, ... at its start (frames sequenced 0 before
-// the first of them are skipped, as replay skips records a snapshot
-// folds in). entries holds those records' payloads and ends[k] the
-// offset just past record k (ends[0] is 0). damaged is set when the
-// prefix ends at an intact frame out of sequence rather than a torn or
-// corrupt one.
+// validPrefix is a fresh scan of b as a log, written apart from
+// scanFrames. Its valid prefix, n bytes long, is the longest run of
+// whole frames with matching CRCs, sequenced 1, 2, 3, ..., at its start.
+// entries holds those records' payloads and ends[k] the offset just past
+// record k (ends[0] is 0). damaged is set when the prefix ends at an
+// intact frame out of sequence rather than a torn or corrupt one.
 func validPrefix(b []byte) (n int, ends []int, entries [][]byte, damaged bool) {
 	ends = []int{0}
-	for _, line := range bytes.SplitAfter(b, []byte("\n")) {
-		if len(line) == 0 || line[len(line)-1] != '\n' {
+	for len(b)-n >= 16 {
+		size := uint64(binary.LittleEndian.Uint32(b[n:]))
+		if size > uint64(len(b)-n-16) {
 			break
 		}
-		seq, payload, err := parseFrame(line[:len(line)-1])
-		if err != nil {
+		frame := b[n : n+16+int(size)]
+		if crc32.Checksum(frame[8:], crc32.MakeTable(crc32.Castagnoli)) != binary.LittleEndian.Uint32(frame[4:]) {
 			break
 		}
-		if seq != uint64(len(entries)+1) && (seq != 0 || len(entries) > 0) {
+		if binary.LittleEndian.Uint64(frame[8:]) != uint64(len(entries)+1) {
 			damaged = true
 			break
 		}
-		n += len(line)
-		if seq > 0 {
-			entries = append(entries, payload)
-			ends = append(ends, n)
-		}
+		entries = append(entries, frame[16:])
+		n += len(frame)
+		ends = append(ends, n)
 	}
 	return n, ends, entries, damaged
 }
@@ -51,8 +51,7 @@ func sameEntries(a, b [][]byte) bool {
 	return true
 }
 
-// FuzzLogReplay writes any byte string as wal.log, with no snapshot, and
-// checks torn-tail replay against a fresh scan of the same bytes: Open
+// FuzzLogReplay writes any byte string as the log and checks torn-tail replay against a fresh scan of the same bytes: Open
 // never panics; it refuses a log whose valid prefix ends at an intact
 // frame out of sequence and leaves the file as it was; otherwise it cuts
 // the file to exactly its valid prefix and reports the cut, and a second
@@ -62,27 +61,29 @@ func sameEntries(a, b [][]byte) bool {
 // leaves the file cut just past record k, which a reopen replays as the
 // first k records.
 func FuzzLogReplay(f *testing.F) {
-	good := func(seq uint64, payload string) []byte {
-		line, err := appendFrame(nil, seq, []byte(payload))
-		if err != nil {
-			f.Fatal(err)
-		}
-		return line
-	}
+	good := func(seq uint64, payload string) []byte { return appendFrame(nil, seq, []byte(payload)) }
 	two := append(good(1, "first"), good(2, "second")...)
 	f.Add(two)
 	f.Add(two[:len(two)-4]) // torn frame
 	flipped := bytes.Clone(two)
 	flipped[len(flipped)-3] ^= 0x20 // CRC mismatch on the last frame
 	f.Add(flipped)
-	f.Add(append(good(1, "first"), "garbage-without-newline"...)) // no newline
+	f.Add(append(good(1, "first"), "garbage-after-the-frame"...)) // not a frame
 	f.Add(append(good(1, "first"), good(3, "gap")...))            // out of sequence
-	f.Add(append(good(0, "folded"), two...))                      // stale frame before the records
+	f.Add(append(good(0, "folded"), two...))                      // a sequence before the first
+	f.Add(append(bytes.Clone(two), make([]byte, 512)...))         // zero-filled tail
+	pastEOF := good(3, "third")
+	binary.LittleEndian.PutUint32(pastEOF, 64) // length field past EOF
+	f.Add(append(bytes.Clone(two), pastEOF...))
+	huge := good(3, "third")
+	binary.LittleEndian.PutUint32(huge, math.MaxUint32) // a huge length
+	f.Add(append(bytes.Clone(two), huge...))
+	f.Add(good(1, "")) // an empty payload
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, logName)
+		path := filepath.Join(dir, LogFile)
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,8 @@
 // Replicated write-ahead logging: a ReplicatedLog fans every Append out
 // to N replica log directories and acknowledges only at quorum, so a
 // single-disk fault no longer makes a shard unwritable (or, after a
-// crash, unrecoverable). Each replica is an ordinary Log — same CRC
-// framing, same torn-tail cut machinery — which keeps every replica
+// crash, unrecoverable). Each replica is an ordinary Log — same binary
+// frames, same torn-tail cut machinery — which keeps every replica
 // directory independently openable and auditable with existing tooling.
 // A set of one directory is how an unreplicated shard logs: quorum 1,
 // the same fault, rewind and catch-up path as a larger set.
@@ -17,9 +17,8 @@
 // it). An append fault rewinds the replica's log back to its last
 // acknowledged watermark — the faulted tail's durability is unknown, so
 // catch-up must extend a known-good prefix — and demotes it to lagging.
-// A replica whose log cannot be rewound is reset instead (to the
-// primary's legacy snapshot on a root written by earlier builds) and
-// re-fed the whole history by the same catch-up.
+// A replica whose log cannot be rewound is reset instead and re-fed the
+// whole history by the same catch-up.
 //
 // # Reopen repair
 //
@@ -27,13 +26,14 @@
 // recovered sequence as authoritative, and reconciles the rest: replicas
 // whose missing suffix lies within the authoritative log are caught up
 // by plain appends; replicas with divergent overlapping payloads, or
-// gaps reaching into the authoritative replica's legacy snapshot, are
-// reset and re-fed from it. The authoritative replica's recovered state
-// is what the caller replays, so an acknowledged record (quorum-durable
-// by definition) survives the loss of any minority of replicas.
+// running past it, are reset and re-fed from it. The authoritative
+// replica's recovered state is what the caller replays, so an
+// acknowledged record (quorum-durable by definition) survives the loss of
+// any minority of replicas.
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -140,9 +140,8 @@ type ReplRepair struct {
 	// CaughtUp is the number of records re-appended from the
 	// authoritative replica's recovered tail.
 	CaughtUp int
-	// Rebuilt is true when the replica was reset (to the authoritative
-	// replica's legacy snapshot, if any) and re-fed from the
-	// authoritative log (divergent or gapped tail).
+	// Rebuilt is true when the replica was reset and re-fed from the
+	// authoritative log (divergent tail).
 	Rebuilt bool
 	// Failed is true when the replica could not be opened or repaired.
 	Failed bool
@@ -224,7 +223,7 @@ func OpenReplicated(dirs []string, opts ReplicatedOptions) (*ReplicatedLog, *Rec
 		if i == auth || logs[i] == nil {
 			continue
 		}
-		if err := repairReplica(logs[i], recs[i], authLog, authRec, &repair.Replicas[i]); err != nil {
+		if err := repairReplica(logs[i], recs[i], authRec, &repair.Replicas[i]); err != nil {
 			repair.Replicas[i].Failed = true
 		}
 	}
@@ -246,66 +245,33 @@ func OpenReplicated(dirs []string, opts ReplicatedOptions) (*ReplicatedLog, *Rec
 		}
 		rl.replicas[i] = r
 	}
-	if rl.replicas[auth].state != ReplLive {
-		// Cannot happen (auth opened and is never repaired), but keep the
-		// invariant explicit: the primary must be live.
-		rl.replicas[auth].state = ReplLive
-	}
 	go rl.catchupWorker()
 	return rl, authRec, repair, nil
 }
 
 // repairReplica reconciles one behind-or-divergent replica against the
 // authoritative log, either by appending the missing suffix or by
-// resetting it with rebase and re-feeding the whole authoritative log.
-func repairReplica(log *Log, rec *Recovered, authLog *Log, authRec *Recovered, rep *ReplRepair) error {
-	authSeq := authLog.Seq()
-	authSnapSeq := authRec.Info.SnapshotSeq
-	seq := log.Seq()
-	snapSeq := rec.Info.SnapshotSeq
-
+// resetting it and re-feeding the whole authoritative log.
+func repairReplica(log *Log, rec, authRec *Recovered, rep *ReplRepair) error {
 	// Incremental catch-up is possible only when the replica does not run
-	// past the authoritative sequence and its gap does not reach into the
-	// authoritative legacy snapshot (whose individual records are gone).
-	// Otherwise reset it and re-feed everything.
-	rebuild := seq > authSeq || seq < authSnapSeq
-	if !rebuild {
-		// Compare the overlap the two recovered tails share: any payload
-		// mismatch at the same sequence is divergence (e.g. this replica
-		// holds a write the rest of the set never acknowledged).
-		for s := max(snapSeq, authSnapSeq) + 1; s <= seq; s++ {
-			if string(rec.Entries[s-snapSeq-1]) != string(authRec.Entries[s-authSnapSeq-1]) {
-				rebuild = true
-				break
-			}
-		}
+	// past the authoritative log and every record the two share is the
+	// same: a payload mismatch at the same sequence is divergence (e.g.
+	// this replica holds a write the rest of the set never acknowledged).
+	seq := len(rec.Entries)
+	rebuild := seq > len(authRec.Entries)
+	for s := 0; !rebuild && s < seq; s++ {
+		rebuild = !bytes.Equal(rec.Entries[s], authRec.Entries[s])
 	}
-
 	if rebuild {
 		rep.Rebuilt = true
-		var err error
-		if seq, err = rebase(log, authLog); err != nil {
+		if err := log.Reset(); err != nil {
 			return err
 		}
+		seq = 0
 	}
-	n, err := appendRecords(log, authRec.Entries[seq-authSnapSeq:])
+	n, err := appendRecords(log, authRec.Entries[seq:])
 	rep.CaughtUp += n
 	return err
-}
-
-// rebase empties log down to src's legacy snapshot, adopting it, or to
-// sequence 0 when src has none (every root written since the log stopped
-// compacting), so the records after it can be re-fed from src's log. It
-// returns the sequence log is left at.
-func rebase(log, src *Log) (uint64, error) {
-	snap, seq, err := readSnapshot(filepath.Join(src.dir, snapName))
-	if err != nil {
-		return 0, err
-	}
-	if snap == nil {
-		return 0, log.Reset()
-	}
-	return seq, log.SnapshotAt(snap, seq)
 }
 
 // appendRecords appends payloads to log in order, catchupBatch records
@@ -522,9 +488,8 @@ const catchupBatch = 1024
 
 // feedLocked appends to lagging replica r the next batch (at most
 // catchupBatch) of the records after its watermark, read from the
-// primary's log, and reports whether r made progress. A replica behind
-// the primary's legacy snapshot is rebuilt first. A fault rewinds r and
-// leaves it lagging for the next kick; one that cannot be rewound is
+// primary's log, and reports whether r made progress. A fault rewinds r
+// and leaves it lagging for the next kick; one that cannot be rewound is
 // rebuilt, and a primary log that cannot feed r fails it. Callers hold
 // l.mu.
 func (l *ReplicatedLog) feedLocked(r *replica) bool {
@@ -532,10 +497,6 @@ func (l *ReplicatedLog) feedLocked(r *replica) bool {
 	if err == nil {
 		var batch [][]byte
 		batch, err = l.replicas[l.primary].log.RecordsAfter(r.watermark, catchupBatch)
-		if errors.Is(err, errBeforeSnapshot) {
-			l.rebuildLocked(r)
-			return r.state == ReplLagging
-		}
 		if err != nil || len(batch) == 0 {
 			r.state = ReplFailed
 			return false
@@ -555,9 +516,8 @@ func (l *ReplicatedLog) feedLocked(r *replica) bool {
 	return true
 }
 
-// rebuildLocked resets replica r with rebase against the primary and
-// leaves it lagging at the sequence it was reset to, so catch-up re-feeds
-// it from the primary's log. It fails r instead when the primary is r
+// rebuildLocked resets replica r and leaves it lagging at sequence 0, so
+// catch-up re-feeds it the whole history from the primary's log. It fails r instead when the primary is r
 // itself or does not hold every acknowledged record (resetting r could
 // then lose acknowledged data), or when the reset fails. Callers hold
 // l.mu.
@@ -567,8 +527,8 @@ func (l *ReplicatedLog) rebuildLocked(r *replica) {
 	if p == r || p.state == ReplFailed || p.watermark < l.seq {
 		return
 	}
-	if seq, err := rebase(r.log, p.log); err == nil {
-		r.state, r.watermark = ReplLagging, seq
+	if err := r.log.Reset(); err == nil {
+		r.state, r.watermark = ReplLagging, 0
 	}
 }
 
@@ -660,9 +620,12 @@ func (l *ReplicatedLog) Close() error {
 }
 
 // ReplicaDirs lays out n replica directories under root: root/replica-00
-// .. root/replica-NN. It is the canonical on-disk layout for a
-// replicated durability domain.
+// .. root/replica-NN, the canonical on-disk layout for a replicated
+// durability domain; a set of one (n <= 1) is root itself.
 func ReplicaDirs(root string, n int) []string {
+	if n <= 1 {
+		return []string{root}
+	}
 	dirs := make([]string, n)
 	for i := range dirs {
 		dirs[i] = filepath.Join(root, fmt.Sprintf("replica-%02d", i))

@@ -67,9 +67,6 @@ func assertReplicasEqual(t *testing.T, dirs []string) {
 			want = rec
 			continue
 		}
-		if string(rec.Snapshot) != string(want.Snapshot) {
-			t.Fatalf("replica %d snapshot diverges: %q vs %q", i, rec.Snapshot, want.Snapshot)
-		}
 		if len(rec.Entries) != len(want.Entries) {
 			t.Fatalf("replica %d has %d entries, want %d", i, len(rec.Entries), len(want.Entries))
 		}
@@ -85,7 +82,7 @@ func TestReplicatedQuorumAppend(t *testing.T) {
 	root := t.TempDir()
 	dirs := ReplicaDirs(root, 3)
 	rl, rec, _ := openReplT(t, root, 3, ReplicatedOptions{})
-	if rec.Snapshot != nil || len(rec.Entries) != 0 {
+	if len(rec.Entries) != 0 {
 		t.Fatalf("fresh set recovered %+v", rec)
 	}
 	for i := 0; i < 5; i++ {
@@ -169,6 +166,75 @@ func TestReplicatedQuorumLostNoAck(t *testing.T) {
 	assertReplicasEqual(t, dirs)
 }
 
+// TestReplicatedQuorumLostOutageLongerThanOneBatch pins what a set at
+// quorum 2 of 3 answers after two followers were down for more appends
+// than one catch-up batch. Every append of the outage fails with
+// ErrQuorumLost, though the primary holds each. Once the faults clear,
+// the next append still fails with ErrQuorumLost: its inline catch-up
+// re-feeds each laggard one batch, which leaves them lagging. (The test
+// parks the catch-up worker to see that append alone.) Once the worker
+// has re-fed the laggards the set is live again, and every replica holds
+// every acknowledged record in order.
+func TestReplicatedQuorumLostOutageLongerThanOneBatch(t *testing.T) {
+	defer faultinject.Reset()
+	root := t.TempDir()
+	dirs := ReplicaDirs(root, 3)
+	rl, _, _ := openReplT(t, root, 3, ReplicatedOptions{Quorum: 2, Log: Options{Policy: SyncNever}})
+	acked := map[uint64]string{}
+	ack := func(p string) {
+		t.Helper()
+		acked[appendReplT(t, rl, p)] = p
+	}
+	ack("before")
+
+	faultinject.Enable(ReplicaFailpoint(dirs[1]), errors.New("disk 1 down"))
+	faultinject.Enable(ReplicaFailpoint(dirs[2]), errors.New("disk 2 down"))
+	// Three batches: a worker round already under way when the worker is
+	// parked, and the next append's inline one, still leave a batch.
+	const outage = 3*catchupBatch + 200
+	for i := 0; i < outage; i++ {
+		if seq, err := rl.Append([]byte(fmt.Sprintf("lost-%d", i))); !errors.Is(err, ErrQuorumLost) || seq != 0 {
+			t.Fatalf("outage append %d = (%d, %v), want ErrQuorumLost", i, seq, err)
+		}
+	}
+
+	// Park the worker: drop its pending kick, and send later kicks to a
+	// channel nobody drains.
+	rl.mu.Lock()
+	kick := rl.kick
+	select {
+	case <-kick:
+	default:
+	}
+	rl.kick = make(chan struct{}, 1)
+	faultinject.Reset()
+	rl.mu.Unlock()
+	if seq, err := rl.Append([]byte("first after")); !errors.Is(err, ErrQuorumLost) || seq != 0 {
+		t.Fatalf("first append after the outage = (%d, %v), want ErrQuorumLost", seq, err)
+	}
+	if st := rl.Status(); st[1].State != ReplLagging || st[2].State != ReplLagging || rl.QuorumLive() {
+		t.Fatalf("after one inline batch: %+v, want both followers lagging", st)
+	}
+
+	rl.mu.Lock()
+	rl.kick = kick
+	rl.kickLocked()
+	rl.mu.Unlock()
+	waitConverged(t, rl)
+	ack("after")
+	if err := rl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertReplicasEqual(t, dirs)
+	l, rec := openT(t, dirs[1], Options{})
+	closeT(t, l)
+	for seq, p := range acked {
+		if string(rec.Entries[seq-1]) != p {
+			t.Fatalf("acknowledged record %d = %q, want %q", seq, rec.Entries[seq-1], p)
+		}
+	}
+}
+
 func TestReplicatedPrimaryFailover(t *testing.T) {
 	defer faultinject.Reset()
 	root := t.TempDir()
@@ -203,7 +269,7 @@ func TestReplicatedPrimaryFailover(t *testing.T) {
 // has no lag bound: a follower faulted for more than two compaction
 // intervals' worth of appends stays lagging, never failed, and once the
 // fault clears it is re-fed from the primary's log until every replica
-// directory holds the same bytes, with no snapshot involved.
+// directory holds the same bytes and nothing else.
 func TestReplicatedLaggardCatchesUpFromPrimaryLog(t *testing.T) {
 	defer faultinject.Reset()
 	root := t.TempDir()
@@ -228,15 +294,15 @@ func TestReplicatedLaggardCatchesUpFromPrimaryLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertReplicasEqual(t, dirs)
-	want, err := os.ReadFile(filepath.Join(dirs[0], logName))
+	want, err := os.ReadFile(filepath.Join(dirs[0], LogFile))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, dir := range dirs {
-		if _, err := os.Stat(filepath.Join(dir, snapName)); !errors.Is(err, os.ErrNotExist) {
-			t.Fatalf("%s has a snapshot (err=%v): catch-up compacted", dir, err)
+		if names := dirNames(t, dir); fmt.Sprint(names) != "["+LogFile+"]" {
+			t.Fatalf("%s holds %v, want only the log", dir, names)
 		}
-		got, err := os.ReadFile(filepath.Join(dir, logName))
+		got, err := os.ReadFile(filepath.Join(dir, LogFile))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,16 +312,31 @@ func TestReplicatedLaggardCatchesUpFromPrimaryLog(t *testing.T) {
 	}
 }
 
-// legacySnapshot folds each replica's whole log into a snapshot holding
-// payload, leaving the root the way builds that compacted the log did.
-func legacySnapshot(t *testing.T, dirs []string, payload string) {
+// dirNames lists the names in dir, sorted.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(ents))
+	for i, e := range ents {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// rewriteLogs rewrites each replica's whole log through WriteLog, the
+// way a root upgraded from an earlier on-disk format has its logs
+// written.
+func rewriteLogs(t *testing.T, dirs []string) {
 	t.Helper()
 	for _, dir := range dirs {
-		l, _ := openT(t, dir, Options{})
-		if err := l.Snapshot([]byte(payload)); err != nil {
+		l, rec := openT(t, dir, Options{})
+		closeT(t, l)
+		if err := WriteLog(dir, rec.Entries); err != nil {
 			t.Fatal(err)
 		}
-		closeT(t, l)
 	}
 }
 
@@ -263,8 +344,8 @@ func legacySnapshot(t *testing.T, dirs []string, payload string) {
 // rewind cannot repair: a follower whose wal.log is gone when a fault
 // hits it. It is reset and re-fed the whole history by catch-up, across
 // more than one batch, until every replica is live at the set's sequence
-// and holds the primary's bytes. On a root written by earlier builds it
-// is first given the primary's legacy snapshot. The revived replica is
+// and holds the primary's bytes, also when the logs were last written
+// whole by WriteLog, as a root upgrade writes them. The revived replica is
 // then faulted again after its write reached the file, so its rewind
 // shrinks the log the reset reopened, and it must still converge to the
 // primary's bytes.
@@ -281,7 +362,7 @@ func TestReplicatedCatchupRevivesUnrewindableReplica(t *testing.T) {
 				if err := rl.Close(); err != nil {
 					t.Fatal(err)
 				}
-				legacySnapshot(t, dirs, "folded")
+				rewriteLogs(t, dirs)
 				rl, _, _ = openReplT(t, root, 3, opts)
 			}
 			const n = catchupBatch + 500
@@ -294,7 +375,7 @@ func TestReplicatedCatchupRevivesUnrewindableReplica(t *testing.T) {
 				t.Fatal(err)
 			}
 			rl, _, _ = openReplT(t, root, 3, ReplicatedOptions{})
-			if err := os.Remove(filepath.Join(dirs[2], logName)); err != nil {
+			if err := os.Remove(filepath.Join(dirs[2], LogFile)); err != nil {
 				t.Fatal(err)
 			}
 			fed := mReplCatchupRecords.Value()
@@ -310,10 +391,7 @@ func TestReplicatedCatchupRevivesUnrewindableReplica(t *testing.T) {
 					t.Fatalf("catch-up did not revive: %+v", st)
 				}
 			}
-			want := int64(n + 1)
-			if legacy {
-				want-- // r0 came back inside the snapshot
-			}
+			const want = n + 1
 			if got := mReplCatchupRecords.Value() - fed; got != want {
 				t.Fatalf("catch-up re-fed %d records, want %d", got, want)
 			}
@@ -340,15 +418,13 @@ func TestReplicatedCatchupRevivesUnrewindableReplica(t *testing.T) {
 			assertReplicasEqual(t, dirs)
 			l, rec := openT(t, dirs[2], Options{})
 			closeT(t, l)
-			if legacy != (string(rec.Snapshot) == "folded") || len(rec.Entries) != int(want)+2 || rec.Info.TornTail {
-				t.Fatalf("revived replica state: snap=%q entries=%d torn=%v", rec.Snapshot, len(rec.Entries), rec.Info.TornTail)
+			if len(rec.Entries) != want+2 || rec.Info.TornTail {
+				t.Fatalf("revived replica state: entries=%d torn=%v", len(rec.Entries), rec.Info.TornTail)
 			}
-			for _, name := range []string{logName, snapName} {
-				primary, _ := os.ReadFile(filepath.Join(dirs[0], name))
-				revived, _ := os.ReadFile(filepath.Join(dirs[2], name))
-				if !bytes.Equal(revived, primary) {
-					t.Fatalf("revived %s differs from the primary's (%d vs %d bytes)", name, len(revived), len(primary))
-				}
+			primary, _ := os.ReadFile(filepath.Join(dirs[0], LogFile))
+			revived, _ := os.ReadFile(filepath.Join(dirs[2], LogFile))
+			if !bytes.Equal(revived, primary) {
+				t.Fatalf("revived log differs from the primary's (%d vs %d bytes)", len(revived), len(primary))
 			}
 		})
 	}
@@ -433,7 +509,7 @@ func TestReplicatedRecoveryTornTailOnOneReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tear replica 0's tail mid-record.
-	path := filepath.Join(dirs[0], logName)
+	path := filepath.Join(dirs[0], LogFile)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -459,15 +535,9 @@ func TestReplicatedRecoveryLostReplicaDirRebuilds(t *testing.T) {
 	root := t.TempDir()
 	dirs := ReplicaDirs(root, 3)
 	rl, _, _ := openReplT(t, root, 3, ReplicatedOptions{})
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		appendReplT(t, rl, fmt.Sprintf("r%d", i))
 	}
-	if err := rl.Close(); err != nil {
-		t.Fatal(err)
-	}
-	legacySnapshot(t, dirs, "base")
-	rl, _, _ = openReplT(t, root, 3, ReplicatedOptions{})
-	appendReplT(t, rl, "tail")
 	if err := rl.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -477,11 +547,11 @@ func TestReplicatedRecoveryLostReplicaDirRebuilds(t *testing.T) {
 	}
 
 	rl2, rec2, rep := openReplT(t, root, 3, ReplicatedOptions{})
-	if string(rec2.Snapshot) != "base" || len(rec2.Entries) != 1 {
-		t.Fatalf("recovered snap=%q entries=%d", rec2.Snapshot, len(rec2.Entries))
+	if len(rec2.Entries) != 4 {
+		t.Fatalf("recovered %d entries, want 4", len(rec2.Entries))
 	}
-	if !rep.Replicas[1].Rebuilt {
-		t.Fatalf("lost replica not rebuilt from snapshot: %+v", rep.Replicas[1])
+	if rep.Replicas[1].CaughtUp != 4 || rep.Replicas[1].Failed {
+		t.Fatalf("lost replica not re-fed the whole log: %+v", rep.Replicas[1])
 	}
 	if err := rl2.Close(); err != nil {
 		t.Fatal(err)
@@ -542,18 +612,15 @@ func TestRewind(t *testing.T) {
 }
 
 // TestRewindCutsPartialFrameAtSeq covers a short append write: part of
-// a frame reached wal.log but the sequence never advanced. Rewind to the
+// a frame reached the log but the sequence never advanced. Rewind to the
 // current sequence must still cut those bytes, or the next acknowledged
 // record lands behind debris that replay's CRC check cuts off with it.
 func TestRewindCutsPartialFrameAtSeq(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
 	appendT(t, l, "good")
-	line, err := appendFrame(nil, l.Seq()+1, []byte("doomed"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_WRONLY|os.O_APPEND, 0)
+	line := appendFrame(nil, l.Seq()+1, []byte("doomed"))
+	f, err := os.OpenFile(filepath.Join(dir, LogFile), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,63 +643,28 @@ func TestRewindCutsPartialFrameAtSeq(t *testing.T) {
 	}
 }
 
-func TestRewindIntoSnapshotFails(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := openT(t, dir, Options{})
-	for i := 0; i < 3; i++ {
-		appendT(t, l, fmt.Sprintf("r%d", i))
-	}
-	if err := l.Snapshot([]byte("folded")); err != nil {
-		t.Fatal(err)
-	}
-	// With the log empty there is no record to find the gap by; the
-	// snapshot's sequence alone must refuse the rewind.
-	if err := l.Rewind(1); err == nil {
-		t.Fatal("rewind below the snapshot of an empty log accepted")
-	}
-	appendT(t, l, "r3")
-	if err := l.Rewind(1); err == nil {
-		t.Fatal("rewind into snapshot-covered territory accepted")
-	}
-	if err := l.Rewind(3); err != nil {
-		t.Fatalf("rewind to snapshot boundary: %v", err)
-	}
-	closeT(t, l)
-}
-
-func TestSnapshotAtAndReset(t *testing.T) {
+func TestResetEmptiesLog(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
 	appendT(t, l, "a")
-	if err := l.SnapshotAt([]byte("adopted"), 7); err != nil {
+	appendT(t, l, "b")
+	if err := l.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if l.Seq() != 7 {
-		t.Fatalf("seq after SnapshotAt = %d", l.Seq())
+	if l.Seq() != 0 {
+		t.Fatalf("seq after reset = %d", l.Seq())
 	}
-	appendT(t, l, "b")
+	appendT(t, l, "fresh")
 	closeT(t, l)
 	l2, rec := openT(t, dir, Options{})
-	if string(rec.Snapshot) != "adopted" || rec.Info.SnapshotSeq != 7 || len(rec.Entries) != 1 {
-		t.Fatalf("recovered %+v snap=%q", rec.Info, rec.Snapshot)
-	}
-	if err := l2.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if l2.Seq() != 0 {
-		t.Fatalf("seq after reset = %d", l2.Seq())
-	}
-	appendT(t, l2, "fresh")
-	closeT(t, l2)
-	l3, rec3 := openT(t, dir, Options{})
-	defer closeT(t, l3)
-	if rec3.Snapshot != nil || len(rec3.Entries) != 1 || string(rec3.Entries[0]) != "fresh" {
-		t.Fatalf("reset state: snap=%q entries=%q", rec3.Snapshot, rec3.Entries)
+	defer closeT(t, l2)
+	if len(rec.Entries) != 1 || string(rec.Entries[0]) != "fresh" || l2.Seq() != 1 {
+		t.Fatalf("reset state: entries=%q seq=%d", rec.Entries, l2.Seq())
 	}
 }
 
-// TestRewindAfterResetAndSnapshotAt rewinds a log whose file Reset or
-// SnapshotAt reopened. The rewind shrinks the file, so the next append
+// TestRewindAfterResetAndSnapshotAt rewinds a log whose file Reset
+// reopened. The rewind shrinks the file, so the next append
 // must land at its new end: a descriptor that kept writing at its old
 // offset would leave a hole that replay cuts off with every record after
 // it.
@@ -643,7 +675,6 @@ func TestRewindAfterResetAndSnapshotAt(t *testing.T) {
 		base  uint64
 	}{
 		{"reset", (*Log).Reset, 0},
-		{"snapshotAt", func(l *Log) error { return l.SnapshotAt([]byte("adopted"), 7) }, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -680,12 +711,12 @@ func TestTornTailCutIsDurable(t *testing.T) {
 	l, _ := openT(t, dir, Options{})
 	appendT(t, l, "good")
 	closeT(t, l)
-	path := filepath.Join(dir, logName)
+	path := filepath.Join(dir, LogFile)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("garbage-without-newline"); err != nil {
+	if _, err := f.WriteString("garbage-that-is-no-frame"); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -723,11 +754,7 @@ func BenchmarkReplicatedCatchup(b *testing.B) {
 	payload := []byte("B" + string(bytes.Repeat([]byte("x"), 40)))
 	var seed []byte
 	for i := 1; i <= history; i++ {
-		line, err := appendFrame(nil, uint64(i), payload)
-		if err != nil {
-			b.Fatal(err)
-		}
-		seed = append(seed, line...)
+		seed = appendFrame(seed, uint64(i), payload)
 	}
 	batch := make([][]byte, lag)
 	for i := range batch {
@@ -740,7 +767,7 @@ func BenchmarkReplicatedCatchup(b *testing.B) {
 				if err := os.MkdirAll(dir, 0o755); err != nil {
 					b.Fatal(err)
 				}
-				if err := os.WriteFile(filepath.Join(dir, logName), seed, 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, LogFile), seed, 0o644); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -43,7 +43,7 @@ func closeT(t *testing.T, l *Log) {
 func TestOpenEmptyDir(t *testing.T) {
 	l, rec := openT(t, t.TempDir(), Options{})
 	defer closeT(t, l)
-	if rec.Snapshot != nil || len(rec.Entries) != 0 {
+	if len(rec.Entries) != 0 {
 		t.Fatalf("fresh dir recovered %+v", rec)
 	}
 	if rec.Info.TornTail {
@@ -56,8 +56,8 @@ func TestOpenEmptyDir(t *testing.T) {
 
 func TestOpenEmptyLogFile(t *testing.T) {
 	dir := t.TempDir()
-	// A zero-byte wal.log (created, nothing flushed) must read as empty.
-	if err := os.WriteFile(filepath.Join(dir, logName), nil, 0o644); err != nil {
+	// A zero-byte log (created, nothing flushed) must read as empty.
+	if err := os.WriteFile(filepath.Join(dir, LogFile), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l, rec := openT(t, dir, Options{})
@@ -103,26 +103,27 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 func TestTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
-	appendT(t, l, "first")
+	// A one-byte first record starts the cuts at byte 18, which keeps the
+	// subtest names (cut@18 on) stable across log formats.
+	appendT(t, l, "1")
 	appendT(t, l, "second")
 	closeT(t, l)
-	whole, err := os.ReadFile(filepath.Join(dir, logName))
+	whole, err := os.ReadFile(filepath.Join(dir, LogFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.SplitAfter(whole, []byte("\n"))
-	prefixLen := len(lines[0])
+	prefixLen := headerSize + len("1")
 
 	for cutAt := prefixLen + 1; cutAt < len(whole); cutAt++ {
 		t.Run(fmt.Sprintf("cut@%d", cutAt), func(t *testing.T) {
 			d := t.TempDir()
-			if err := os.WriteFile(filepath.Join(d, logName), whole[:cutAt], 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(d, LogFile), whole[:cutAt], 0o644); err != nil {
 				t.Fatal(err)
 			}
 			l, rec := openT(t, d, Options{})
 			defer closeT(t, l)
-			if len(rec.Entries) != 1 || string(rec.Entries[0]) != "first" {
-				t.Fatalf("recovered %q, want just [first]", rec.Entries)
+			if len(rec.Entries) != 1 || string(rec.Entries[0]) != "1" {
+				t.Fatalf("recovered %q, want just [1]", rec.Entries)
 			}
 			if !rec.Info.TornTail {
 				t.Fatal("torn tail not reported")
@@ -134,7 +135,7 @@ func TestTornTailRecovery(t *testing.T) {
 				t.Fatalf("torn bytes = %d, want %d", rec.Info.TornBytes, cutAt-prefixLen)
 			}
 			// The file must be truncated back to the intact prefix.
-			st, err := os.Stat(filepath.Join(d, logName))
+			st, err := os.Stat(filepath.Join(d, LogFile))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,14 +162,13 @@ func TestCorruptMidRecordCutsSuffix(t *testing.T) {
 	appendT(t, l, "flip")
 	appendT(t, l, "lost")
 	closeT(t, l)
-	path := filepath.Join(dir, logName)
+	path := filepath.Join(dir, LogFile)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.SplitAfter(b, []byte("\n"))
 	// Flip one payload byte of the middle record (CRC now mismatches).
-	mid := len(lines[0]) + len(lines[1]) - 2
+	mid := 2*headerSize + len("keep") + len("flip") - 2
 	b[mid] ^= 0xff
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
@@ -183,100 +183,105 @@ func TestCorruptMidRecordCutsSuffix(t *testing.T) {
 	}
 }
 
-func TestSnapshotCompactsAndReplays(t *testing.T) {
+// TestSnapshotIsAProbe pins what is left of Snapshot: a durable write of
+// its payload beside the log that leaves the log as it was and that Open
+// ignores.
+func TestSnapshotIsAProbe(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
 	appendT(t, l, "a")
 	appendT(t, l, "b")
+	before, err := os.ReadFile(filepath.Join(dir, LogFile))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := l.Snapshot([]byte(`{"state":"ab"}`)); err != nil {
 		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, probeName)); err != nil || string(got) != `{"state":"ab"}` {
+		t.Fatalf("probe holds %q (err=%v)", got, err)
+	}
+	if after, err := os.ReadFile(filepath.Join(dir, LogFile)); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("Snapshot changed the log (err=%v)", err)
 	}
 	appendT(t, l, "c")
 	closeT(t, l)
 
 	l2, rec := openT(t, dir, Options{})
 	defer closeT(t, l2)
-	if string(rec.Snapshot) != `{"state":"ab"}` {
-		t.Fatalf("snapshot = %q", rec.Snapshot)
-	}
-	if rec.Info.SnapshotSeq != 2 {
-		t.Fatalf("snapshot seq = %d, want 2", rec.Info.SnapshotSeq)
-	}
-	if len(rec.Entries) != 1 || string(rec.Entries[0]) != "c" {
-		t.Fatalf("post-snapshot entries = %q, want [c]", rec.Entries)
-	}
-	if l2.Seq() != 3 {
-		t.Fatalf("seq = %d, want 3", l2.Seq())
+	if len(rec.Entries) != 3 || string(rec.Entries[2]) != "c" || l2.Seq() != 3 {
+		t.Fatalf("replay = %q at seq %d, want [a b c] at 3", rec.Entries, l2.Seq())
 	}
 }
 
-// TestReplaySkipsRecordsFoldedIntoSnapshot simulates a crash between the
-// snapshot rename and the log truncation: stale records whose seq <= the
-// snapshot's must be skipped on replay.
-func TestReplaySkipsRecordsFoldedIntoSnapshot(t *testing.T) {
+// TestOpenRefusesOldLogFile pins that Open never starts a log beside the
+// log file of an earlier build: the directory is refused and left as it
+// was, and it opens once that file is gone (the upgrade removes it).
+func TestOpenRefusesOldLogFile(t *testing.T) {
+	dir := t.TempDir()
+	old := []byte("0badc0de 1 BAAAA\n")
+	if err := os.WriteFile(filepath.Join(dir, oldLogName), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "upgraded") {
+		t.Fatalf("Open beside %s = %v, want a refusal naming the upgrade", oldLogName, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, LogFile)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("refused Open created %s (err=%v)", LogFile, err)
+	}
+	if b, err := os.ReadFile(filepath.Join(dir, oldLogName)); err != nil || !bytes.Equal(b, old) {
+		t.Fatalf("refused Open changed %s (err=%v)", oldLogName, err)
+	}
+	if err := os.Remove(filepath.Join(dir, oldLogName)); err != nil {
+		t.Fatal(err)
+	}
+	l, _ := openT(t, dir, Options{})
+	closeT(t, l)
+}
+
+// TestPayloadAnyBytes pins that frames carry any payload bytes: empty,
+// newlines, spaces and bytes that look like a frame header.
+func TestPayloadAnyBytes(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
-	appendT(t, l, "a")
-	appendT(t, l, "b")
+	want := []string{"", "a\nb", "x y ", string(appendFrame(nil, 9, []byte("inner")))}
+	for _, p := range want {
+		appendT(t, l, p)
+	}
 	closeT(t, l)
-	logBytes, err := os.ReadFile(filepath.Join(dir, logName))
-	if err != nil {
-		t.Fatal(err)
+	l2, rec := openT(t, dir, Options{})
+	defer closeT(t, l2)
+	if len(rec.Entries) != len(want) || rec.Info.TornTail {
+		t.Fatalf("replayed %q (torn=%v), want %q", rec.Entries, rec.Info.TornTail, want)
 	}
-	l2, _ := openT(t, dir, Options{})
-	if err := l2.Snapshot([]byte("snap-ab")); err != nil {
-		t.Fatal(err)
-	}
-	appendT(t, l2, "c")
-	closeT(t, l2)
-	// Re-prepend the pre-snapshot records, as if truncation never happened.
-	after, err := os.ReadFile(filepath.Join(dir, logName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, logName), append(logBytes, after...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l3, rec := openT(t, dir, Options{})
-	defer closeT(t, l3)
-	if string(rec.Snapshot) != "snap-ab" {
-		t.Fatalf("snapshot = %q", rec.Snapshot)
-	}
-	if len(rec.Entries) != 1 || string(rec.Entries[0]) != "c" {
-		t.Fatalf("entries = %q, want [c] (seqs 1-2 folded into snapshot)", rec.Entries)
+	for i, e := range rec.Entries {
+		if string(e) != want[i] {
+			t.Fatalf("entry %d = %q, want %q", i, e, want[i])
+		}
 	}
 }
 
-func TestCorruptSnapshotIsAnError(t *testing.T) {
+// TestZeroFilledTailIsTorn appends the zeroed block a crash can leave
+// after the last frame: Open cuts it as a torn tail rather than refuse.
+func TestZeroFilledTailIsTorn(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
-	appendT(t, l, "a")
-	if err := l.Snapshot([]byte("state")); err != nil {
-		t.Fatal(err)
-	}
+	appendT(t, l, "kept")
 	closeT(t, l)
-	path := filepath.Join(dir, snapName)
-	b, err := os.ReadFile(path)
+	f, err := os.OpenFile(filepath.Join(dir, LogFile), os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b[len(b)-2] ^= 0xff
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	if _, err := f.Write(make([]byte, 4096)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "corrupt") {
-		t.Fatalf("Open over corrupt snapshot = %v, want corruption error", err)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestPayloadNewlineRejected(t *testing.T) {
-	l, _ := openT(t, t.TempDir(), Options{})
-	defer closeT(t, l)
-	if _, err := l.Append([]byte("a\nb")); err == nil {
-		t.Fatal("newline payload accepted")
-	}
-	if l.Seq() != 0 {
-		t.Fatalf("rejected payload advanced seq to %d", l.Seq())
+	l2, rec := openT(t, dir, Options{})
+	defer closeT(t, l2)
+	if len(rec.Entries) != 1 || !rec.Info.TornTail || rec.Info.TornBytes != 4096 {
+		t.Fatalf("replay = %q, info %+v, want [kept] and a 4096-byte cut", rec.Entries, rec.Info)
 	}
 }
 
@@ -351,20 +356,25 @@ func TestInjectedSyncFaultFailsAppend(t *testing.T) {
 	}
 }
 
+// TestInjectedSnapshotFaultLeavesLogIntact fails the snapshot probe's
+// write (a directory stands where its file would be renamed to): the
+// error is returned and the log keeps every record.
 func TestInjectedSnapshotFaultLeavesLogIntact(t *testing.T) {
-	defer faultinject.Reset()
 	dir := t.TempDir()
 	l, _ := openT(t, dir, Options{})
 	appendT(t, l, "a")
-	faultinject.EnableTimes(FailSnapshotWrite, errors.New("no space"), 1)
-	if err := l.Snapshot([]byte("state")); err == nil {
-		t.Fatal("Snapshot under fault succeeded")
+	if err := os.MkdirAll(filepath.Join(dir, probeName, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
 	}
+	if err := l.Snapshot([]byte("state")); err == nil {
+		t.Fatal("Snapshot over a directory succeeded")
+	}
+	appendT(t, l, "b")
 	closeT(t, l)
 	l2, rec := openT(t, dir, Options{})
 	defer closeT(t, l2)
-	if rec.Snapshot != nil || len(rec.Entries) != 1 {
-		t.Fatalf("failed snapshot disturbed state: %+v", rec)
+	if len(rec.Entries) != 2 || rec.Info.TornTail {
+		t.Fatalf("failed snapshot disturbed the log: %+v", rec)
 	}
 }
 
