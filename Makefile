@@ -53,13 +53,13 @@ chaos:
 # chaos-repl runs the replication-specific chaos suite under the race
 # detector: quorum append/ack ordering, follower faults with catch-up
 # from the primary's log however far behind, quorum-loss refusal (no ack
-# ever escapes), primary failover replayed through the dedup index,
-# reopen repair of torn, diverged, and
-# lost replica tails, kill-primary-mid-WAL crash recovery at the sharded
-# tier, the health-ladder/breaker path at the HTTP tier (all replicas
-# down serves stale while /readyz reports failed), and the
-# replicated-vs-serial differential (see docs/OPERATIONS.md
-# "Replication").
+# ever escapes, and no refused record replays: a below-quorum append is
+# undone on every replica), primary failover replayed through the dedup
+# index, reopen repair of torn, diverged, and lost replica tails,
+# kill-primary-mid-WAL crash recovery at the sharded tier, the
+# health-ladder/breaker path at the HTTP tier (all replicas down serves
+# stale while /readyz reports failed), and the replicated-vs-serial
+# differential (see docs/OPERATIONS.md "Replication").
 chaos-repl:
 	$(GO) test -race -timeout $(STRESS_TIMEOUT) \
 		-run 'ChaosRepl|Replicated|Rewind|Quorum' \
@@ -104,7 +104,9 @@ differential:
 # a log that replays what the old reader decodes; topology.json bytes are
 # refused or round-trip; any byte string opened as a WAL log is cut to
 # exactly its valid prefix, replays the same entries a second time, and
-# reads back unchanged through Log.RecordsAfter; the HTTP read and ingest surface (GET /query,
+# reads back unchanged through Log.RecordsAfter, and so is any log built
+# from valid frames with fuzzed sequence steps, payloads, a cut and a
+# flipped byte (FuzzLogFrames); the HTTP read and ingest surface (GET /query,
 # /predict, /fleet, POST /query/batch, /predict, /rccs) must never answer a 5xx, and a 200 batch answer has one
 # row per query; every SWLIN code Parse accepts round-trips through
 # String, and Subsystem agrees with Digit(0) and Prefix(1); every GBT model
@@ -116,6 +118,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUpgrade$$' -fuzztime $(FUZZTIME) ./internal/statusq/
 	$(GO) test -run '^$$' -fuzz '^FuzzTopology$$' -fuzztime $(FUZZTIME) ./internal/statusq/
 	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime $(FUZZTIME) ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzLogFrames$$' -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequests$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSWLINCode$$' -fuzztime $(FUZZTIME) ./internal/swlin/
 	$(GO) test -run '^$$' -fuzz '^FuzzGBTModel$$' -fuzztime $(FUZZTIME) ./internal/ml/gbt/

@@ -383,12 +383,10 @@ func runServe(args []string) {
 	walDir := fs.String("wal-dir", "data/wal", "root directory of the RCC ingestion WAL (topology.json plus one subdirectory per shard)")
 	fsyncPolicy := fs.String("fsync", "always", "WAL fsync policy: always (fsync before every acknowledgment) or never")
 	shards := fs.Int("shards", 1, "partition the catalog into N consistent-hash shards, each with its own WAL subdirectory (topology is pinned on first open)")
-	repl := fs.Int("repl", 1, "replicate each shard's WAL across N directories, acknowledging ingests at quorum (pinned on first open)")
-	replQuorum := fs.Int("repl-quorum", 0, "replicas that must append before an ingest is acknowledged (0: majority of -repl)")
+	repl := fs.Int("repl", 1, "replicate each shard's WAL across N directories, acknowledging ingests at a majority (pinned on first open)")
 	dedupCap := fs.Int("dedup-cap", statusq.DefaultDedupCap, "max idempotency keys tracked per catalog shard (negative: unbounded)")
 	modelDir := fs.String("model-dir", "", "serve /predict and fleet predictions from the model registry in this directory (empty: prediction answers carry prediction_unavailable)")
 	modelReload := fs.Duration("model-reload", 0, "poll the model registry and hot-swap new versions this often (0: swap only via POST /models/reload)")
-	predictAlpha := fs.Float64("predict-alpha", 0, "conformal miscoverage level for served bands (0: the active model version's recorded default)")
 	pprofAddr := fs.String("pprof-addr", "", "serve net/http/pprof profiles on this address (empty: disabled; keep it loopback-only)")
 	quiet := fs.Bool("quiet", false, "disable per-request trace logging")
 	// -h prints the endpoint table after the flags, from the same
@@ -410,9 +408,6 @@ func runServe(args []string) {
 		RequestTimeout:   *requestTimeout,
 		MaxBodyBytes:     *maxBody,
 	}
-	if !(*predictAlpha >= 0 && *predictAlpha < 1) { // NaN fails too
-		log.Fatalf("-predict-alpha %g outside (0,1)", *predictAlpha)
-	}
 	// The model registry is optional and its failures are non-fatal: a
 	// serving tier with a bad model directory still answers every read,
 	// annotated prediction_unavailable, until a reload succeeds.
@@ -428,16 +423,12 @@ func runServe(args []string) {
 		}
 		registry = reg
 		opts.Models = reg
-		opts.PredictAlpha = *predictAlpha
 	}
 	if *shards < 1 {
 		log.Fatal("-shards must be at least 1")
 	}
 	if *repl < 1 {
 		log.Fatal("-repl must be at least 1")
-	}
-	if *replQuorum < 0 || *replQuorum > *repl {
-		log.Fatalf("-repl-quorum %d out of range [0, %d]", *replQuorum, *repl)
 	}
 	policy, err := wal.ParseSyncPolicy(*fsyncPolicy)
 	if err != nil {
@@ -448,10 +439,9 @@ func runServe(args []string) {
 	// breaker, and /readyz rows live, and server.New wires it as the
 	// Ingester too.
 	catalog, info, err := statusq.OpenSharded(*walDir, *shards, avails, rccs, statusq.DurableOptions{
-		WAL:        wal.Options{Policy: policy},
-		DedupCap:   *dedupCap,
-		Replicas:   *repl,
-		ReplQuorum: *replQuorum,
+		WAL:      wal.Options{Policy: policy},
+		DedupCap: *dedupCap,
+		Replicas: *repl,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -81,12 +81,12 @@ func (s *Server) renderPredict(vecs *features.Row, asOf int64, stale bool, at do
 	return row, nil
 }
 
-// parseAlpha reads an optional ?alpha= value; absent defers to the
-// server default (Options.PredictAlpha, else the model version's level).
-// The check is written so that NaN fails it.
-func (s *Server) parseAlpha(raw string) (float64, error) {
+// parseAlpha reads an optional ?alpha= value; absent (0) defers to the
+// active model version's level. The check is written so that NaN fails
+// it.
+func parseAlpha(raw string) (float64, error) {
 	if raw == "" {
-		return s.alpha, nil
+		return 0, nil
 	}
 	alpha, err := strconv.ParseFloat(raw, 64)
 	if err != nil || !(alpha > 0 && alpha < 1) {
@@ -116,7 +116,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 // predictBatchIn is the POST /predict request body; an omitted (zero)
-// Alpha defers to the server default, and one outside [0,1) is 422.
+// Alpha defers to the active model version's level, and one outside [0,1) is 422.
 type predictBatchIn struct {
 	Queries []batchQueryIn `json:"queries"`
 	Alpha   float64        `json:"alpha,omitempty"`
@@ -148,11 +148,7 @@ func (s *Server) handlePredictBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, r, http.StatusUnprocessableEntity, fmt.Errorf("alpha must lie in (0,1), got %g", in.Alpha))
 		return
 	}
-	alpha := in.Alpha
-	if alpha == 0 { //lint:ignore floateq exactly zero is the JSON omitted-field sentinel
-		alpha = s.alpha
-	}
-	outs, avails := s.evaluate(r.Context(), reqs, answers{predict: true, alpha: alpha})
+	outs, avails := s.evaluate(r.Context(), reqs, answers{predict: true, alpha: in.Alpha})
 	rows := make([]predictBatchRow, len(outs))
 	for i, o := range outs {
 		rows[i].AvailID = reqs[i].avail

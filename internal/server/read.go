@@ -170,7 +170,7 @@ func (s *Server) readOne(w http.ResponseWriter, r *http.Request, ans answers) (o
 		return out, false
 	}
 	if ans.predict {
-		if ans.alpha, err = s.parseAlpha(params.Get("alpha")); err != nil {
+		if ans.alpha, err = parseAlpha(params.Get("alpha")); err != nil {
 			s.writeErr(w, r, http.StatusBadRequest, err)
 			return out, false
 		}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -299,29 +298,6 @@ func TestChaosFanOutWorkerPanic(t *testing.T) {
 	}
 	if status, _ := serve(s, http.MethodPost, "/query/batch", batch); status != http.StatusOK {
 		t.Errorf("/query/batch after the panics = %d, want 200", status)
-	}
-}
-
-// TestNaNPredictAlphaDegrades: a NaN served alpha (Options.PredictAlpha)
-// fails the conformal margin's range check, so /fleet degrades every row
-// to prediction_unavailable like any other model failure instead of
-// indexing the residuals with int(NaN) inside a fan-out worker.
-func TestNaNPredictAlphaDegrades(t *testing.T) {
-	s, ds := newReadServer(t, 3, Options{Models: newTestRegistry(t), PredictAlpha: math.NaN()})
-	for i := 0; i < 2; i++ {
-		status, body := serve(s, http.MethodGet, "/fleet?date="+fleetDate(ds).String(), "")
-		if status != http.StatusOK {
-			t.Fatalf("/fleet #%d = %d %s, want 200", i, status, body)
-		}
-		var rows []fleetRow
-		if err := json.Unmarshal(body, &rows); err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range rows {
-			if row.Error == "" && !row.PredictionUnavailable {
-				t.Errorf("avail %d: a NaN alpha produced a prediction", row.AvailID)
-			}
-		}
 	}
 }
 

@@ -241,16 +241,15 @@ func TestChaosOneReplicaIngestFaultLadder(t *testing.T) {
 }
 
 // TestChaosReplQuorumLostOutageLongerThanOneBatch drives a below-quorum
-// outage longer than one catch-up batch through POST /rccs: a catalog at
-// quorum 2 of 3 whose two followers are down for 1100 ingests. Every
-// ingest of the outage answers 503 with Retry-After and acknowledges
-// nothing. Once the faults clear, a client retrying with the same key
-// gets 503 with Retry-After until the catch-up worker has re-fed the
-// laggards (an append's inline catch-up feeds one 1024-record batch),
-// then 201; the set is live again, and after a restart every
-// acknowledged record is still there: its retry answers 200 duplicate.
-// (internal/wal pins, with the worker parked, that the first append
-// after the outage fails with ErrQuorumLost.)
+// outage longer than one catch-up batch through POST /rccs: a catalog of
+// three replicas (quorum 2) whose two followers are down for 1100
+// ingests. Every ingest of the outage answers 503 with Retry-After and
+// acknowledges nothing. Once the faults clear, a client retrying with
+// the same key gets 201; the set is live again, and after a restart the
+// catalog holds exactly the acknowledged records: each one's retry
+// answers 200 duplicate, and every refused record nobody retried is
+// absent, so posting it answers 201. (internal/wal pins that the first
+// append after the outage succeeds.)
 func TestChaosReplQuorumLostOutageLongerThanOneBatch(t *testing.T) {
 	defer faultinject.Reset()
 	dir := t.TempDir()
@@ -259,7 +258,7 @@ func TestChaosReplQuorumLostOutageLongerThanOneBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	pipe, ext := trainTestPipeline()
-	opts := statusq.DurableOptions{Replicas: 3, ReplQuorum: 2, WAL: wal.Options{Policy: wal.SyncNever}}
+	opts := statusq.DurableOptions{Replicas: 3, WAL: wal.Options{Policy: wal.SyncNever}}
 	open := func() (*statusq.DurableCatalog, *httptest.Server) {
 		dc, _, err := statusq.OpenDurable(dir, ds.Avails, ds.RCCs, index.KindAVL, opts)
 		if err != nil {
@@ -332,9 +331,17 @@ func TestChaosReplQuorumLostOutageLongerThanOneBatch(t *testing.T) {
 	dc, srv = open()
 	defer dc.Close()
 	defer srv.Close()
+	if n := dc.IngestedCount(); n != len(acked) {
+		t.Fatalf("restart restored %d ingests, want the %d acknowledged", n, len(acked))
+	}
 	for _, id := range acked {
 		if status, _ := post(id); status != http.StatusOK {
 			t.Fatalf("acknowledged rcc %d after restart: retry = %d, want 200 duplicate", id, status)
+		}
+	}
+	for id := base + 12; id <= base+outage; id++ {
+		if status, _ := post(id); status != http.StatusCreated {
+			t.Fatalf("refused rcc %d after restart = %d, want 201 (a refused record must not replay)", id, status)
 		}
 	}
 }

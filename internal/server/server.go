@@ -171,10 +171,6 @@ type Options struct {
 	// nil serves without a model registry: those answers carry
 	// prediction_unavailable and /models/reload answers 503.
 	Models *modelserve.Registry
-	// PredictAlpha is the conformal miscoverage level served when a
-	// request does not pass ?alpha=; <= 0 defers to the active model
-	// version's default (modelserve.DefaultAlpha when none is loaded).
-	PredictAlpha float64
 }
 
 // Catalog is the queryable serving surface the handlers read from.
@@ -209,7 +205,6 @@ type Server struct {
 	maxBody  int64
 	logger   *log.Logger
 	models   *modelserve.Registry // nil when serving without models
-	alpha    float64              // default conformal miscoverage level
 	// latEWMA is math.Float64bits of an exponentially weighted moving
 	// average of request latency in seconds; Retry-After on 503s is
 	// derived from it (see retryAfterSeconds).
@@ -240,7 +235,6 @@ func New(p *core.Pipeline, ext *features.Extractor, catalog Catalog, opts Option
 		maxBody:  opts.MaxBodyBytes,
 		logger:   opts.Logger,
 		models:   opts.Models,
-		alpha:    opts.PredictAlpha,
 	}
 	if s.ingester == nil {
 		c, ok := catalog.(Ingester)
@@ -711,7 +705,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	for i, id := range ids {
 		reqs[i] = readReq{avail: id, at: at}
 	}
-	outs, avails := s.evaluate(r.Context(), reqs, answers{query: true, predict: true, alpha: s.alpha})
+	outs, avails := s.evaluate(r.Context(), reqs, answers{query: true, predict: true})
 	ah, _ := s.catalog.(availHealth)
 	rows := make([]fleetRow, len(ids)) // non-nil: no ongoing avails encodes []
 	for i, o := range outs {

@@ -44,12 +44,9 @@ type DurableOptions struct {
 	// Replicas is the number of WAL replica directories per catalog
 	// (per shard when sharded). Values <= 1 mean a one-replica set that
 	// lives in the catalog directory itself; with N > 1, appends fan out
-	// to <dir>/replica-00 .. <dir>/replica-0(N-1) and acknowledge at
-	// ReplQuorum.
+	// to <dir>/replica-00 .. <dir>/replica-0(N-1) and acknowledge at a
+	// majority (N/2+1).
 	Replicas int
-	// ReplQuorum is the replica acks required before Ingest
-	// acknowledges; 0 means majority.
-	ReplQuorum int
 	// CompactEvery is ignored: the log is never compacted, because it is
 	// the whole ingested history. The field stays only because the
 	// domdbench tracer sets it; the benchmark change that moves the
@@ -153,9 +150,8 @@ func openDurable(dir string, avails []domain.Avail, rccs []domain.RCC, opts Dura
 		}
 	}
 	log, rec, rep, err := wal.OpenReplicated(dirs, wal.ReplicatedOptions{
-		Quorum: opts.ReplQuorum,
-		Name:   filepath.Base(dir),
-		Log:    opts.WAL,
+		Name: filepath.Base(dir),
+		Log:  opts.WAL,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -174,11 +170,11 @@ func openDurable(dir string, avails []domain.Avail, rccs []domain.RCC, opts Dura
 	// log and still collapse to one apply, while a re-accepted evicted
 	// key (two records with the same key, by construction separated by
 	// at least DedupCap unique keys) is correctly applied twice — an
-	// acknowledged record never disappears across a restart. Roots
-	// Restored RCCs join their avail's base RCCs before
-	// the engines are built, so restore costs one event-order sort per
-	// avail, not one ApplyRCC per record; ApplyRCC's bitwise equivalence
-	// to a rebuild makes the two the same engine.
+	// acknowledged record never disappears across a restart. Restored
+	// RCCs join their avail's base RCCs before the engines are built, so
+	// restore costs one event-order sort per avail, not one ApplyRCC per
+	// record; ApplyRCC's bitwise equivalence to a rebuild makes the two
+	// the same engine.
 	for _, raw := range rec.Entries {
 		e, err := decodeWALEntry(raw)
 		if err != nil {
@@ -360,41 +356,13 @@ func (d *DurableCatalog) Close() error {
 	return d.log.Close()
 }
 
-// ReplHealth summarizes a replicated catalog's replica set.
-type ReplHealth struct {
-	// Replicas is the configured replica count.
-	Replicas int
-	// Live, Lagging, and Failed count replicas in each state.
-	Live    int
-	Lagging int
-	Failed  int
-	// Lag is the records the most-behind non-failed replica is missing.
-	Lag uint64
-	// QuorumOK reports whether enough replicas are live to acknowledge
-	// an append right now.
-	QuorumOK bool
-}
-
 // ReplHealth reports the replica set's state; ok is false on a
 // one-replica catalog, whose health ingest outcomes alone decide. That
 // case returns without touching the log: the router reads health on
 // every query, and the log's lock is held across each append's fsync.
-func (d *DurableCatalog) ReplHealth() (h ReplHealth, ok bool) {
+func (d *DurableCatalog) ReplHealth() (h wal.ReplHealth, ok bool) {
 	if d.opts.Replicas <= 1 {
-		return ReplHealth{}, false
+		return wal.ReplHealth{}, false
 	}
-	for _, st := range d.log.Status() {
-		h.Replicas++
-		switch st.State {
-		case wal.ReplLive:
-			h.Live++
-		case wal.ReplLagging:
-			h.Lagging++
-		default:
-			h.Failed++
-		}
-	}
-	h.Lag = d.log.Lag()
-	h.QuorumOK = d.log.QuorumLive()
-	return h, true
+	return d.log.Health(), true
 }

@@ -3,6 +3,8 @@ package statusq
 import (
 	"errors"
 	"sync"
+
+	"domd/internal/wal"
 )
 
 // Per-shard health machinery for the sharded router: a three-state
@@ -120,7 +122,7 @@ func (t *healthTracker) breakerOpen() bool {
 
 // state folds the failure streak and the shard's current replica status
 // into a health state.
-func (t *healthTracker) state(repl ReplHealth, replicated bool) ShardHealth {
+func (t *healthTracker) state(repl wal.ReplHealth, replicated bool) ShardHealth {
 	t.mu.Lock()
 	fails := t.streak
 	t.mu.Unlock()

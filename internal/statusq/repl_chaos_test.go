@@ -244,6 +244,50 @@ func TestChaosReplQuorumLostFailsShard(t *testing.T) {
 	}
 }
 
+// TestChaosReplRefusedIngestsDoNotReplay pins that a replica set holds
+// only what a quorum acknowledged: with two of three replicas faulted,
+// every ingest is refused with ErrQuorumLost and nothing is applied, and
+// after a restart the catalog restores exactly the acknowledged ingest.
+// No refused record replays, so each one ingests afresh.
+func TestChaosReplRefusedIngestsDoNotReplay(t *testing.T) {
+	defer faultinject.Reset()
+	dir := t.TempDir()
+	opts := DurableOptions{Replicas: 3, WAL: wal.Options{Policy: wal.SyncNever}}
+	d, _, ds := durableFixture(t, dir, opts)
+	id := ds.Avails[0].ID
+	if _, err := d.Ingest("acked", deltaRCC(t, d.Catalog, id, 0)); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2} {
+		faultinject.Enable(wal.ReplicaFailpoint(filepath.Join(dir, fmt.Sprintf("replica-%02d", n))), errors.New("chaos: follower disk down"))
+	}
+	const refused = 10
+	for i := 1; i <= refused; i++ {
+		if _, err := d.Ingest(fmt.Sprintf("refused-%d", i), deltaRCC(t, d.Catalog, id, i)); !errors.Is(err, wal.ErrQuorumLost) {
+			t.Fatalf("ingest %d with two followers down: err = %v, want ErrQuorumLost", i, err)
+		}
+	}
+	if n := d.IngestedCount(); n != 1 {
+		t.Fatalf("ingested count = %d during the outage, want 1", n)
+	}
+	faultinject.Reset()
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d, info, _ := durableFixture(t, dir, opts)
+	defer d.Close()
+	if info.Restored != 1 || info.Duplicates != 0 || d.IngestedCount() != 1 {
+		t.Fatalf("restart restored %d (%d duplicates), count %d, want the 1 acknowledged ingest",
+			info.Restored, info.Duplicates, d.IngestedCount())
+	}
+	for i := 1; i <= refused; i++ {
+		if dup, err := d.Ingest(fmt.Sprintf("refused-%d", i), deltaRCC(t, d.Catalog, id, i)); err != nil || dup {
+			t.Fatalf("refused ingest %d after restart: dup=%v err=%v, want a fresh ingest", i, dup, err)
+		}
+	}
+}
+
 // TestChaosReplLayoutGuards pins the replication layout guards: a root
 // opened unreplicated cannot silently reopen replicated (and vice
 // versa), at both the topology and WAL-directory levels.

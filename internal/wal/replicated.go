@@ -4,21 +4,25 @@
 // crash, unrecoverable). Each replica is an ordinary Log — same binary
 // frames, same torn-tail cut machinery — which keeps every replica
 // directory independently openable and auditable with existing tooling.
-// A set of one directory is how an unreplicated shard logs: quorum 1,
-// the same fault, rewind and catch-up path as a larger set.
+// The quorum is always a majority (n/2+1), so any two quorums share a
+// replica. A set of one directory is how an unreplicated shard logs:
+// quorum 1, the same fault, rewind and catch-up path as a larger set.
 //
 // # Replica states
 //
-// A replica is live (caught up; participates in quorum), lagging
-// (missed appends; catch-up re-appends them from the primary's log
-// however far behind it is, one batch per hold of the set's lock, so
-// appends interleave with a long re-feed), or failed (unopenable,
-// or its log could neither be rewound nor reset; only a reopen revives
-// it). An append fault rewinds the replica's log back to its last
-// acknowledged watermark — the faulted tail's durability is unknown, so
+// A replica is live (holds the set's whole sequence; participates in
+// quorum), lagging (missed appends; catch-up re-appends them from the
+// primary's log however far behind it is, one batch per hold of the
+// set's lock, so appends interleave with a long re-feed), or failed
+// (unopenable, or its log could neither be rewound nor reset; only a
+// reopen revives it). An append fault rewinds the replica's log back to
+// the set's sequence — the faulted tail's durability is unknown, so
 // catch-up must extend a known-good prefix — and demotes it to lagging.
-// A replica whose log cannot be rewound is reset instead and re-fed the
-// whole history by the same catch-up.
+// An append that misses quorum is undone: every replica that took it is
+// rewound the same way, so the set's sequence is its acknowledged
+// sequence and a refused record exists nowhere. A replica whose log
+// cannot be rewound is reset instead and re-fed the whole history by the
+// same catch-up.
 //
 // # Reopen repair
 //
@@ -85,9 +89,6 @@ func (s ReplState) String() string {
 
 // ReplicatedOptions tune a ReplicatedLog.
 type ReplicatedOptions struct {
-	// Quorum is the number of replica acks required before Append
-	// acknowledges; 0 means majority (n/2+1).
-	Quorum int
 	// Name labels this replica set's lag gauge; defaults to the first
 	// replica directory.
 	Name string
@@ -117,15 +118,32 @@ type ReplicaStatus struct {
 	Primary bool
 }
 
+// ReplHealth is one reading of a replica set's health, taken at one
+// moment.
+type ReplHealth struct {
+	// Replicas is the size of the set.
+	Replicas int
+	// Live, Lagging, and Failed count replicas in each state.
+	Live    int
+	Lagging int
+	Failed  int
+	// Lag is the records the most-behind non-failed replica is missing.
+	Lag uint64
+	// QuorumOK reports whether enough replicas are live to acknowledge
+	// an append right now.
+	QuorumOK bool
+}
+
 // ReplicatedLog fans appends out to a set of replica Logs and
-// acknowledges at quorum. All methods are safe for concurrent use.
+// acknowledges at a majority quorum. All methods are safe for concurrent
+// use.
 type ReplicatedLog struct {
-	quorum int
+	quorum int // n/2+1
 
 	mu       sync.Mutex // guards replicas, primary, seq, closed
 	replicas []*replica
 	primary  int    // index of the acting primary replica
-	seq      uint64 // last sequence any replica acknowledged
+	seq      uint64 // last acknowledged sequence; every live replica holds it
 	closed   bool
 
 	kick       chan struct{} // nudges the catch-up worker; closed on Close
@@ -177,12 +195,6 @@ func OpenReplicated(dirs []string, opts ReplicatedOptions) (*ReplicatedLog, *Rec
 	if n < 1 {
 		return nil, nil, nil, fmt.Errorf("wal: replicated open: no replica directories")
 	}
-	if opts.Quorum == 0 {
-		opts.Quorum = n/2 + 1
-	}
-	if opts.Quorum < 1 || opts.Quorum > n {
-		return nil, nil, nil, fmt.Errorf("wal: replicated open: quorum %d out of range [1,%d]", opts.Quorum, n)
-	}
 	if opts.Name == "" {
 		opts.Name = dirs[0]
 	}
@@ -229,7 +241,7 @@ func OpenReplicated(dirs []string, opts ReplicatedOptions) (*ReplicatedLog, *Rec
 	}
 
 	rl := &ReplicatedLog{
-		quorum:     opts.Quorum,
+		quorum:     n/2 + 1,
 		replicas:   make([]*replica, n),
 		primary:    auth,
 		seq:        authSeq,
@@ -288,13 +300,15 @@ func appendRecords(log *Log, payloads [][]byte) (int, error) {
 }
 
 // Append fans payload out to every live replica and acknowledges once
-// quorum replicas have it durably (per the sync policy). On a quorum
-// failure the error wraps ErrQuorumLost and the caller must not
-// acknowledge — though a minority of replicas may hold the record, so
-// replay-side dedup keeps delivery exactly-once. A fault on one replica
-// demotes it (live → lagging → failed) without failing the append, and
-// a fault on the acting primary promotes the most-caught-up live
-// replica.
+// a quorum of replicas have it durably (per the sync policy). Below
+// quorum the append is undone: every replica that took the record is
+// rewound with the faulted ones, the set's sequence does not advance,
+// and the error wraps ErrQuorumLost, so the caller must not acknowledge
+// and no replica keeps the record. (Only a crash between the fan-out and
+// the undo can leave it on a minority; replay-side dedup keeps delivery
+// exactly-once.) A fault on one replica demotes it (live → lagging →
+// failed), and a fault on the acting primary promotes the first replica
+// that holds the set's whole sequence, as every live one does.
 func (l *ReplicatedLog) Append(payload []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -303,7 +317,7 @@ func (l *ReplicatedLog) Append(payload []byte) (uint64, error) {
 	}
 	if l.liveCount() < l.quorum {
 		// Not enough live replicas to possibly ack: try to revive
-		// laggards inline before fanning out, so a transient full outage
+		// laggards inline before fanning out, so a transient outage
 		// self-heals on the next append after the fault clears.
 		l.catchupLocked()
 	}
@@ -327,50 +341,44 @@ func (l *ReplicatedLog) Append(payload []byte) (uint64, error) {
 	}
 
 	for i, r := range l.replicas {
-		if errs[i] == nil {
+		switch {
+		case errors.Is(errs[i], errReplicaDown):
+			continue
+		case errs[i] == nil && acks >= l.quorum:
 			r.watermark = seq
 			continue
+		case errs[i] != nil:
+			mReplReplicaFaults.Inc()
+			r.state = ReplLagging
 		}
-		if errors.Is(errs[i], errReplicaDown) {
-			continue
-		}
-		// The faulted tail's durability is unknown: rewind to the last
-		// acknowledged watermark so catch-up extends a known-good prefix.
-		// One that cannot be rewound is failed until rebuilt below.
-		mReplReplicaFaults.Inc()
-		r.state = ReplLagging
-		if rerr := r.log.Rewind(r.watermark); rerr != nil {
+		// A faulted tail's durability is unknown, and a record below
+		// quorum must not exist: rewind to the set's sequence, which
+		// every replica that was live holds, so catch-up extends a
+		// known-good prefix. One that cannot be rewound is failed until
+		// rebuilt below.
+		if err := r.log.Rewind(l.seq); err != nil {
 			r.state = ReplFailed
 		}
 	}
-
-	if acks == 0 {
-		// No replica consumed the sequence; the set's sequence does not
-		// advance and the record does not exist anywhere.
-		mReplQuorumFailures.Inc()
-		l.updateLagLocked()
-		return 0, fmt.Errorf("wal: append: 0/%d replicas acked (need %d): %w: %w",
-			len(l.replicas), l.quorum, ErrQuorumLost, firstFault(errs))
+	if acks >= l.quorum {
+		l.seq = seq
 	}
 
-	l.seq = seq
-
-	if l.replicas[l.primary].state != ReplLive {
+	if !l.holdsSeqLocked(l.replicas[l.primary]) {
 		l.promoteLocked()
 	}
 	for i, r := range l.replicas {
-		if r.state == ReplFailed && errs[i] != nil && !errors.Is(errs[i], errReplicaDown) {
+		if r.state == ReplFailed && !errors.Is(errs[i], errReplicaDown) {
 			l.rebuildLocked(r)
 		}
 	}
-	if l.anyLagging() {
+	if l.updateLagLocked() > 0 {
 		l.kickLocked()
 	}
-	l.updateLagLocked()
 
 	if acks < l.quorum {
 		mReplQuorumFailures.Inc()
-		return 0, fmt.Errorf("wal: append: %d/%d replicas acked (need %d): %w: %w",
+		return 0, fmt.Errorf("wal: append: %d/%d replicas acked (need %d), undone: %w: %w",
 			acks, len(l.replicas), l.quorum, ErrQuorumLost, firstFault(errs))
 	}
 	return seq, nil
@@ -403,31 +411,23 @@ func (l *ReplicatedLog) liveCount() int {
 	return n
 }
 
-// anyLagging reports whether any replica is lagging. Callers hold l.mu.
-func (l *ReplicatedLog) anyLagging() bool {
-	for _, r := range l.replicas {
-		if r.state == ReplLagging {
-			return true
-		}
-	}
-	return false
+// holdsSeqLocked reports whether r's log holds the set's whole
+// sequence: every live replica's does, and so does that of a lagging one
+// a fault or an undo left at it. Callers hold l.mu.
+func (l *ReplicatedLog) holdsSeqLocked(r *replica) bool {
+	return r.state != ReplFailed && r.watermark == l.seq
 }
 
-// promoteLocked moves the primary role to the most-caught-up live
-// replica. Callers hold l.mu.
+// promoteLocked moves the primary role, which catch-up reads from, off a
+// replica that does not hold the set's whole sequence to the first one
+// that does. Callers hold l.mu.
 func (l *ReplicatedLog) promoteLocked() {
-	best := -1
 	for i, r := range l.replicas {
-		if r.state != ReplLive {
-			continue
+		if l.holdsSeqLocked(r) {
+			l.primary = i
+			mReplFailovers.Inc()
+			return
 		}
-		if best < 0 || r.watermark > l.replicas[best].watermark {
-			best = i
-		}
-	}
-	if best >= 0 && best != l.primary {
-		l.primary = best
-		mReplFailovers.Inc()
 	}
 }
 
@@ -456,11 +456,12 @@ func (l *ReplicatedLog) catchupWorker() {
 
 // catchupLocked moves every lagging replica one step toward live. One
 // whose watermark is the set's sequence lost nothing and goes live
-// without touching a disk (the fault path of a one-replica set); the
-// others are re-fed one batch of the records they lack from the primary's
-// log by feedLocked. While a replica still lags after a batch that made
-// progress, the worker is kicked again, so a long re-feed releases l.mu
-// between batches and appends interleave with it. Callers hold l.mu.
+// without touching a disk (a fault or an undo below quorum leaves it
+// there); the others are re-fed one batch of the records they lack from
+// the primary's log by feedLocked. While a replica still lags after a
+// batch that made progress, the worker is kicked again, so a long
+// re-feed releases l.mu between batches and appends interleave with it.
+// Callers hold l.mu.
 func (l *ReplicatedLog) catchupLocked() {
 	more := false
 	for _, r := range l.replicas {
@@ -516,15 +517,15 @@ func (l *ReplicatedLog) feedLocked(r *replica) bool {
 	return true
 }
 
-// rebuildLocked resets replica r and leaves it lagging at sequence 0, so
-// catch-up re-feeds it the whole history from the primary's log. It fails r instead when the primary is r
-// itself or does not hold every acknowledged record (resetting r could
-// then lose acknowledged data), or when the reset fails. Callers hold
-// l.mu.
+// rebuildLocked resets replica r and leaves it lagging at sequence 0,
+// so catch-up re-feeds it the whole history from the primary's log. It
+// fails r instead when the primary is r itself or does not hold every
+// acknowledged record (resetting r could then lose acknowledged data),
+// or when the reset fails. Callers hold l.mu.
 func (l *ReplicatedLog) rebuildLocked(r *replica) {
 	p := l.replicas[l.primary]
 	r.state = ReplFailed
-	if p == r || p.state == ReplFailed || p.watermark < l.seq {
+	if p == r || !l.holdsSeqLocked(p) {
 		return
 	}
 	if err := r.log.Reset(); err == nil {
@@ -532,9 +533,12 @@ func (l *ReplicatedLog) rebuildLocked(r *replica) {
 	}
 }
 
-// updateLagLocked refreshes the per-set lag gauge. Callers hold l.mu.
-func (l *ReplicatedLog) updateLagLocked() {
-	l.lagGauge.Set(int64(l.lagLocked()))
+// updateLagLocked refreshes the per-set lag gauge and returns the lag.
+// Callers hold l.mu.
+func (l *ReplicatedLog) updateLagLocked() uint64 {
+	lag := l.lagLocked()
+	l.lagGauge.Set(int64(lag))
+	return lag
 }
 
 // lagLocked returns the records the most-behind non-failed replica is
@@ -576,20 +580,24 @@ func (l *ReplicatedLog) Status() []ReplicaStatus {
 	return out
 }
 
-// Lag returns the records the most-behind non-failed replica is missing;
-// 0 means every participating replica is caught up.
-func (l *ReplicatedLog) Lag() uint64 {
+// Health reads the set's state counts, lag and quorum check under one
+// hold of its lock, so a reading never mixes two moments.
+func (l *ReplicatedLog) Health() ReplHealth {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.lagLocked()
-}
-
-// QuorumLive reports whether enough replicas are live to acknowledge an
-// append right now.
-func (l *ReplicatedLog) QuorumLive() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.liveCount() >= l.quorum
+	h := ReplHealth{Replicas: len(l.replicas), Lag: l.lagLocked()}
+	for _, r := range l.replicas {
+		switch r.state {
+		case ReplLive:
+			h.Live++
+		case ReplLagging:
+			h.Lagging++
+		default:
+			h.Failed++
+		}
+	}
+	h.QuorumOK = h.Live >= l.quorum
+	return h
 }
 
 // Close stops the catch-up worker and closes every replica log. Further

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -95,8 +98,8 @@ func TestReplicatedQuorumAppend(t *testing.T) {
 			t.Fatalf("replica not caught up: %+v", st)
 		}
 	}
-	if rl.Lag() != 0 {
-		t.Fatalf("lag = %d, want 0", rl.Lag())
+	if h := rl.Health(); h != (ReplHealth{Replicas: 3, Live: 3, QuorumOK: true}) {
+		t.Fatalf("health = %+v, want 3 live, no lag", h)
 	}
 	if err := rl.Close(); err != nil {
 		t.Fatal(err)
@@ -152,8 +155,8 @@ func TestReplicatedQuorumLostNoAck(t *testing.T) {
 	if _, err := rl.Append([]byte("b")); !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("append with 2/3 replicas down: err = %v, want ErrQuorumLost", err)
 	}
-	if rl.QuorumLive() {
-		t.Fatal("QuorumLive with two replicas faulted")
+	if h := rl.Health(); h.QuorumOK || h.Live != 1 || h.Lagging != 2 || h.Lag != 0 {
+		t.Fatalf("health with two replicas faulted = %+v, want 1 live, 2 lagging at the set's sequence", h)
 	}
 
 	// Fault clears: the next append revives the laggards inline and acks.
@@ -166,72 +169,62 @@ func TestReplicatedQuorumLostNoAck(t *testing.T) {
 	assertReplicasEqual(t, dirs)
 }
 
-// TestReplicatedQuorumLostOutageLongerThanOneBatch pins what a set at
-// quorum 2 of 3 answers after two followers were down for more appends
-// than one catch-up batch. Every append of the outage fails with
-// ErrQuorumLost, though the primary holds each. Once the faults clear,
-// the next append still fails with ErrQuorumLost: its inline catch-up
-// re-feeds each laggard one batch, which leaves them lagging. (The test
-// parks the catch-up worker to see that append alone.) Once the worker
-// has re-fed the laggards the set is live again, and every replica holds
-// every acknowledged record in order.
+// TestReplicatedQuorumLostOutageLongerThanOneBatch pins what a set of
+// three (quorum 2) answers after two followers were down for more
+// appends than one catch-up batch. Every append of the outage fails with
+// ErrQuorumLost and is undone on the primary, so the followers lose
+// nothing: once the faults clear, the first append succeeds, each
+// follower going live at the set's sequence without a record re-fed. The
+// reopened log holds exactly the acknowledged records.
 func TestReplicatedQuorumLostOutageLongerThanOneBatch(t *testing.T) {
 	defer faultinject.Reset()
 	root := t.TempDir()
 	dirs := ReplicaDirs(root, 3)
-	rl, _, _ := openReplT(t, root, 3, ReplicatedOptions{Quorum: 2, Log: Options{Policy: SyncNever}})
-	acked := map[uint64]string{}
-	ack := func(p string) {
-		t.Helper()
-		acked[appendReplT(t, rl, p)] = p
-	}
-	ack("before")
+	rl, _, _ := openReplT(t, root, 3, ReplicatedOptions{Log: Options{Policy: SyncNever}})
+	acked := []string{"before"}
+	appendReplT(t, rl, acked[0])
 
 	faultinject.Enable(ReplicaFailpoint(dirs[1]), errors.New("disk 1 down"))
 	faultinject.Enable(ReplicaFailpoint(dirs[2]), errors.New("disk 2 down"))
-	// Three batches: a worker round already under way when the worker is
-	// parked, and the next append's inline one, still leave a batch.
-	const outage = 3*catchupBatch + 200
+	fed := mReplCatchupRecords.Value()
+	const outage = catchupBatch + 200
 	for i := 0; i < outage; i++ {
 		if seq, err := rl.Append([]byte(fmt.Sprintf("lost-%d", i))); !errors.Is(err, ErrQuorumLost) || seq != 0 {
 			t.Fatalf("outage append %d = (%d, %v), want ErrQuorumLost", i, seq, err)
 		}
 	}
 
-	// Park the worker: drop its pending kick, and send later kicks to a
-	// channel nobody drains.
-	rl.mu.Lock()
-	kick := rl.kick
-	select {
-	case <-kick:
-	default:
-	}
-	rl.kick = make(chan struct{}, 1)
 	faultinject.Reset()
-	rl.mu.Unlock()
-	if seq, err := rl.Append([]byte("first after")); !errors.Is(err, ErrQuorumLost) || seq != 0 {
-		t.Fatalf("first append after the outage = (%d, %v), want ErrQuorumLost", seq, err)
+	if seq := appendReplT(t, rl, "first after"); seq != 2 {
+		t.Fatalf("first append after the outage got seq %d, want 2", seq)
 	}
-	if st := rl.Status(); st[1].State != ReplLagging || st[2].State != ReplLagging || rl.QuorumLive() {
-		t.Fatalf("after one inline batch: %+v, want both followers lagging", st)
+	acked = append(acked, "first after")
+	if h := rl.Health(); h.Live != 3 || h.Lag != 0 {
+		t.Fatalf("after the first append: %+v, want every replica live", h)
 	}
-
-	rl.mu.Lock()
-	rl.kick = kick
-	rl.kickLocked()
-	rl.mu.Unlock()
-	waitConverged(t, rl)
-	ack("after")
+	if got := mReplCatchupRecords.Value() - fed; got != 0 {
+		t.Fatalf("catch-up re-fed %d records, want none", got)
+	}
 	if err := rl.Close(); err != nil {
 		t.Fatal(err)
 	}
 	assertReplicasEqual(t, dirs)
-	l, rec := openT(t, dirs[1], Options{})
-	closeT(t, l)
-	for seq, p := range acked {
-		if string(rec.Entries[seq-1]) != p {
-			t.Fatalf("acknowledged record %d = %q, want %q", seq, rec.Entries[seq-1], p)
-		}
+	rl, rec, _ := openReplT(t, root, 3, ReplicatedOptions{})
+	if err := rl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertEntries(t, rec.Entries, acked)
+}
+
+// assertEntries asserts the replayed entries are exactly want, in order.
+func assertEntries(t *testing.T, entries [][]byte, want []string) {
+	t.Helper()
+	got := make([]string, len(entries))
+	for i, e := range entries {
+		got[i] = string(e)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("replay = %q, want the acknowledged %q", got, want)
 	}
 }
 
@@ -284,7 +277,7 @@ func TestReplicatedLaggardCatchesUpFromPrimaryLog(t *testing.T) {
 			t.Fatalf("after %d faulted appends the follower is %v, want lagging", i+1, st[2].State)
 		}
 	}
-	if lag := rl.Lag(); lag != behind {
+	if lag := rl.Health().Lag; lag != behind {
 		t.Fatalf("lag = %d, want %d", lag, behind)
 	}
 	faultinject.Reset()
@@ -571,12 +564,180 @@ func removeReplicaDirs(dirs ...string) error {
 	return errors.Join(errs...)
 }
 
+// TestReplicatedOpenQuorumValidation pins the derived quorum: a set of
+// n replicas acknowledges with any n/2+1 of them and refuses, undone,
+// with one fewer; the next append after the faults clear acknowledges.
+// A set of no replicas does not open.
 func TestReplicatedOpenQuorumValidation(t *testing.T) {
+	defer faultinject.Reset()
 	if _, _, _, err := OpenReplicated(nil, ReplicatedOptions{}); err == nil {
 		t.Fatal("no dirs accepted")
 	}
-	if _, _, _, err := OpenReplicated(ReplicaDirs(t.TempDir(), 2), ReplicatedOptions{Quorum: 3}); err == nil {
-		t.Fatal("quorum > replicas accepted")
+	for n := 1; n <= 5; n++ {
+		root := t.TempDir()
+		dirs := ReplicaDirs(root, n)
+		rl, _, _ := openReplT(t, root, n, ReplicatedOptions{Log: Options{Policy: SyncNever}})
+		// Fault the last n - quorum replicas, then one more.
+		down := errors.New("disk down")
+		for _, dir := range dirs[n/2+1:] {
+			faultinject.EnableTimes(ReplicaFailpoint(dir), down, 1)
+		}
+		appendReplT(t, rl, "majority")
+		waitConverged(t, rl)
+		for _, dir := range dirs[n/2:] {
+			faultinject.EnableTimes(ReplicaFailpoint(dir), down, 1)
+		}
+		if _, err := rl.Append([]byte("minority")); !errors.Is(err, ErrQuorumLost) {
+			t.Fatalf("n=%d: append with %d of %d replicas = %v, want ErrQuorumLost", n, n/2, n, err)
+		}
+		appendReplT(t, rl, "after")
+		waitConverged(t, rl)
+		if err := rl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertReplicasEqual(t, dirs)
+		rl, rec, _ := openReplT(t, root, n, ReplicatedOptions{})
+		if err := rl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertEntries(t, rec.Entries, []string{"majority", "after"})
+	}
+}
+
+// TestReplicatedUnrewindableAckerBelowQuorum covers an append below
+// quorum whose one acker cannot be rewound: the failpoint of the replica
+// after it removes the acker's log file (from under its open descriptor)
+// and faults, and the replica after that faults too. The undo leaves
+// every other replica at the set's sequence, so the first of them takes
+// the primary role, and the acker is reset and re-fed from it; the next
+// append acknowledges, and the reopened set replays exactly the
+// acknowledged records, none lost.
+func TestReplicatedUnrewindableAckerBelowQuorum(t *testing.T) {
+	for _, acker := range []int{0, 1} {
+		t.Run(fmt.Sprintf("acker=%d", acker), func(t *testing.T) {
+			defer faultinject.Reset()
+			root := t.TempDir()
+			dirs := ReplicaDirs(root, 3)
+			rl, _, _ := openReplT(t, root, 3, ReplicatedOptions{Log: Options{Policy: SyncNever}})
+			acked := []string{"a", "b"}
+			for _, p := range acked {
+				appendReplT(t, rl, p)
+			}
+			down := errors.New("disk down")
+			for i := range dirs {
+				switch {
+				case i < acker:
+					faultinject.EnableTimes(ReplicaFailpoint(dirs[i]), down, 1)
+				case i == acker+1:
+					faultinject.Arm(ReplicaFailpoint(dirs[i]), func() error {
+						faultinject.Disable(ReplicaFailpoint(dirs[i]))
+						if err := os.Remove(filepath.Join(dirs[acker], LogFile)); err != nil {
+							return err
+						}
+						return down
+					})
+				case i > acker+1:
+					faultinject.EnableTimes(ReplicaFailpoint(dirs[i]), down, 1)
+				}
+			}
+			fed := mReplCatchupRecords.Value()
+			if _, err := rl.Append([]byte("refused")); !errors.Is(err, ErrQuorumLost) {
+				t.Fatalf("append with one acker = %v, want ErrQuorumLost", err)
+			}
+			if st := rl.Status(); st[acker].State == ReplFailed || st[acker].Primary {
+				t.Fatalf("un-rewindable acker: %+v, want reset, not primary", st)
+			}
+			appendReplT(t, rl, "after")
+			acked = append(acked, "after")
+			waitConverged(t, rl)
+			if got := mReplCatchupRecords.Value() - fed; got < 2 {
+				t.Fatalf("catch-up re-fed %d records, want the reset acker's whole log", got)
+			}
+			if err := rl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rl, rec, _ := openReplT(t, root, 3, ReplicatedOptions{})
+			if err := rl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			assertEntries(t, rec.Entries, acked)
+			assertReplicasEqual(t, dirs)
+		})
+	}
+}
+
+// TestReplicatedRandomFaultSchedule drives seeded random appends against
+// sets of one to four replicas while random replicas fault: a replica's
+// failpoint fires before it writes, and a sync fault after the write
+// reached the file. Between rounds the set is closed and reopened, and
+// every reopen replays exactly the acknowledged records; once the faults
+// clear and the set converges, every replica holds the same log.
+func TestReplicatedRandomFaultSchedule(t *testing.T) {
+	for n := 1; n <= 4; n++ {
+		t.Run(fmt.Sprintf("R=%d", n), func(t *testing.T) {
+			defer faultinject.Reset()
+			rng := rand.New(rand.NewSource(int64(n)))
+			root := t.TempDir()
+			dirs := ReplicaDirs(root, n)
+			var (
+				syncMu  sync.Mutex
+				syncRng = rand.New(rand.NewSource(int64(100 + n)))
+			)
+			var acked []string
+			refused := 0
+			for round := 0; round < 6; round++ {
+				rl, rec, _ := openReplT(t, root, n, ReplicatedOptions{})
+				assertEntries(t, rec.Entries, acked)
+				faultinject.Arm(FailAppendSync, func() error {
+					syncMu.Lock()
+					defer syncMu.Unlock()
+					if syncRng.Intn(8) == 0 {
+						return errors.New("sync fault")
+					}
+					return nil
+				})
+				for i := 0; i < 25; i++ {
+					if rng.Intn(3) == 0 {
+						dir := dirs[rng.Intn(n)]
+						faultinject.EnableTimes(ReplicaFailpoint(dir), errors.New("disk fault"), 1+rng.Intn(3))
+					}
+					p := fmt.Sprintf("r%d-%d", round, i)
+					seq, err := rl.Append([]byte(p))
+					switch {
+					case err == nil && seq == uint64(len(acked)+1):
+						acked = append(acked, p)
+					case err == nil:
+						t.Fatalf("append %q got seq %d after %d acknowledged", p, seq, len(acked))
+					case !errors.Is(err, ErrQuorumLost) || seq != 0:
+						t.Fatalf("append %q = (%d, %v), want an ack or ErrQuorumLost", p, seq, err)
+					default:
+						refused++
+					}
+				}
+				faultinject.Reset()
+				if rng.Intn(2) == 0 {
+					acked = append(acked, fmt.Sprintf("r%d-end", round))
+					appendReplT(t, rl, acked[len(acked)-1])
+					waitConverged(t, rl)
+					if err := rl.Close(); err != nil {
+						t.Fatal(err)
+					}
+					assertReplicasEqual(t, dirs)
+				} else if err := rl.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rl, rec, _ := openReplT(t, root, n, ReplicatedOptions{})
+			waitConverged(t, rl)
+			if err := rl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			assertEntries(t, rec.Entries, acked)
+			assertReplicasEqual(t, dirs)
+			if refused == 0 {
+				t.Fatal("the schedule refused no append")
+			}
+		})
 	}
 }
 
