@@ -111,8 +111,12 @@ differential:
 # row per query; every SWLIN code Parse accepts round-trips through
 # String, and Subsystem agrees with Digit(0) and Prefix(1); every GBT model
 # artifact UnmarshalJSON accepts compiles without panicking and predicts
-# bitwise like its pointer trees; every date ParseDay accepts round-trips
-# through Day.String. go test fuzzes one target per invocation.
+# bitwise like its pointer trees; every exact tree grown over presorted
+# columns equals, node for node and bit for bit, the tree of a reference
+# builder that sorts each node's rows (FuzzTreeBuild: tie-heavy designs,
+# fuzzed gradients, row and feature subsets in random order, varied
+# configs); every date ParseDay accepts round-trips through Day.String.
+# go test fuzzes one target per invocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) ./internal/statusq/
 	$(GO) test -run '^$$' -fuzz '^FuzzUpgrade$$' -fuzztime $(FUZZTIME) ./internal/statusq/
@@ -122,21 +126,22 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadRequests$$' -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzSWLINCode$$' -fuzztime $(FUZZTIME) ./internal/swlin/
 	$(GO) test -run '^$$' -fuzz '^FuzzGBTModel$$' -fuzztime $(FUZZTIME) ./internal/ml/gbt/
+	$(GO) test -run '^$$' -fuzz '^FuzzTreeBuild$$' -fuzztime $(FUZZTIME) ./internal/ml/tree/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseDay$$' -fuzztime $(FUZZTIME) ./internal/domain/
 
 # check is the CI gate: compile, vet, check gofmt, race-test everything, repeat the
 # concurrency stress suite, re-run the chaos (fault-injection) suite and
 # the delta-vs-rebuild differential suite, fuzz the WAL decoders, the
 # upgrade, topology.json and torn-tail replay, the HTTP read/ingest surface, SWLIN parsing, GBT
-# model artifacts and date parsing, run the in-process serving benchmarks and the tree-kernel
-# benchmark once each so they cannot rot,
+# model artifacts, exact tree growth and date parsing, run the in-process serving benchmarks,
+# the tree-kernel benchmark and the tree-growth benchmark once each so they cannot rot,
 # enforce the lint invariants (domdlint must exit 0 on the tree) and the
 # docs cross-checks, run the riskbands example end to end (it serves
 # /predict through server.New over a one-shard catalog, the wiring
 # `domd serve` uses), then vet and test domdbench, the nested benchmark
 # module (its tests hold BENCHMARK.json to the report tables).
 check:
-	$(GO) build ./... && $(GO) vet ./... && $(MAKE) fmt && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) fuzz && $(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchtime 1x ./internal/server/ && $(GO) test -run '^$$' -bench 'GBTPredict' -benchtime 1x ./internal/ml/gbt/ && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
+	$(GO) build ./... && $(GO) vet ./... && $(MAKE) fmt && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) fuzz && $(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchtime 1x ./internal/server/ && $(GO) test -run '^$$' -bench 'GBTPredict' -benchtime 1x ./internal/ml/gbt/ && $(GO) test -run '^$$' -bench 'TreeBuild' -benchtime 1x ./internal/ml/tree/ && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
 
 # bench runs the Go micro-benchmarks (including the statusq
 # ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3, the serving-engine
@@ -144,8 +149,9 @@ check:
 # of the domdbench fleet built up front, DurableIngest at fsync=never over
 # 10k and 100k histories, the WAL's replica catch-up of a 1000-record lag
 # behind a 100k-record history, the in-process
-# GET /fleet and POST /query/batch pair, and the compiled GBT tree kernel
-# at depths 4 and 8), then domdbench, the
+# GET /fleet and POST /query/batch pair, the compiled GBT tree kernel
+# at depths 4 and 8, and one exact tree grown over presorted columns at
+# the startup training shape), then domdbench, the
 # serving benchmark declared in BENCHMARK.json, on both of its workloads:
 # each run builds cmd/domd, serves it, and drives it over HTTP (see
 # domdbench/README.md). The last line of each run is its JSON result.
@@ -155,5 +161,6 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/wal/
 	$(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench 'GBTPredict' -benchmem ./internal/ml/gbt/
+	$(GO) test -run '^$$' -bench 'TreeBuild' -benchmem ./internal/ml/tree/
 	bash domdbench/run.sh --workload fleet-scan --seed 1 --seconds 21 --trace 0
 	bash domdbench/run.sh --workload ingest-mix --seed 1 --seconds 21 --trace 0

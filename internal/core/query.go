@@ -129,8 +129,10 @@ type Trajectory struct {
 	Upto int
 	// Grid is the pipeline's t* grid; the trajectory covers Grid[:Upto+1].
 	Grid []float64
-	// Fulls holds the full feature vector at each covered grid point. The
-	// vectors are the row's own: valid until the row is released.
+	// Fulls holds the full feature vector at each covered grid point. It
+	// is the row's own slice (Row.Vectors), overwritten by the next
+	// trajectory on the row; the vectors are valid until the row is
+	// released.
 	Fulls [][]float64
 	// Raw holds the per-timestamp estimates and Fused the progressively
 	// fused ones, both indexed like Fulls.
@@ -145,7 +147,8 @@ type Trajectory struct {
 // per-timestamp models over them. It fails when no grid point lies at or
 // before ts (a window model whose window starts after ts): every point
 // it could evaluate would read history later than t*. The trajectory is
-// returned by value, so it costs no allocation of its own.
+// returned by value, so it costs no allocation of its own; its Fulls slice
+// is valid only until the next trajectory on the row.
 func (p *Pipeline) TrajectoryAt(row *features.Row, ts float64) (Trajectory, error) {
 	grid := p.Timestamps()
 	upto := -1

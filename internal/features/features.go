@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 
 	"domd/internal/domain"
@@ -259,7 +260,10 @@ type Row struct {
 	sw   *statusq.CellSweep
 	last float64
 	// memo holds the extracted points in extraction order.
-	memo     []rowPoint
+	memo []rowPoint
+	// out holds the slice the last Vectors call returned, reused by the
+	// next; it is pooled like the vectors.
+	out      *[][]float64
 	released bool
 }
 
@@ -274,6 +278,10 @@ type rowPoint struct {
 // DynamicVectorInto), so a recycled one needs no zeroing.
 var vecPool sync.Pool
 
+// outPool recycles the slices Vectors returns across rows; every entry is
+// overwritten by the call that hands one out.
+var outPool sync.Pool
+
 // NewRow starts an empty row over eng.
 func (e *Extractor) NewRow(eng *statusq.Engine) *Row {
 	return &Row{ext: e, eng: eng}
@@ -285,13 +293,22 @@ func (r *Row) Engine() *statusq.Engine { return r.eng }
 // Vectors returns the full feature vector at each point of grid, which
 // must ascend. Points not yet in the row are swept in one forward pass;
 // the sweep rewinds only when the first of them lies before the point it
-// last reached. The returned vectors are shared with later calls and are
-// valid until Release; do not mutate them.
+// last reached. The returned slice is the row's own: the next Vectors call
+// overwrites it, and it is invalid after Release. The vectors it holds are
+// shared with later calls and are valid until Release. Do not mutate
+// either.
 func (r *Row) Vectors(grid []float64) ([][]float64, error) {
 	if r.released {
 		return nil, fmt.Errorf("features: avail %d: row used after Release", r.eng.Avail().ID)
 	}
-	out := make([][]float64, len(grid))
+	if r.out == nil {
+		r.out, _ = outPool.Get().(*[][]float64)
+		if r.out == nil {
+			r.out = new([][]float64)
+		}
+	}
+	out := slices.Grow((*r.out)[:0], len(grid))[:len(grid)]
+	*r.out = out
 	if r.memo == nil {
 		r.memo = make([]rowPoint, 0, len(grid))
 	}
@@ -337,10 +354,13 @@ func (r *Row) Release() {
 	for _, p := range r.memo {
 		vecPool.Put(p.vec)
 	}
+	if r.out != nil {
+		outPool.Put(r.out)
+	}
 	if r.sw != nil {
 		r.sw.Release()
 	}
-	r.memo, r.sw, r.released = nil, nil, true
+	r.memo, r.out, r.sw, r.released = nil, nil, nil, true
 }
 
 // pooledVector takes a full-width vector from the pool, or allocates one

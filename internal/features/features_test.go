@@ -265,7 +265,9 @@ func TestSpecNameFormat(t *testing.T) {
 // prediction share: a later call over points already read (the default
 // window 50–100 grid after the base grid) extracts nothing and hands back
 // the same vectors; a call reaching back before the sweep's position
-// rewinds it; every vector equals the scratch Vector bitwise.
+// rewinds it; every vector equals the scratch Vector bitwise. The slice
+// Vectors returns is the row's own and the next call overwrites it, so the
+// test keeps a copy of the first.
 func TestRowExtractsEachPointOnce(t *testing.T) {
 	e := NewExtractor()
 	eng := fixture(t)
@@ -275,6 +277,7 @@ func TestRowExtractsEachPointOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	first = append([][]float64(nil), first...)
 	if len(row.memo) != 8 {
 		t.Fatalf("memo holds %d points after one 8-point call", len(row.memo))
 	}

@@ -8,6 +8,7 @@ package gbt
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"domd/internal/ml"
@@ -34,9 +35,10 @@ type Params struct {
 	Subsample float64
 	// ColsampleByTree is the feature sampling fraction per tree in (0, 1].
 	ColsampleByTree float64
-	// TreeMethod selects split finding: "exact" (default) sorts rows per
-	// node; "hist" pre-buckets features into quantile bins (XGBoost's
-	// approx method), much faster on large row counts.
+	// TreeMethod selects split finding: "exact" (default) scans every
+	// split candidate, over columns sorted once per Fit; "hist" pre-buckets
+	// features into quantile bins (XGBoost's approx method) and scans only
+	// the bin edges.
 	TreeMethod string
 	// Bins is the histogram resolution for TreeMethod "hist" (default 64).
 	Bins int
@@ -136,6 +138,9 @@ func Fit(p Params, l loss.Loss, d *ml.Dataset) (*Model, error) {
 	if d.Y == nil || len(d.Y) == 0 {
 		return nil, fmt.Errorf("gbt: training requires targets")
 	}
+	if err := checkFinite(d); err != nil {
+		return nil, err
+	}
 	if l == nil {
 		l = loss.Squared{}
 	}
@@ -182,17 +187,22 @@ func Fit(p Params, l loss.Loss, d *ml.Dataset) (*Model, error) {
 	// by per-leaf line search below. Smooth ℓ2 keeps exact Newton steps.
 	_, treeBoost := l.(loss.LeafOptimizer)
 
+	// Either method prepares the design once for every round: quantile
+	// bins, or every column sorted.
 	var binner *tree.Binner
+	var sorted *tree.Presorted
+	var err error
 	if p.TreeMethod == "hist" {
 		bins := p.Bins
 		if bins == 0 {
 			bins = 64
 		}
-		var err error
 		binner, err = tree.NewBinner(d.X, bins)
-		if err != nil {
-			return nil, err
-		}
+	} else {
+		sorted, err = tree.NewPresorted(d.X)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	allRows := seq(n)
@@ -210,11 +220,10 @@ func Fit(p Params, l loss.Loss, d *ml.Dataset) (*Model, error) {
 		rows := sample(rng, allRows, p.Subsample)
 		cols := sample(rng, allCols, p.ColsampleByTree)
 		var tr *tree.Node
-		var err error
 		if binner != nil {
 			tr, err = tree.BuildHist(cfg, binner, g, h, rows, cols)
 		} else {
-			tr, err = tree.Build(cfg, d.X, g, h, rows, cols)
+			tr, err = tree.Build(cfg, sorted, g, h, rows, cols)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("gbt: round %d: %w", round, err)
@@ -233,6 +242,27 @@ func Fit(p Params, l loss.Loss, d *ml.Dataset) (*Model, error) {
 	}
 	m.compile()
 	return m, nil
+}
+
+// checkFinite refuses NaN and ±Inf in the design or the targets, naming
+// the row and column: split search orders rows by value, and a NaN has no
+// place in that order.
+func checkFinite(d *ml.Dataset) error {
+	for i, row := range d.X {
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				name := ""
+				if d.Names != nil {
+					name = " (" + d.Names[j] + ")"
+				}
+				return fmt.Errorf("gbt: row %d column %d%s: non-finite feature value %v", i, j, name, v)
+			}
+		}
+		if y := d.Y[i]; math.IsNaN(y) || math.IsInf(y, 0) {
+			return fmt.Errorf("gbt: row %d: non-finite target %v", i, y)
+		}
+	}
+	return nil
 }
 
 // Predict implements ml.Model: base + Σ η·w over the trees in order, read

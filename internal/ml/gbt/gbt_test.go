@@ -3,6 +3,7 @@ package gbt
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"domd/internal/ml"
@@ -230,6 +231,36 @@ func TestFitErrors(t *testing.T) {
 	empty := &ml.Dataset{X: [][]float64{}, Y: []float64{}}
 	if _, err := Fit(DefaultParams(), nil, empty); err == nil {
 		t.Error("empty dataset: want error")
+	}
+}
+
+// TestFitRefusesNonFinite: NaN or ±Inf in a feature or a target fails Fit
+// with an error naming the row and column, under either tree method.
+func TestFitRefusesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		X    [][]float64
+		Y    []float64
+		want string
+	}{
+		{"NaN feature", [][]float64{{1, 2}, {3, nan}}, []float64{1, 2}, "row 1 column 1 (b): non-finite feature value NaN"},
+		{"+Inf feature", [][]float64{{inf, 2}, {3, 4}}, []float64{1, 2}, "row 0 column 0 (a): non-finite feature value +Inf"},
+		{"-Inf feature", [][]float64{{1, 2}, {-inf, 4}}, []float64{1, 2}, "row 1 column 0 (a): non-finite feature value -Inf"},
+		{"NaN target", [][]float64{{1, 2}, {3, 4}}, []float64{nan, 2}, "row 0: non-finite target NaN"},
+		{"+Inf target", [][]float64{{1, 2}, {3, 4}}, []float64{1, inf}, "row 1: non-finite target +Inf"},
+		{"-Inf target", [][]float64{{1, 2}, {3, 4}}, []float64{-inf, 2}, "row 0: non-finite target -Inf"},
+	}
+	for _, c := range cases {
+		for _, method := range []string{"exact", "hist"} {
+			p := DefaultParams()
+			p.TreeMethod = method
+			d := &ml.Dataset{X: c.X, Y: c.Y, Names: []string{"a", "b"}}
+			_, err := Fit(p, nil, d)
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s (%s): err = %v, want it to contain %q", c.name, method, err, c.want)
+			}
+		}
 	}
 }
 

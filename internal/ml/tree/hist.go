@@ -8,10 +8,14 @@ import (
 
 // Histogram-based split finding, the "approx/hist" tree method of XGBoost
 // and LightGBM: feature values are pre-bucketed into quantile bins once per
-// dataset, and each node scans per-bin gradient sums instead of sorting its
-// rows per feature. Growth cost per node drops from O(rows·log rows) per
-// feature to O(rows + bins), which is what makes boosting affordable on the
-// x-fold-scaled RCC workloads.
+// dataset, and each node scans per-bin gradient sums. Both methods cost
+// O(rows) per feature per node (plus O(bins) here); the exact method
+// (Build), over columns sorted once per booster, also scores every
+// distinct-value boundary and repartitions every candidate column at each
+// split, while this one scores at most bins-1 boundaries, reads one-byte bin
+// ids instead of (value, row) entries, and partitions only the node's row
+// list, which is what keeps boosting affordable on the x-fold-scaled RCC
+// workloads.
 
 // MaxHistBins bounds the per-feature bin count (bin ids are stored in a
 // byte).

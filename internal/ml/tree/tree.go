@@ -3,7 +3,9 @@
 // & Guestrin). A tree is grown by exact greedy split search on per-instance
 // first and second loss derivatives (g, h); each leaf takes the closed-form
 // weight w* = -G/(H+λ) and each split must improve the regularized objective
-// by more than γ.
+// by more than γ. As in XGBoost's exact method, every column is sorted once
+// per booster (Presorted) and each node scans its rows in that order, so
+// growing a tree sorts nothing. BuildHist is the histogram alternative.
 //
 // Fitting a single tree with g_i = -y_i and h_i = 1 reproduces a classical
 // CART regression tree (leaf = mean target, variance-reduction splits), which
@@ -11,8 +13,9 @@
 package tree
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Config controls tree growth.
@@ -120,31 +123,135 @@ func (n *Node) AccumImportances(imp []float64) {
 	n.Right.AccumImportances(imp)
 }
 
-// Build grows a tree on rows (indices into X) using gradients g and
-// hessians h. features lists the candidate split columns (column sampling is
-// the caller's concern). X is row-major.
-func Build(cfg Config, X [][]float64, g, h []float64, rows, features []int) (*Node, error) {
+// Presorted is a design matrix with every column sorted once: XGBoost's
+// column block (Chen & Guestrin §4.1). Column f lists every row ordered by
+// (X[i][f], i), each row index stored beside its value, so split search
+// reads values from the column and never from X. It is built once per
+// booster and shared by all of its trees. It also carries the work buffers
+// Build reuses from tree to tree, so Build calls on one Presorted must not
+// run concurrently.
+type Presorted struct {
+	cols [][]entry
+	// Build's work buffers: the tree's candidate columns filtered to its
+	// rows, side by side (work); the node rows in the tree's row order
+	// (rows); the partition's spills; and per-row occurrence counts (mult)
+	// and split sides (left), indexed by row.
+	work, spill    []entry
+	rows, rowSpill []int
+	mult           []int
+	left           []bool
+}
+
+// entry is one row of a sorted column: its value and its row index.
+type entry struct {
+	v   float64
+	row int
+}
+
+// NewPresorted sorts every column of X (row-major, every row the same
+// width). X must hold no NaN: a NaN has no place in a column's order.
+func NewPresorted(X [][]float64) (*Presorted, error) {
+	if len(X) == 0 || len(X[0]) == 0 {
+		return nil, fmt.Errorf("tree: empty design matrix")
+	}
+	n, p := len(X), len(X[0])
+	for i, row := range X {
+		if len(row) != p {
+			return nil, fmt.Errorf("tree: row %d has %d features, want %d", i, len(row), p)
+		}
+	}
+	ps := &Presorted{cols: make([][]entry, p), mult: make([]int, n), left: make([]bool, n)}
+	flat := make([]entry, n*p)
+	for f := range ps.cols {
+		col := flat[f*n : (f+1)*n]
+		for i, row := range X {
+			col[i] = entry{v: row[f], row: i}
+		}
+		slices.SortFunc(col, func(a, b entry) int {
+			if c := cmp.Compare(a.v, b.v); c != 0 {
+				return c
+			}
+			return a.row - b.row
+		})
+		ps.cols[f] = col
+	}
+	return ps, nil
+}
+
+// Build grows a tree by exact greedy split search on rows (indices into
+// the presorted matrix, in any order; a row listed twice counts twice)
+// using gradients g and hessians h. features lists the candidate split
+// columns (column sampling is the caller's concern). Each candidate column
+// is filtered to rows once per tree; a node scans its segment of every
+// candidate column in sorted order, ties by row index, and a split stably
+// partitions those segments, so no node sorts.
+func Build(cfg Config, ps *Presorted, g, h []float64, rows, features []int) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(g) != len(X) || len(h) != len(X) {
-		return nil, fmt.Errorf("tree: %d rows but %d gradients / %d hessians", len(X), len(g), len(h))
+	if ps == nil {
+		return nil, fmt.Errorf("tree: nil presorted matrix")
+	}
+	n := len(ps.mult) // one count per design row
+	if len(g) != n || len(h) != n {
+		return nil, fmt.Errorf("tree: %d rows but %d gradients / %d hessians", n, len(g), len(h))
 	}
 	if len(rows) == 0 {
 		return nil, fmt.Errorf("tree: no training rows")
 	}
-	b := &builder{cfg: cfg, X: X, g: g, h: h, features: features}
-	// Reusable scratch for per-node sorting.
-	b.order = make([]int, len(rows))
-	return b.grow(append([]int(nil), rows...), 0), nil
+	for _, i := range rows {
+		if i < 0 || i >= n {
+			return nil, fmt.Errorf("tree: row %d outside [0,%d)", i, n)
+		}
+	}
+	for _, f := range features {
+		if f < 0 || f >= len(ps.cols) {
+			return nil, fmt.Errorf("tree: feature %d outside [0,%d)", f, len(ps.cols))
+		}
+	}
+	ps.load(rows, features)
+	b := &builder{cfg: cfg, ps: ps, g: g, h: h, features: features, m: len(rows)}
+	return b.grow(0, len(rows), 0), nil
 }
 
+// load fills the work buffers for one tree: the rows in the given order,
+// and each candidate column filtered to those rows in its sorted order.
+func (ps *Presorted) load(rows, features []int) {
+	m := len(rows)
+	ps.rows = append(ps.rows[:0], rows...)
+	for _, i := range rows {
+		ps.mult[i]++
+	}
+	ps.work = slices.Grow(ps.work[:0], len(features)*m)[:len(features)*m]
+	for k, f := range features {
+		dst := ps.work[k*m : k*m]
+		for _, e := range ps.cols[f] {
+			for c := ps.mult[e.row]; c > 0; c-- {
+				dst = append(dst, e)
+			}
+		}
+	}
+	for _, i := range rows {
+		ps.mult[i] = 0
+	}
+	ps.spill = slices.Grow(ps.spill[:0], m)
+	ps.rowSpill = slices.Grow(ps.rowSpill[:0], m)
+}
+
+// builder grows one tree. A node is a range [lo, hi) of the tree's rows:
+// ps.rows[lo:hi] lists them in the tree's row order, and the same range of
+// each candidate column lists them in that column's sorted order.
 type builder struct {
 	cfg      Config
-	X        [][]float64
+	ps       *Presorted
 	g, h     []float64
 	features []int
-	order    []int
+	m        int // rows in the tree: the stride of the columns in ps.work
+}
+
+// column returns candidate column k's segment for the node [lo, hi).
+func (b *builder) column(k, lo, hi int) []entry {
+	return b.ps.work[k*b.m+lo : k*b.m+hi]
 }
 
 // leaf computes the closed-form optimal weight -G/(H+λ).
@@ -152,96 +259,126 @@ func (b *builder) leaf(G, H float64) *Node {
 	return &Node{Feature: -1, Weight: -G / (H + b.cfg.Lambda)}
 }
 
+// split is a candidate split: candidate column k, rows with value <
+// threshold going left.
 type split struct {
-	feature   int
+	k         int
 	threshold float64
 	gain      float64
-	// left receives rows with value < threshold.
-	leftRows, rightRows []int
 }
 
-func (b *builder) grow(rows []int, depth int) *Node {
+func (b *builder) grow(lo, hi, depth int) *Node {
 	var G, H float64
-	for _, i := range rows {
+	for _, i := range b.ps.rows[lo:hi] {
 		G += b.g[i]
 		H += b.h[i]
 	}
-	if depth >= b.cfg.MaxDepth || len(rows) < b.cfg.MinSamplesSplit {
+	if depth >= b.cfg.MaxDepth || hi-lo < b.cfg.MinSamplesSplit {
 		return b.leaf(G, H)
 	}
-	best := b.bestSplit(rows, G, H)
-	if best == nil {
+	best, ok := b.bestSplit(lo, hi, G, H)
+	if !ok {
+		return b.leaf(G, H)
+	}
+	// Children at the depth limit are leaves: they read only their rows.
+	mid, ok := b.partition(lo, hi, best, depth+1 < b.cfg.MaxDepth)
+	if !ok {
 		return b.leaf(G, H)
 	}
 	n := &Node{
-		Feature:   best.feature,
+		Feature:   b.features[best.k],
 		Threshold: best.threshold,
 		Gain:      best.gain,
 	}
-	n.Left = b.grow(best.leftRows, depth+1)
-	n.Right = b.grow(best.rightRows, depth+1)
+	n.Left = b.grow(lo, mid, depth+1)
+	n.Right = b.grow(mid, hi, depth+1)
 	return n
 }
 
 // bestSplit performs exact greedy search over every candidate feature and
-// threshold, maximizing the regularized gain
+// threshold of the node [lo, hi), maximizing the regularized gain
 //
 //	½ [G_L²/(H_L+λ) + G_R²/(H_R+λ) − G²/(H+λ)] − γ.
-func (b *builder) bestSplit(rows []int, G, H float64) *split {
-	lam := b.cfg.Lambda
+//
+// The first of equal gains wins, in candidate then sorted order.
+func (b *builder) bestSplit(lo, hi int, G, H float64) (best split, ok bool) {
+	g, h := b.g, b.h
+	lam, minChild, gamma := b.cfg.Lambda, b.cfg.MinChildWeight, b.cfg.Gamma
 	parentScore := G * G / (H + lam)
-	var best *split
-	order := b.order[:len(rows)]
-	for _, f := range b.features {
-		copy(order, rows)
-		sort.Slice(order, func(a, c int) bool { return b.X[order[a]][f] < b.X[order[c]][f] })
+	for k := range b.features {
+		col := b.column(k, lo, hi)
+		if col[0].v == col[len(col)-1].v { //lint:ignore floateq a sorted segment whose ends are equal is constant and admits no split
+			continue
+		}
 		var GL, HL float64
-		for k := 0; k < len(order)-1; k++ {
-			i := order[k]
-			GL += b.g[i]
-			HL += b.h[i]
-			v, next := b.X[i][f], b.X[order[k+1]][f]
+		for j := 0; j < len(col)-1; j++ {
+			i := col[j].row
+			GL += g[i]
+			HL += h[i]
+			v, next := col[j].v, col[j+1].v
 			if v == next { //lint:ignore floateq duplicate sorted feature values admit no split point between them
 				continue // can't split between equal values
 			}
 			GR, HR := G-GL, H-HL
-			if HL < b.cfg.MinChildWeight || HR < b.cfg.MinChildWeight {
+			if HL < minChild || HR < minChild {
 				continue
 			}
-			gain := 0.5*(GL*GL/(HL+lam)+GR*GR/(HR+lam)-parentScore) - b.cfg.Gamma
+			gain := 0.5*(GL*GL/(HL+lam)+GR*GR/(HR+lam)-parentScore) - gamma
 			if gain <= 0 {
 				continue
 			}
-			if best == nil || gain > best.gain {
+			if !ok || gain > best.gain {
 				mid := v + (next-v)/2
 				//lint:ignore floateq adjacent floats: the midpoint rounds back onto v exactly
 				if mid == v { // adjacent floats: fall back to next
 					mid = next
 				}
-				if best == nil {
-					best = &split{}
-				}
-				best.feature = f
-				best.threshold = mid
-				best.gain = gain
-				best.leftRows = best.leftRows[:0]
-				best.rightRows = best.rightRows[:0]
+				best, ok = split{k: k, threshold: mid, gain: gain}, true
 			}
 		}
 	}
-	if best == nil {
-		return nil
+	return best, ok
+}
+
+// partition applies split s to the node [lo, hi): it stably partitions
+// the node's rows and, when cols is set, its segment of every candidate
+// column, left rows first, and returns where the right child starts. It
+// reports false, with the node left as it was, when one side would be
+// empty.
+func (b *builder) partition(lo, hi int, s split, cols bool) (int, bool) {
+	left := b.ps.left
+	for _, e := range b.column(s.k, lo, hi) {
+		left[e.row] = e.v < s.threshold
 	}
-	// Partition rows by the winning split.
+	rows, nl := b.ps.rows[lo:hi], 0
+	spill := b.ps.rowSpill[:0]
 	for _, i := range rows {
-		if b.X[i][best.feature] < best.threshold {
-			best.leftRows = append(best.leftRows, i)
+		if left[i] {
+			rows[nl] = i
+			nl++
 		} else {
-			best.rightRows = append(best.rightRows, i)
+			spill = append(spill, i)
 		}
 	}
-	if len(best.leftRows) == 0 || len(best.rightRows) == 0 {
-		return nil
+	copy(rows[nl:], spill)
+	if nl == 0 || nl == len(rows) {
+		return 0, false
 	}
-	return best
+	if !cols {
+		return lo + nl, true
+	}
+	for k := range b.features {
+		col, w := b.column(k, lo, hi), 0
+		spill := b.ps.spill[:0]
+		for _, e := range col {
+			if left[e.row] {
+				col[w] = e
+				w++
+			} else {
+				spill = append(spill, e)
+			}
+		}
+		copy(col[w:], spill)
+	}
+	return lo + nl, true
 }
