@@ -134,19 +134,22 @@ fuzz:
 # the delta-vs-rebuild differential suite, fuzz the WAL decoders, the
 # upgrade, topology.json and torn-tail replay, the HTTP read/ingest surface, SWLIN parsing, GBT
 # model artifacts, exact tree growth and date parsing, run the in-process serving benchmarks,
-# the tree-kernel benchmark and the tree-growth benchmark once each so they cannot rot,
+# the tree-kernel benchmark, the tree-growth benchmark and the root package's ablation
+# benchmarks (index bulk vs incremental load, count vs retrieve, parallel training,
+# incremental sweep step) once each so they cannot rot,
 # enforce the lint invariants (domdlint must exit 0 on the tree) and the
 # docs cross-checks, run the riskbands example end to end (it serves
 # /predict through server.New over a one-shard catalog, the wiring
 # `domd serve` uses), then vet and test domdbench, the nested benchmark
 # module (its tests hold BENCHMARK.json to the report tables).
 check:
-	$(GO) build ./... && $(GO) vet ./... && $(MAKE) fmt && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) fuzz && $(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchtime 1x ./internal/server/ && $(GO) test -run '^$$' -bench 'GBTPredict' -benchtime 1x ./internal/ml/gbt/ && $(GO) test -run '^$$' -bench 'TreeBuild' -benchtime 1x ./internal/ml/tree/ && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
+	$(GO) build ./... && $(GO) vet ./... && $(MAKE) fmt && $(GO) test -race ./... && $(MAKE) stress && $(MAKE) chaos && $(MAKE) chaos-repl && $(MAKE) differential && $(MAKE) fuzz && $(GO) test -run '^$$' -bench 'Fleet|QueryBatch' -benchtime 1x ./internal/server/ && $(GO) test -run '^$$' -bench 'GBTPredict' -benchtime 1x ./internal/ml/gbt/ && $(GO) test -run '^$$' -bench 'TreeBuild' -benchtime 1x ./internal/ml/tree/ && $(GO) test -run '^$$' -bench 'Ablation' -benchtime 1x . && $(MAKE) lint && $(MAKE) docs && $(GO) run ./examples/riskbands > /dev/null && (cd domdbench && $(GO) vet ./... && $(GO) test ./...)
 
-# bench runs the Go micro-benchmarks (including the statusq
-# ApplyRCC-vs-rebuild pair backing DESIGN.md §4.3, the serving-engine
-# build NewEngine at 260, 1000 and 4000 RCCs and NewCatalog, every engine
-# of the domdbench fleet built up front, DurableIngest at fsync=never over
+# bench runs the Go micro-benchmarks (the root package's per-artifact and
+# ablation benchmarks, the statusq ApplyRCC-vs-rebuild pair backing
+# DESIGN.md §4.3, the serving-engine build NewEngine at 260, 1000 and
+# 4000 RCCs and NewCatalog, every engine of the domdbench fleet built up
+# front, DurableIngest at fsync=never over
 # 10k and 100k histories, the WAL's replica catch-up of a 1000-record lag
 # behind a 100k-record history, the in-process
 # GET /fleet and POST /query/batch pair, the compiled GBT tree kernel

@@ -160,11 +160,9 @@ func benchCreation(b *testing.B, kind index.Kind, factor int) {
 	raw := rawIntervals(intervalsAt(b, factor))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx, err := index.Build(kind, raw)
-		if err != nil {
+		if _, err := index.Build(kind, raw); err != nil {
 			b.Fatal(err)
 		}
-		idx.CreatedBy(-1 << 62) // charge the naive design's lazy sort
 	}
 }
 
@@ -720,54 +718,4 @@ func BenchmarkAblationIncrementalSweepStep(b *testing.B) {
 		}
 	})
 	_ = ivs
-}
-
-// BenchmarkAblationTreeMethod contrasts exact greedy split finding with the
-// histogram ("hist") method on the selected 60-feature training slice.
-func BenchmarkAblationTreeMethod(b *testing.B) {
-	w := benchWorkload(b)
-	slice := w.Tensor.Slices[0].Subset(w.Splits.Train)
-	sel, err := (featsel.Pearson{}).Select(slice, 60)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := slice.Select(sel)
-	for _, method := range []string{"exact", "hist"} {
-		b.Run(method, func(b *testing.B) {
-			p := gbt.DefaultParams()
-			p.TreeMethod = method
-			for i := 0; i < b.N; i++ {
-				if _, err := gbt.Fit(p, loss.Squared{}, d); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSortedVsAVL quantifies how much of the AVL's tree
-// machinery the DoMD workload needs: the flat sorted-array design has the
-// best constants for a build-once/query-many workload but pays O(n) for
-// mutation.
-func BenchmarkAblationSortedVsAVL(b *testing.B) {
-	raw := rawIntervals(intervalsAt(b, 5))
-	for _, kind := range []index.Kind{index.KindAVL, index.KindSorted} {
-		b.Run(string(kind)+"/build", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := index.Build(kind, raw); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(string(kind)+"/count", func(b *testing.B) {
-			idx, err := index.Build(kind, raw)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				idx.CountActiveAt(5000)
-			}
-		})
-	}
 }

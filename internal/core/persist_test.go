@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -146,5 +148,58 @@ func TestLoadRejectsCorruptTree(t *testing.T) {
 	in2 := strings.Replace(in, `"Feature":0`, `"Feature":7`, 1)
 	if _, err := Load(strings.NewReader(in2)); err == nil {
 		t.Error("out-of-range feature: want error")
+	}
+}
+
+// TestLoadIgnoresRetiredParamsKeys: pipelines saved before the booster lost
+// its split-method knobs carry "TreeMethod":"" and "Bins":0 in every
+// embedded gbt.Params (the config's and each tuned slot's). Load ignores
+// the keys, and the pipeline predicts bit for bit as before.
+func TestLoadIgnoresRetiredParamsKeys(t *testing.T) {
+	tensor, sp := testTensor(t, 40, 6)
+	cfg := fastConfig()
+	cfg.HPTTrials = 3
+	cfg.HPTMethod = "random"
+	p, err := Train(cfg, tensor, sp.Train, sp.Val)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The keys sat between ColsampleByTree and Seed, as the old encoder
+	// wrote them.
+	old := regexp.MustCompile(`("ColsampleByTree":[^,]+,)("Seed":)`)
+	n := len(old.FindAllIndex(buf.Bytes(), -1))
+	if want := 1 + len(p.slots); n != want {
+		t.Fatalf("%d embedded params, want %d (config + one per slot)", n, want)
+	}
+	legacy := old.ReplaceAll(buf.Bytes(), []byte(`$1"TreeMethod":"","Bins":0,$2`))
+	back, err := Load(bytes.NewReader(legacy))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range tensor.Timestamps {
+		for _, r := range sp.Test {
+			a, err := p.PredictAt(k, tensor.Slices[k].X[r])
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := back.PredictAt(k, tensor.Slices[k].X[r])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("slot %d row %d: %v vs %v after loading the old format", k, r, a, b)
+			}
+		}
+	}
+	var again bytes.Buffer
+	if err := back.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Error("re-saving the old format does not give the current format")
 	}
 }

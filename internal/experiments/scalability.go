@@ -100,10 +100,6 @@ func RunScalability(base *navsim.Dataset, factors []int, gridStep float64) ([]Sc
 			if err != nil {
 				return nil, err
 			}
-			// The naive design sorts lazily on first query; charge that
-			// to creation as the paper charges "processing time that
-			// would not be necessary without the indexes".
-			idx.CreatedBy(-1 << 62)
 			m.Creation = time.Since(start)
 			m.MemoryMB = float64(idx.MemoryBytes()) / (1 << 20)
 

@@ -54,7 +54,7 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 func TestBulkLoadThenMutate(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	ivs := randomIntervals(rng, 200)
-	for _, kind := range []Kind{KindAVL, KindInterval} {
+	for _, kind := range Kinds() {
 		idx, err := Build(kind, ivs)
 		if err != nil {
 			t.Fatal(err)
@@ -99,21 +99,32 @@ func TestBulkLoadThenMutate(t *testing.T) {
 }
 
 func TestBulkLoadRejectsInvalid(t *testing.T) {
-	bad := []Interval{{Start: 10, End: 5, ID: 1}}
-	if err := NewAVL().BulkLoad(bad); err == nil {
-		t.Error("avl: want error")
-	}
-	if err := NewIntervalTree().BulkLoad(bad); err == nil {
-		t.Error("interval: want error")
+	bad := []Interval{{Start: 0, End: 5, ID: 0}, {Start: 10, End: 5, ID: 1}}
+	for _, kind := range Kinds() {
+		if _, err := Build(kind, bad); err == nil {
+			t.Errorf("%s: want error", kind)
+		}
+		idx, err := Build(kind, smallFixture())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := idx.BulkLoad(bad); err == nil {
+			t.Errorf("%s: reload: want error", kind)
+		}
+		if got := sortedIDs(idx.ActiveAt(10)); idx.Len() != 5 || !eq(got, []int{2, 3, 4}) {
+			t.Errorf("%s: failed reload changed the contents: len %d, ActiveAt(10) = %v", kind, idx.Len(), got)
+		}
 	}
 }
 
 func TestBulkLoadEmpty(t *testing.T) {
-	avl := NewAVL()
-	if err := avl.BulkLoad(nil); err != nil {
-		t.Fatal(err)
-	}
-	if avl.Len() != 0 || len(avl.ActiveAt(5)) != 0 {
-		t.Error("empty bulk load should yield empty index")
+	for _, kind := range Kinds() {
+		idx, err := Build(kind, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if idx.Len() != 0 || len(idx.ActiveAt(5)) != 0 {
+			t.Errorf("%s: empty bulk load should yield empty index", kind)
+		}
 	}
 }

@@ -43,13 +43,16 @@ func (iv Interval) Validate() error {
 //
 // Concurrency contract: the query methods (ActiveAt, SettledBy, CreatedBy,
 // CountActiveAt, CountSettledBy, CreatedIn, SettledIn, Len, MemoryBytes)
-// are safe to call from multiple goroutines concurrently — implementations
-// with deferred work on the read path (the lazy re-sorts of NaiveIndex and
-// SortedIndex) synchronize it internally. The mutating methods (Insert,
-// Delete, BulkLoad) require exclusive access: callers must not run them
-// concurrently with each other or with queries. statusq.Indexed relies on
-// this split: it is immutable once built and shared across goroutines.
+// only read, so they are safe to call from multiple goroutines
+// concurrently. The mutating methods (BulkLoad, Insert, Delete) require
+// exclusive access: callers must not run them concurrently with each other
+// or with queries. statusq.Indexed relies on this split: it is immutable
+// once built and shared across goroutines.
 type TimeIndex interface {
+	// BulkLoad replaces the contents with ivs in O(n log n): the one
+	// construction path, which Build takes. An invalid interval fails it
+	// with the contents left as they were.
+	BulkLoad(ivs []Interval) error
 	// Insert adds an interval. Duplicate ids are the caller's concern.
 	Insert(iv Interval) error
 	// Delete removes the interval with the given id and bounds; it reports
@@ -99,8 +102,6 @@ func New(kind Kind) (TimeIndex, error) {
 		return NewAVL(), nil
 	case KindInterval:
 		return NewIntervalTree(), nil
-	case KindSorted:
-		return NewSorted(), nil
 	default:
 		return nil, fmt.Errorf("index: unknown kind %q", kind)
 	}
@@ -109,30 +110,14 @@ func New(kind Kind) (TimeIndex, error) {
 // Kinds lists all designs in the order the paper reports them.
 func Kinds() []Kind { return []Kind{KindNaive, KindAVL, KindInterval} }
 
-// BulkLoader is implemented by indexes with an O(n log n) construction path
-// (sort + arena + balanced build) that is much cheaper than n incremental
-// inserts.
-type BulkLoader interface {
-	BulkLoad(ivs []Interval) error
-}
-
-// Build bulk-loads ivs into a fresh index of the given kind, using the
-// index's BulkLoad fast path when it has one.
+// Build bulk-loads ivs into a fresh index of the given kind.
 func Build(kind Kind, ivs []Interval) (TimeIndex, error) {
 	idx, err := New(kind)
 	if err != nil {
 		return nil, err
 	}
-	if bl, ok := idx.(BulkLoader); ok {
-		if err := bl.BulkLoad(ivs); err != nil {
-			return nil, err
-		}
-		return idx, nil
-	}
-	for _, iv := range ivs {
-		if err := idx.Insert(iv); err != nil {
-			return nil, err
-		}
+	if err := idx.BulkLoad(ivs); err != nil {
+		return nil, err
 	}
 	return idx, nil
 }

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -168,7 +169,8 @@ func randomIntervals(rng *rand.Rand, n int) []Interval {
 }
 
 // TestRandomizedAgainstOracle cross-checks all three designs against the
-// brute-force oracle over random workloads with interleaved deletes.
+// brute-force oracle over random workloads: bulk-loaded, after deleting a
+// random third, and after inserting that third back.
 func TestRandomizedAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
@@ -193,25 +195,52 @@ func TestRandomizedAgainstOracle(t *testing.T) {
 				}
 			}
 		}
-		oracle := brute(live)
-		for q := int64(-5); q <= 260; q += 7 {
-			wantA, wantS, wantC := oracle.activeAt(q), oracle.settledBy(q), oracle.createdBy(q)
+		checkAgainstOracle(t, fmt.Sprintf("trial %d after delete", trial), idxs, live)
+		// Insert the deleted third back, in its shuffled order.
+		for _, iv := range dead {
 			for kind, idx := range idxs {
-				if got := sortedIDs(idx.ActiveAt(q)); !eq(got, wantA) {
-					t.Fatalf("trial %d %s: ActiveAt(%d) = %v, want %v", trial, kind, q, got, wantA)
+				if err := idx.Insert(iv); err != nil {
+					t.Fatalf("%s: insert %v: %v", kind, iv, err)
 				}
-				if got := sortedIDs(idx.SettledBy(q)); !eq(got, wantS) {
-					t.Fatalf("trial %d %s: SettledBy(%d) = %v, want %v", trial, kind, q, got, wantS)
-				}
-				if got := sortedIDs(idx.CreatedBy(q)); !eq(got, wantC) {
-					t.Fatalf("trial %d %s: CreatedBy(%d) = %v, want %v", trial, kind, q, got, wantC)
-				}
-				if got := idx.CountActiveAt(q); got != len(wantA) {
-					t.Fatalf("trial %d %s: CountActiveAt(%d) = %d, want %d", trial, kind, q, got, len(wantA))
-				}
-				if got := idx.CountSettledBy(q); got != len(wantS) {
-					t.Fatalf("trial %d %s: CountSettledBy(%d) = %d, want %d", trial, kind, q, got, len(wantS))
-				}
+			}
+		}
+		checkAgainstOracle(t, fmt.Sprintf("trial %d after re-insert", trial), idxs, ivs)
+	}
+}
+
+// checkAgainstOracle runs every query of every index in idxs at a grid of
+// timestamps and fails unless each answers as the brute oracle over ivs.
+func checkAgainstOracle(t *testing.T, tag string, idxs map[Kind]TimeIndex, ivs []Interval) {
+	t.Helper()
+	oracle := brute(ivs)
+	for q := int64(-5); q <= 260; q += 7 {
+		wantA, wantS, wantC := oracle.activeAt(q), oracle.settledBy(q), oracle.createdBy(q)
+		lo := q - 15
+		wantCI, wantSI := oracle.createdIn(lo, q), oracle.settledIn(lo, q)
+		for kind, idx := range idxs {
+			if got := idx.Len(); got != len(ivs) {
+				t.Fatalf("%s %s: Len = %d, want %d", tag, kind, got, len(ivs))
+			}
+			if got := sortedIDs(idx.ActiveAt(q)); !eq(got, wantA) {
+				t.Fatalf("%s %s: ActiveAt(%d) = %v, want %v", tag, kind, q, got, wantA)
+			}
+			if got := sortedIDs(idx.SettledBy(q)); !eq(got, wantS) {
+				t.Fatalf("%s %s: SettledBy(%d) = %v, want %v", tag, kind, q, got, wantS)
+			}
+			if got := sortedIDs(idx.CreatedBy(q)); !eq(got, wantC) {
+				t.Fatalf("%s %s: CreatedBy(%d) = %v, want %v", tag, kind, q, got, wantC)
+			}
+			if got := idx.CountActiveAt(q); got != len(wantA) {
+				t.Fatalf("%s %s: CountActiveAt(%d) = %d, want %d", tag, kind, q, got, len(wantA))
+			}
+			if got := idx.CountSettledBy(q); got != len(wantS) {
+				t.Fatalf("%s %s: CountSettledBy(%d) = %d, want %d", tag, kind, q, got, len(wantS))
+			}
+			if got := sortedIDs(idx.CreatedIn(lo, q)); !eq(got, wantCI) {
+				t.Fatalf("%s %s: CreatedIn(%d,%d] = %v, want %v", tag, kind, lo, q, got, wantCI)
+			}
+			if got := sortedIDs(idx.SettledIn(lo, q)); !eq(got, wantSI) {
+				t.Fatalf("%s %s: SettledIn(%d,%d] = %v, want %v", tag, kind, lo, q, got, wantSI)
 			}
 		}
 	}

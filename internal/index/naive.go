@@ -1,10 +1,6 @@
 package index
 
-import (
-	"slices"
-	"sync"
-	"sync/atomic"
-)
+import "slices"
 
 // joinedRow is one row of the materialized avail⋈RCC join product the
 // "Pandas merge" baseline of paper §4.1 stores: the interval triple plus
@@ -20,29 +16,14 @@ type joinedRow struct {
 }
 
 // NaiveIndex is the merge-join baseline of paper §4.1 ("Pandas merge"): it
-// materializes the joined rows in a flat slice, sorts them by start date
-// (lazily, amortized over queries), and answers every query with a scan.
-//
-// The deferred re-sort is internally synchronized (double-checked locking),
-// so the query methods satisfy the TimeIndex contract: they are safe to
-// call concurrently with each other, while Insert/Delete require exclusive
-// access.
+// materializes the joined rows in a flat slice kept sorted by start date
+// and answers every query with a scan.
 type NaiveIndex struct {
 	joined []joinedRow
-	// nSorted is the length of the sorted prefix of joined: appends land
-	// after it, so the deferred re-sort only sorts the tail and merges it
-	// back (O(k log k + n) for k appends instead of O(n log n)).
-	nSorted int
-	sorted  atomic.Bool
-	sortMu  sync.Mutex
 }
 
 // NewNaive returns an empty naive index.
-func NewNaive() *NaiveIndex {
-	x := &NaiveIndex{}
-	x.sorted.Store(true)
-	return x
-}
+func NewNaive() *NaiveIndex { return &NaiveIndex{} }
 
 // materialize builds the wide join row, copying the duplicated avail
 // attribute columns the way a dataframe merge does.
@@ -55,26 +36,38 @@ func materialize(iv Interval) joinedRow {
 	return r
 }
 
-// Insert implements TimeIndex.
+// BulkLoad implements TimeIndex: materialize every joined row, then sort
+// them once.
+func (x *NaiveIndex) BulkLoad(ivs []Interval) error {
+	joined := make([]joinedRow, len(ivs))
+	for i, iv := range ivs {
+		if err := iv.Validate(); err != nil {
+			return err
+		}
+		joined[i] = materialize(iv)
+	}
+	slices.SortFunc(joined, rowCmp)
+	x.joined = joined
+	return nil
+}
+
+// Insert implements TimeIndex: the row goes to its sorted position, which
+// shifts every later row (linear, like the baseline it models).
 func (x *NaiveIndex) Insert(iv Interval) error {
 	if err := iv.Validate(); err != nil {
 		return err
 	}
-	x.joined = append(x.joined, materialize(iv))
-	x.sorted.Store(false)
+	r := materialize(iv)
+	i, _ := slices.BinarySearchFunc(x.joined, r, rowCmp)
+	x.joined = slices.Insert(x.joined, i, r)
 	return nil
 }
 
-// Delete implements TimeIndex (linear scan). Removing a row from the
-// sorted prefix keeps the remaining prefix sorted, so only its length
-// shrinks; a removal from the unsorted tail leaves the prefix untouched.
+// Delete implements TimeIndex (linear scan; the rest stay sorted).
 func (x *NaiveIndex) Delete(iv Interval) bool {
 	for i := range x.joined {
 		if x.joined[i].iv == iv {
-			x.joined = append(x.joined[:i], x.joined[i+1:]...)
-			if i < x.nSorted {
-				x.nSorted--
-			}
+			x.joined = slices.Delete(x.joined, i, i+1)
 			return true
 		}
 	}
@@ -94,31 +87,8 @@ func rowCmp(a, b joinedRow) int {
 	return 0
 }
 
-// ensureSorted performs the deferred re-sort at most once per batch of
-// mutations. Fast path: an atomic load (release-acquire paired with the
-// Store below, so readers that skip the lock still see the sorted rows).
-// Slow path: the first reader after a mutation sorts under sortMu while
-// racing readers block on the same mutex. The re-sort is append-and-merge:
-// only the tail appended since the last sort is sorted, then linearly
-// merged into the sorted prefix.
-func (x *NaiveIndex) ensureSorted() {
-	if x.sorted.Load() {
-		return
-	}
-	x.sortMu.Lock()
-	defer x.sortMu.Unlock()
-	if x.sorted.Load() {
-		return
-	}
-	slices.SortFunc(x.joined[x.nSorted:], rowCmp)
-	mergeTail(x.joined, x.nSorted, rowCmp)
-	x.nSorted = len(x.joined)
-	x.sorted.Store(true)
-}
-
 // ActiveAt implements TimeIndex with a scan of the materialized join.
 func (x *NaiveIndex) ActiveAt(t int64) []int {
-	x.ensureSorted()
 	var ids []int
 	for i := range x.joined {
 		r := &x.joined[i]
@@ -133,10 +103,7 @@ func (x *NaiveIndex) ActiveAt(t int64) []int {
 }
 
 // SettledBy implements TimeIndex with a full scan (ends are unsorted).
-// ensureSorted is still required: it parks this reader while a racing
-// reader runs the deferred re-sort, keeping the scan race-free.
 func (x *NaiveIndex) SettledBy(t int64) []int {
-	x.ensureSorted()
 	var ids []int
 	for i := range x.joined {
 		if x.joined[i].iv.End <= t {
@@ -148,7 +115,6 @@ func (x *NaiveIndex) SettledBy(t int64) []int {
 
 // CreatedBy implements TimeIndex.
 func (x *NaiveIndex) CreatedBy(t int64) []int {
-	x.ensureSorted()
 	var ids []int
 	for i := range x.joined {
 		if x.joined[i].iv.Start > t {
@@ -161,7 +127,6 @@ func (x *NaiveIndex) CreatedBy(t int64) []int {
 
 // CountActiveAt implements TimeIndex with a scan.
 func (x *NaiveIndex) CountActiveAt(t int64) int {
-	x.ensureSorted()
 	c := 0
 	for i := range x.joined {
 		if x.joined[i].iv.Start <= t && x.joined[i].iv.End > t {
@@ -173,7 +138,6 @@ func (x *NaiveIndex) CountActiveAt(t int64) int {
 
 // CountSettledBy implements TimeIndex with a scan.
 func (x *NaiveIndex) CountSettledBy(t int64) int {
-	x.ensureSorted()
 	c := 0
 	for i := range x.joined {
 		if x.joined[i].iv.End <= t {
@@ -185,7 +149,6 @@ func (x *NaiveIndex) CountSettledBy(t int64) int {
 
 // CreatedIn implements TimeIndex with a scan.
 func (x *NaiveIndex) CreatedIn(lo, hi int64) []int {
-	x.ensureSorted()
 	var ids []int
 	for i := range x.joined {
 		s := x.joined[i].iv.Start
@@ -198,7 +161,6 @@ func (x *NaiveIndex) CreatedIn(lo, hi int64) []int {
 
 // SettledIn implements TimeIndex with a scan.
 func (x *NaiveIndex) SettledIn(lo, hi int64) []int {
-	x.ensureSorted()
 	var ids []int
 	for i := range x.joined {
 		e := x.joined[i].iv.End

@@ -30,8 +30,7 @@ type ensemble struct {
 }
 
 // compile rebuilds m's ensemble from m.trees. It runs wherever m.trees
-// changes (Fit, FitEarlyStopping's truncation, UnmarshalJSON); Predict
-// reads only the ensemble.
+// changes (Fit, UnmarshalJSON); Predict reads only the ensemble.
 func (m *Model) compile() {
 	depths := make([]uint8, len(m.trees))
 	splits, leaves := 0, 0

@@ -35,13 +35,6 @@ type Params struct {
 	Subsample float64
 	// ColsampleByTree is the feature sampling fraction per tree in (0, 1].
 	ColsampleByTree float64
-	// TreeMethod selects split finding: "exact" (default) scans every
-	// split candidate, over columns sorted once per Fit; "hist" pre-buckets
-	// features into quantile bins (XGBoost's approx method) and scans only
-	// the bin edges.
-	TreeMethod string
-	// Bins is the histogram resolution for TreeMethod "hist" (default 64).
-	Bins int
 	// Seed drives the subsampling RNG.
 	Seed int64
 }
@@ -77,15 +70,6 @@ func (p Params) Validate() error {
 	}
 	if p.MaxDepth > MaxTreeDepth {
 		return fmt.Errorf("gbt: max depth %d > %d", p.MaxDepth, MaxTreeDepth)
-	}
-	switch p.TreeMethod {
-	case "", "exact":
-	case "hist":
-		if p.Bins != 0 && (p.Bins < 2 || p.Bins > tree.MaxHistBins) {
-			return fmt.Errorf("gbt: bins %d outside [2,%d]", p.Bins, tree.MaxHistBins)
-		}
-	default:
-		return fmt.Errorf("gbt: unknown tree method %q", p.TreeMethod)
 	}
 	return tree.Config{
 		MaxDepth:       p.MaxDepth,
@@ -187,20 +171,8 @@ func Fit(p Params, l loss.Loss, d *ml.Dataset) (*Model, error) {
 	// by per-leaf line search below. Smooth ℓ2 keeps exact Newton steps.
 	_, treeBoost := l.(loss.LeafOptimizer)
 
-	// Either method prepares the design once for every round: quantile
-	// bins, or every column sorted.
-	var binner *tree.Binner
-	var sorted *tree.Presorted
-	var err error
-	if p.TreeMethod == "hist" {
-		bins := p.Bins
-		if bins == 0 {
-			bins = 64
-		}
-		binner, err = tree.NewBinner(d.X, bins)
-	} else {
-		sorted, err = tree.NewPresorted(d.X)
-	}
+	// Every column is sorted once, for every round's exact split search.
+	sorted, err := tree.NewPresorted(d.X)
 	if err != nil {
 		return nil, err
 	}
@@ -219,12 +191,7 @@ func Fit(p Params, l loss.Loss, d *ml.Dataset) (*Model, error) {
 		}
 		rows := sample(rng, allRows, p.Subsample)
 		cols := sample(rng, allCols, p.ColsampleByTree)
-		var tr *tree.Node
-		if binner != nil {
-			tr, err = tree.BuildHist(cfg, binner, g, h, rows, cols)
-		} else {
-			tr, err = tree.Build(cfg, sorted, g, h, rows, cols)
-		}
+		tr, err := tree.Build(cfg, sorted, g, h, rows, cols)
 		if err != nil {
 			return nil, fmt.Errorf("gbt: round %d: %w", round, err)
 		}

@@ -235,7 +235,7 @@ func TestFitErrors(t *testing.T) {
 }
 
 // TestFitRefusesNonFinite: NaN or ±Inf in a feature or a target fails Fit
-// with an error naming the row and column, under either tree method.
+// with an error naming the row and column.
 func TestFitRefusesNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -252,14 +252,10 @@ func TestFitRefusesNonFinite(t *testing.T) {
 		{"-Inf target", [][]float64{{1, 2}, {3, 4}}, []float64{-inf, 2}, "row 0: non-finite target -Inf"},
 	}
 	for _, c := range cases {
-		for _, method := range []string{"exact", "hist"} {
-			p := DefaultParams()
-			p.TreeMethod = method
-			d := &ml.Dataset{X: c.X, Y: c.Y, Names: []string{"a", "b"}}
-			_, err := Fit(p, nil, d)
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("%s (%s): err = %v, want it to contain %q", c.name, method, err, c.want)
-			}
+		d := &ml.Dataset{X: c.X, Y: c.Y, Names: []string{"a", "b"}}
+		_, err := Fit(DefaultParams(), nil, d)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to contain %q", c.name, err, c.want)
 		}
 	}
 }
@@ -290,65 +286,6 @@ func TestConstantTargetPredictsConstant(t *testing.T) {
 		if got := m.Predict([]float64{x}); math.Abs(got-7) > 1e-9 {
 			t.Errorf("Predict(%f) = %f, want 7", x, got)
 		}
-	}
-}
-
-func TestHistMethodMatchesExactQuality(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	train := synthNonlinear(rng, 400)
-	test := synthNonlinear(rng, 150)
-	exact := DefaultParams()
-	exact.NumRounds = 120
-	hist := exact
-	hist.TreeMethod = "hist"
-	hist.Bins = 64
-	me, err := Fit(exact, loss.Squared{}, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mh, err := Fit(hist, loss.Squared{}, train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ee, eh := mse(me, test), mse(mh, test)
-	if eh > ee*1.5+1 {
-		t.Errorf("hist test MSE %f too far above exact %f", eh, ee)
-	}
-}
-
-func TestHistMethodValidation(t *testing.T) {
-	p := DefaultParams()
-	p.TreeMethod = "approx"
-	if err := p.Validate(); err == nil {
-		t.Error("unknown tree method: want error")
-	}
-	p.TreeMethod = "hist"
-	p.Bins = 1
-	if err := p.Validate(); err == nil {
-		t.Error("bins=1: want error")
-	}
-	p.Bins = 64
-	if err := p.Validate(); err != nil {
-		t.Errorf("valid hist params rejected: %v", err)
-	}
-}
-
-func TestHistWithRobustLoss(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	d := synthLinear(rng, 300)
-	p := DefaultParams()
-	p.TreeMethod = "hist"
-	p.NumRounds = 120
-	ph, err := loss.NewPseudoHuber(18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Fit(p, ph, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := mse(m, d); e > 20 {
-		t.Errorf("hist+pseudohuber training MSE = %f, want < 20", e)
 	}
 }
 

@@ -5,7 +5,7 @@
 // weight w* = -G/(H+λ) and each split must improve the regularized objective
 // by more than γ. As in XGBoost's exact method, every column is sorted once
 // per booster (Presorted) and each node scans its rows in that order, so
-// growing a tree sorts nothing. BuildHist is the histogram alternative.
+// growing a tree sorts nothing.
 //
 // Fitting a single tree with g_i = -y_i and h_i = 1 reproduces a classical
 // CART regression tree (leaf = mean target, variance-reduction splits), which

@@ -161,12 +161,17 @@ func TestMinChildWeightBlocksTinyLeaves(t *testing.T) {
 	cfg.Lambda = 0
 	cfg.MinChildWeight = 2 // unit hessians: each child needs >= 2 rows
 	root := fitCART(t, cfg, X, y)
-	var walk func(n *Node, rows int)
-	// With 4 rows and min 2 per child, only the middle split is legal.
-	if !root.IsLeaf() && root.Threshold != 1.5 && root.Threshold != 2 {
-		t.Errorf("split threshold %f should be the middle split", root.Threshold)
+	// With 4 rows and min 2 per child, only the middle split is legal, and
+	// neither two-row child can split again.
+	if root.IsLeaf() || root.Feature != 0 || root.Threshold != 1.5 {
+		t.Fatalf("root = %+v, want a split on feature 0 at 1.5", *root)
 	}
-	_ = walk
+	if !root.Left.IsLeaf() || !root.Right.IsLeaf() {
+		t.Fatalf("children %+v, %+v: want two leaves", *root.Left, *root.Right)
+	}
+	if root.Left.Weight != 0 || root.Right.Weight != 50 {
+		t.Errorf("leaf weights %v, %v, want 0 and 50", root.Left.Weight, root.Right.Weight)
+	}
 }
 
 func TestLambdaShrinksLeaves(t *testing.T) {

@@ -122,7 +122,7 @@ func TestDeltaEngineDifferential(t *testing.T) {
 	if testing.Short() {
 		n = 120
 	}
-	for _, kind := range []index.Kind{index.KindNaive, index.KindAVL, index.KindSorted} {
+	for _, kind := range index.Kinds() {
 		t.Run(string(kind), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(61))
 			a := &domain.Avail{
